@@ -15,6 +15,7 @@ Grid points are independent; sweeps may be parallelized freely.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -69,20 +70,39 @@ class RegionSample:
     margin: float
 
 
+def _centred(*values: float) -> list[float]:
+    """The values divided by the power of two that centres their binary
+    exponents on 0 (keeping the largest below 2**1023).  The division is
+    exact, so scale-free closed forms give bit-identical results at
+    ordinary scales, and no product of two values overflows or
+    underflows to 0 at extreme ones."""
+    exponents = [math.frexp(v)[1] for v in values]
+    e = max((max(exponents) + min(exponents)) // 2, max(exponents) - 1023)
+    return [math.ldexp(v, -e) for v in values]
+
+
 def thresholds(spec: ContestSpec) -> Thresholds:
     """Compute both existence cutoffs from the four extreme valuations.
 
     No sabotage requires theta <= v11*v21 / ((v11+v21) * max(|v1n|,|v2n|));
     all-sabotage requires theta >= |v1n+v2n| * max(v11,v21) / (v1n*v2n),
     the product in the denominator being positive since both bottom
-    valuations are negative.
+    valuations are negative.  Both cutoffs are scale-free, so they are
+    evaluated on centred valuations.
     """
-    top1 = spec.group1.valuations[0]
-    top2 = spec.group2.valuations[0]
-    bot1 = spec.group1.valuations[-1]
-    bot2 = spec.group2.valuations[-1]
-    low = top1 * top2 / ((top1 + top2) * max(abs(bot1), abs(bot2)))
-    high = abs(bot1 + bot2) * max(top1, top2) / (bot1 * bot2)
+    top1, top2, bot1, bot2 = _centred(
+        spec.group1.valuations[0],
+        spec.group2.valuations[0],
+        spec.group1.valuations[-1],
+        spec.group2.valuations[-1],
+    )
+    # A denominator underflows to 0 only if the valuations span more than
+    # the float range; the cutoff then lies outside that range too, below
+    # it if the tops are what vanished.
+    den = (top1 + top2) * max(abs(bot1), abs(bot2))
+    low = top1 * top2 / den if den else (math.inf if top1 + top2 else 0.0)
+    den = bot1 * bot2
+    high = abs(bot1 + bot2) * max(top1, top2) / den if den else math.inf
     return Thresholds(low, high)
 
 
@@ -110,19 +130,24 @@ def solve(spec: ContestSpec) -> EquilibriumResult:
     if regime is Regime.NO_PURE:
         return EquilibriumResult(regime, None, None, False)
 
+    # Efforts are linear in the valuations: solve at magnitude <= 1, where
+    # the cubic numerators cannot overflow, and scale back exactly.
     profile = StrategyProfile.zeros(spec)
     if regime is Regime.NO_SABOTAGE:
-        a = spec.group1.valuations[0]
-        b = spec.group2.valuations[0]
-        denom = (a + b) ** 2
-        profile = profile.replace(PlayerId(1, 1), a * a * b / denom, 0.0)
-        profile = profile.replace(PlayerId(2, 1), a * b * b / denom, 0.0)
+        a, b = spec.group1.valuations[0], spec.group2.valuations[0]
     else:
-        a = spec.group1.valuations[-1]
-        b = spec.group2.valuations[-1]
-        denom = (a + b) ** 2
-        profile = profile.replace(PlayerId(1, spec.group1.size), 0.0, -a * a * b / denom)
-        profile = profile.replace(PlayerId(2, spec.group2.size), 0.0, -a * b * b / denom)
+        a, b = spec.group1.valuations[-1], spec.group2.valuations[-1]
+    e = math.frexp(max(abs(a), abs(b)))[1]
+    a, b = math.ldexp(a, -e), math.ldexp(b, -e)
+    denom = (a + b) ** 2
+    if regime is Regime.NO_SABOTAGE:
+        profile = profile.replace(PlayerId(1, 1), math.ldexp(a * a * b / denom, e), 0.0)
+        profile = profile.replace(PlayerId(2, 1), math.ldexp(a * b * b / denom, e), 0.0)
+    else:
+        y1 = math.ldexp(-a * a * b / denom, e)
+        y2 = math.ldexp(-a * b * b / denom, e)
+        profile = profile.replace(PlayerId(1, spec.group1.size), 0.0, y1)
+        profile = profile.replace(PlayerId(2, spec.group2.size), 0.0, y2)
     return EquilibriumResult(regime, profile, effective_efforts(spec, profile), boundary)
 
 

@@ -249,6 +249,8 @@ def effective_efforts(spec: ContestSpec, profile: StrategyProfile) -> EffectiveE
 def spec_from_dict(obj: dict) -> ContestSpec:
     """Build (and validate) a ContestSpec from its JSON document form."""
     try:
+        if isinstance(obj["theta"], bool):
+            raise ValidationError(f"theta must be a number, got {obj['theta']}")
         theta = float(obj["theta"])
         groups = obj["groups"]
         if len(groups) != 2:

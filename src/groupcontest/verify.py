@@ -1,14 +1,28 @@
 """Independent certification and refutation of strategy profiles.
 
-``best_deviation`` searches one player's whole (x, y) strategy space
-while everyone else stays put.  Along either axis the payoff is
-piecewise smooth with at most one kink (where the player's own group's
-effective effort changes sign), so a finite candidate set - corners,
-kinks, interior stationary points, a dense safety grid, and one-step
-neighbors of all of those - brackets the true optimum up to grid
-refinement.  Candidates are scored in bulk and the winner's improvement
-is recomputed exactly through the payoff function, which turns an
-infinite-action equilibrium check into a finite certificate.
+``best_deviation`` finds one player's best unilateral move exactly, from
+closed-form candidates.  Exerting both effort types is strictly
+dominated (cutting x by d = min(x, theta*y) and y by d/theta keeps the
+group's effective effort and lowers the cost), and winning odds never
+fall as own-group effort rises, so a positive-valuation player only
+builds and a negative-valuation one only sabotages.  On that axis the
+payoff has one kink, where own-group effective effort crosses 0; on
+either side the success function is c/(c + z) or c/(c - z), so each
+piece peaks at an endpoint or at the stationary point of
+``br_positive_x`` / ``br_negative_y``.  The candidates are the current
+effort, 0, the kink and that stationary point, scored as plain floats.
+
+Where the rival group's effective effort is 0 the odds jump as own-group
+effort leaves 0, so the supremum lies just past the kink and is never
+attained.  The search then reports the limit point kink + d, with d
+doubled from one ulp of the valuation or the kink until the group sum,
+rounded as ``effective_efforts`` rounds it, lands strictly past 0
+(large efforts that cancel inside the group round smaller steps away).
+The same goes when the rival's effort is within rounding of 0
+(``ROUNDING_BAND``); there all candidates are scored from rounded group
+sums.  The winner's improvement is recomputed exactly through the payoff
+function, or is 0.0 when the winner is the current effort: a finite
+certificate over an infinite action space.
 
 ``refute_class`` mechanizes the deviation arguments that rule out whole
 families of profiles (mixed-sign effective efforts, some zero effective
@@ -34,10 +48,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import best_response as br
-from .csf import p1_values, payoff
+from .csf import payoff, win_probability_short
 from .model import (
     ContestError,
     ContestSpec,
+    EffectiveEffort,
     PlayerId,
     StrategyProfile,
     effective_efforts,
@@ -45,11 +60,15 @@ from .model import (
     valuation,
 )
 
-SAFETY_GRID_POINTS = 512
-GUARD_GRID_POINTS = 32
 FIXED_POINT_TOL = 1e-9
 CONVERGENCE_TOL = 1e-8
 CYCLE_TOL = 1e-6
+# z_minus + x strays from the rounded group sum by at most about one ulp of
+# the group's gross effort per nonzero effort in it (adding 0.0 is exact),
+# plus a few for the residual and the move.  Scores use z_minus + x only
+# where |z_other| exceeds that by ROUNDING_BAND, keeping their error below
+# about |v| * 2**-44.
+ROUNDING_BAND = 2.0**44
 
 
 class ClassUnsatisfiable(ContestError):
@@ -64,9 +83,10 @@ class RefutationFailed(ContestError):
 
 @dataclass(frozen=True)
 class Deviation:
-    """Best found unilateral move for one player.  ``improvement`` is
-    the exact payoff gain, recomputed through the payoff function, and
-    never negative (staying put is always a candidate)."""
+    """Best unilateral move for one player: the exact maximizer, or the
+    limit point just past the kink where the supremum is not attained.
+    ``improvement`` is the exact payoff gain, recomputed through the
+    payoff function, and 0.0 when staying put is best."""
 
     player: PlayerId
     new_x: float
@@ -76,6 +96,9 @@ class Deviation:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """``candidate_count`` is the number of points scored over all
+    players' searches, at most five per player."""
+
     is_epsilon_nash: bool
     epsilon: float
     deviations: tuple[Deviation, ...]
@@ -134,99 +157,101 @@ def default_epsilon(spec: ContestSpec) -> float:
     return 1e-6 * spec.max_abs_valuation()
 
 
-def _axis_candidates(
-    v: float,
-    theta: float,
-    z_minus: float,
-    z_other: float,
-    current: float,
-    reach: float,
-    step: float,
-    axis: str,
-) -> np.ndarray:
-    """Candidate efforts along one axis: safety grid, corners, the kink
-    where own-group effective effort crosses 0, interior stationary
-    points valid for the post-deviation sign regime, the current
-    effort, and one-step neighbors of everything."""
-    specials = [0.0, current]
-    if axis == "x":
-        if z_minus < 0:
-            specials.append(-z_minus)
-        if v > 0 and z_other > 0:
-            specials.append(br.br_positive_x(v, z_minus, z_other).effort)
-        if v > 0 and z_minus < 0 and z_other < 0:
-            specials.append(br.br_negative_x(v, z_minus, z_other).effort)
+def _stationary(v: float, theta: float, z_minus: float, z_other: float) -> float:
+    """The concave piece's peak on the player's axis, or 0 if there is
+    none.  The rules are homogeneous of degree 1 in (v, z_minus, z_other),
+    so they run on arguments scaled by a power of two to at most 1, where
+    v*z_other cannot overflow or underflow, and scale back exactly."""
+    e = math.frexp(max(abs(v), abs(z_minus), abs(z_other)))[1]
+    v1, m1, o1 = (math.ldexp(t, -e) for t in (v, z_minus, z_other))
+    if v > 0 and z_other > 0:
+        effort = br.br_positive_x(v1, m1, o1).effort
+    elif v < 0 and z_other < 0:
+        effort = br.br_negative_y(theta, v1, m1, o1).effort
     else:
-        if z_minus > 0:
-            specials.append(z_minus / theta)
-        if v < 0 and z_other < 0:
-            specials.append(br.br_negative_y(theta, v, z_minus, z_other).effort)
-        if v < 0 and z_minus > 0 and z_other > 0:
-            specials.append(br.br_positive_y(theta, v, z_minus, z_other).effort)
-    base = np.concatenate([np.linspace(0.0, reach, SAFETY_GRID_POINTS), specials])
-    candidates = np.concatenate([base, base + step, base - step])
-    candidates = candidates[np.isfinite(candidates)]
-    return np.maximum(candidates, 0.0)
+        return 0.0
+    try:
+        return math.ldexp(effort, e)
+    except OverflowError:  # beyond the float range: no candidate
+        return math.inf
+
+
+def _own_z(spec: ContestSpec, profile: StrategyProfile, player: PlayerId, x, y) -> float:
+    """Own-group effective effort after a move, rounded as in ``payoff``."""
+    return effective_efforts(spec, profile.replace(player, x, y)).z(player.group)
 
 
 def _search(
-    spec: ContestSpec, profile: StrategyProfile, player: PlayerId
+    spec: ContestSpec,
+    profile: StrategyProfile,
+    player: PlayerId,
+    eff: EffectiveEffort,
+    sums: tuple[tuple[float, int], ...],
 ) -> tuple[Deviation, int]:
+    """Exact best deviation of one player; ``sums`` is ``_group_sums``."""
     v = valuation(spec, player)
     theta = spec.theta
-    eff = effective_efforts(spec, profile)
     z_minus = eff.z_minus(player)
     z_other = eff.z_other(player.group)
     current = profile.effort(player)
 
-    reach = 4.0 * (spec.max_abs_valuation() + abs(z_minus) + abs(z_other))
-    step = reach / (SAFETY_GRID_POINTS - 1)
+    # The current effort is scored first, so ties keep the player put.
+    best_x, best_y = current.x, current.y
+    best_value = v * win_probability_short(eff.z(player.group), z_other) - best_x - best_y
 
-    def score(xs, ys):
-        z_own = z_minus + xs - theta * ys
-        return v * p1_values(z_own, z_other) - xs - ys
+    move = (lambda e: (e, 0.0)) if v > 0 else (lambda e: (0.0, e))
+    kink = max(0.0, -z_minus) if v > 0 else max(0.0, z_minus / theta)
+    moves = [move(0.0)]
+    for e in (kink, _stationary(v, theta, z_minus, z_other)):
+        if e > 0 and move(e) not in moves and math.isfinite(e):
+            moves.append(move(e))
+    own_gross, terms = sums[player.group - 1]
+    if abs(z_other) > ROUNDING_BAND * (terms + 4) * math.ulp(own_gross):
+        candidates = [(x, y, z_minus + x - theta * y) for x, y in moves]
+    else:
+        candidates = [(x, y, _own_z(spec, profile, player, x, y)) for x, y in moves]
+        # The limit point: step past the kink until the rounded group sum
+        # is past 0, unless the kink is out of the float range.
+        d = math.ulp(max(abs(v), kink))
+        while math.isfinite(kink + d):
+            x, y = move(kink + d)
+            z = _own_z(spec, profile, player, x, y)
+            if (z > 0) if v > 0 else (z < 0):
+                candidates.append((x, y, z))
+                break
+            d *= 2.0
 
-    best_x, best_y, best_value = current.x, current.y, -math.inf
-    count = 1  # the profile's own current point
+    for x, y, z in candidates:
+        value = v * win_probability_short(z, z_other) - x - y
+        if value > best_value:
+            best_x, best_y, best_value = x, y, value
+    count = 1 + len(candidates)
 
-    xs = _axis_candidates(v, theta, z_minus, z_other, current.x, reach, step, "x")
-    vals = score(xs, 0.0)
-    i = int(np.argmax(vals))
-    if vals[i] > best_value:
-        best_x, best_y, best_value = float(xs[i]), 0.0, float(vals[i])
-    count += xs.size
-
-    ys = _axis_candidates(v, theta, z_minus, z_other, current.y, reach, step, "y")
-    vals = score(0.0, ys)
-    i = int(np.argmax(vals))
-    if vals[i] > best_value:
-        best_x, best_y, best_value = 0.0, float(ys[i]), float(vals[i])
-    count += ys.size
-
-    # Coarse two-axis guard: exerting both effort types is always
-    # dominated at an equilibrium, but arbitrary input profiles get the
-    # benefit of the doubt.
-    axis = np.linspace(0.0, reach, GUARD_GRID_POINTS)
-    gx, gy = (g.ravel() for g in np.meshgrid(axis, axis))
-    vals = score(gx, gy)
-    i = int(np.argmax(vals))
-    if vals[i] > best_value:
-        best_x, best_y, best_value = float(gx[i]), float(gy[i]), float(vals[i])
-    count += gx.size
-
-    base_payoff = payoff(spec, profile, player)
+    stay = Deviation(player, current.x, current.y, 0.0)
+    if best_x == current.x and best_y == current.y:
+        return stay, count
     deviated = profile.replace(player, best_x, best_y)
-    improvement = payoff(spec, deviated, player) - base_payoff
+    improvement = payoff(spec, deviated, player) - payoff(spec, profile, player)
     if improvement <= 0.0:
-        return Deviation(player, current.x, current.y, 0.0), count
+        return stay, count
     return Deviation(player, best_x, best_y, improvement), count
+
+
+def _group_sums(spec: ContestSpec, profile: StrategyProfile) -> tuple[tuple[float, int], ...]:
+    """Per group, the gross effort x + theta*y and the number of nonzero
+    efforts: together they bound the rounding in its effective effort."""
+    return tuple(
+        (sum(e.x + spec.theta * e.y for e in g), sum((e.x != 0) + (e.y != 0) for e in g))
+        for g in profile.efforts
+    )
 
 
 def best_deviation(
     spec: ContestSpec, profile: StrategyProfile, player: PlayerId
 ) -> Deviation:
     """Search one player's deviations, holding all others fixed."""
-    deviation, _ = _search(spec, profile, player)
+    eff = effective_efforts(spec, profile)
+    deviation, _ = _search(spec, profile, player, eff, _group_sums(spec, profile))
     return deviation
 
 
@@ -244,10 +269,12 @@ def is_epsilon_nash(
         epsilon = default_epsilon(spec)
     if epsilon <= 0:
         raise ContestError(f"epsilon must be positive, got {epsilon}")
+    eff = effective_efforts(spec, profile)
+    sums = _group_sums(spec, profile)
     deviations = []
     count = 0
     for p in players(spec):
-        d, n = _search(spec, profile, p)
+        d, n = _search(spec, profile, p, eff, sums)
         deviations.append(d)
         count += n
     certified = all(d.improvement <= epsilon for d in deviations)

@@ -1,6 +1,6 @@
 """Shared test utilities: spec builders, seeded random spec generation,
 hypothesis strategies, and independent grid-search oracles for the
-single-axis best-response rules.
+single-axis best-response rules and for a player's best deviation.
 
 The oracles maximize the exact payoff of each regime by brute force on
 a dense effort grid (augmented with the exact piece endpoints, where
@@ -233,3 +233,48 @@ CLOSED_FORMS = {
 }
 
 BR_OPS = tuple(CLOSED_FORMS)
+
+
+# --- dense deviation-search oracle ------------------------------------------
+
+ORACLE_AXIS_POINTS = 2049
+ORACLE_GUARD_POINTS = 33
+
+
+def grid_deviation(spec, profile, player) -> tuple[float, float, float]:
+    """Brute-force best deviation of one player: a dense grid along each
+    effort axis plus a coarse two-axis grid, augmented with the current
+    effort and the kinks where own-group effective effort crosses 0,
+    each with its one-step neighbors.  Uses no closed-form best
+    response.  Candidates are scored in bulk; the winner's improvement
+    is recomputed exactly through the payoff function.  Returns
+    (x, y, improvement), with improvement 0.0 when nothing beats the
+    current effort."""
+    v = gc.valuation(spec, player)
+    theta = spec.theta
+    eff = gc.effective_efforts(spec, profile)
+    z_minus = eff.z_minus(player)
+    z_other = eff.z_other(player.group)
+    current = profile.effort(player)
+    reach = 4.0 * (spec.max_abs_valuation() + abs(z_minus) + abs(z_other))
+
+    def axis(special, hi):
+        step = hi / (ORACLE_AXIS_POINTS - 1)
+        base = np.concatenate([np.linspace(0.0, hi, ORACLE_AXIS_POINTS), special])
+        points = np.concatenate([base, base + step, base - step])
+        return np.maximum(points[np.isfinite(points)], 0.0)
+
+    xs = axis([current.x, -z_minus], reach)
+    ys = axis([current.y, z_minus / theta], reach / min(theta, 1.0))
+    guard = np.linspace(0.0, reach, ORACLE_GUARD_POINTS)
+    gx, gy = (g.ravel() for g in np.meshgrid(guard, guard))
+    cand_x = np.concatenate([xs, np.zeros_like(ys), gx])
+    cand_y = np.concatenate([np.zeros_like(xs), ys, gy])
+    values = v * gc.p1_values(z_minus + cand_x - theta * cand_y, z_other) - cand_x - cand_y
+    i = int(np.argmax(values))
+    x, y = float(cand_x[i]), float(cand_y[i])
+    deviated = profile.replace(player, x, y)
+    improvement = gc.payoff(spec, deviated, player) - gc.payoff(spec, profile, player)
+    if improvement <= 0.0:
+        return current.x, current.y, 0.0
+    return x, y, improvement

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -139,6 +141,72 @@ class TestSolve:
         spend = result.profile.effort(gc.PlayerId(1, 1)).x + result.profile.effort(gc.PlayerId(2, 1)).x
         assert spend == pytest.approx(top1 * top2 / (top1 + top2), rel=1e-10)
         assert spend < min(top1, top2)
+
+
+def _scaled(spec, k):
+    vals = [[math.ldexp(v, k) for v in g.valuations] for g in (spec.group1, spec.group2)]
+    return make_spec(*vals, spec.theta)
+
+
+class TestScale:
+    @pytest.mark.parametrize("s", [1e160, 1e-170])
+    def test_extreme_unit_scales(self, s):
+        spec = make_spec([4 * s, -s], [4 * s, -2 * s], 0.5)
+        cut = gc.thresholds(spec)
+        assert cut.theta_no_sabotage == pytest.approx(1.0, rel=1e-12)
+        assert cut.theta_sabotage == pytest.approx(6.0, rel=1e-12)
+        result = gc.solve(spec)
+        assert result.regime is gc.Regime.NO_SABOTAGE
+        assert result.profile.effort(gc.PlayerId(1, 1)).x == pytest.approx(s, rel=1e-12)
+        assert gc.is_epsilon_nash(spec, result.profile).is_epsilon_nash
+
+    @pytest.mark.parametrize("top, bottom", [(1e300, -1e-30), (1e308, -5e-324)])
+    def test_valuations_spanning_more_than_the_float_range(self, top, bottom):
+        # Both cutoffs exceed the largest float: theta is below the lower one.
+        spec = make_spec([top, bottom], [top, bottom], 0.5)
+        assert gc.thresholds(spec) == gc.Thresholds(math.inf, math.inf)
+        result = gc.solve(spec)
+        assert result.regime is gc.Regime.NO_SABOTAGE
+        assert result.profile.effort(gc.PlayerId(1, 1)).x == top / 4
+
+    def test_tops_vanishing_next_to_bottoms(self):
+        # Both cutoffs lie below the smallest float: theta is above the upper one.
+        spec = make_spec([5e-324, -1e308], [5e-324, -1e308], 0.5)
+        assert gc.thresholds(spec) == gc.Thresholds(0.0, 0.0)
+        result = gc.solve(spec)
+        assert result.regime is gc.Regime.SABOTAGE
+        assert result.profile.effort(gc.PlayerId(1, 2)).y == 2.5e307
+
+    def test_top_valuations_spanning_more_than_the_float_range(self):
+        spec = make_spec([1e300, -1], [1e-10, -1], 1e-12)
+        result = gc.solve(spec)
+        assert result.regime is gc.Regime.NO_SABOTAGE
+        assert result.profile.effort(gc.PlayerId(1, 1)).x == pytest.approx(1e-10, rel=1e-12)
+
+    @given(
+        specs(),
+        st.sampled_from(["low", "high", "as_drawn"]),
+        st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+        st.integers(-1000, 1000),
+    )
+    def test_power_of_two_scaling_is_exact(self, spec, where, u, k):
+        cut = gc.thresholds(spec)
+        vals = (spec.group1.valuations, spec.group2.valuations)
+        if where == "low":
+            spec = make_spec(*vals, cut.theta_no_sabotage * u)
+        elif where == "high":
+            spec = make_spec(*vals, cut.theta_sabotage / u)
+        big = _scaled(spec, k)
+        assert gc.thresholds(big) == gc.thresholds(spec)
+        assert gc.classify(big) == gc.classify(spec)
+        result, scaled = gc.solve(spec), gc.solve(big)
+        assert scaled.regime is result.regime and scaled.boundary == result.boundary
+        if result.profile is None:
+            assert scaled.profile is None
+            return
+        for p in gc.players(spec):
+            e, f = result.profile.effort(p), scaled.profile.effort(p)
+            assert (f.x, f.y) == (math.ldexp(e.x, k), math.ldexp(e.y, k))
 
 
 class TestRegionSample:

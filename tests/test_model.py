@@ -155,6 +155,12 @@ class TestDocuments:
         with pytest.raises(gc.ValidationError):
             gc.spec_from_dict({"groups": []})
 
+    @pytest.mark.parametrize("theta", [True, False])
+    def test_spec_document_rejects_boolean_theta(self, theta):
+        doc = {"theta": theta, "groups": [{"valuations": [1, -1]}, {"valuations": [1, -1]}]}
+        with pytest.raises(gc.ValidationError, match="theta must be a number"):
+            gc.spec_from_dict(doc)
+
     def test_profile_document_rejects_negative_effort(self):
         with pytest.raises(gc.ValidationError):
             gc.profile_from_dict({"efforts": [[{"x": -1, "y": 0}], [{"x": 0, "y": 0}]]})

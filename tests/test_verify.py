@@ -1,10 +1,21 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import groupcontest as gc
-from helpers import make_spec, profile_distance, random_profile, random_spec
+from helpers import (
+    efforts_st,
+    grid_deviation,
+    make_spec,
+    profile_distance,
+    random_profile,
+    random_spec,
+    specs,
+)
 
 
 @pytest.fixture
@@ -137,6 +148,130 @@ class TestBestDeviation:
                 pool.map(lambda p: gc.best_deviation(sabotage_spec, profile, p), roster)
             )
         assert parallel == sequential
+
+
+def _offset_to_zero(spec, profile, group, t):
+    """Top player builds theta*t, bottom player sabotages t: the
+    group's effective effort is exactly 0."""
+    profile = profile.replace(gc.PlayerId(group, 1), spec.theta * t, 0.0)
+    return profile.replace(gc.PlayerId(group, spec.group(group).size), 0.0, t)
+
+
+@st.composite
+def search_cases(draw):
+    """A spec and a profile whose efforts mix x and y freely; half the
+    time one group's effective effort is exactly 0, by idleness or by
+    offsetting efforts."""
+    spec = draw(specs())
+    profile = gc.StrategyProfile.zeros(spec)
+    for p in gc.players(spec):
+        profile = profile.replace(p, draw(efforts_st), draw(efforts_st))
+    zero = draw(st.sampled_from([None, "idle", "offset"]))
+    if zero is not None:
+        g = draw(st.integers(1, 2))
+        for k in range(1, spec.group(g).size + 1):
+            profile = profile.replace(gc.PlayerId(g, k), 0.0, 0.0)
+        if zero == "offset":
+            profile = _offset_to_zero(spec, profile, g, draw(st.floats(1e-3, 50.0)))
+    return spec, profile
+
+
+class TestExactSearch:
+    @given(search_cases())
+    def test_dense_grid_oracle_never_beats_the_search(self, case):
+        spec, profile = case
+        tol = 1e-12 * spec.max_abs_valuation()
+        report = gc.is_epsilon_nash(spec, profile)
+        assert report.candidate_count <= 5 * len(report.deviations)
+        for d in report.deviations:
+            assert d == gc.best_deviation(spec, profile, d.player)
+            _, _, oracle = grid_deviation(spec, profile, d.player)
+            assert oracle <= d.improvement + tol
+
+    def test_limit_point_when_both_groups_offset_to_zero(self, no_sabotage_spec):
+        # Offsets small enough that dropping them never pays: every
+        # player's supremum is |v|/2 beyond staying put, approached just
+        # past her kink and never attained.
+        spec = no_sabotage_spec
+        profile = gc.StrategyProfile.zeros(spec)
+        profile = _offset_to_zero(spec, _offset_to_zero(spec, profile, 1, 3e-3), 2, 5e-3)
+        assert gc.effective_efforts(spec, profile).z1 == 0.0
+        for d in gc.is_epsilon_nash(spec, profile).deviations:
+            v = gc.valuation(spec, d.player)
+            assert d.improvement == pytest.approx(abs(v) / 2, rel=1e-12)
+            z = gc.effective_efforts(spec, profile.replace(d.player, d.new_x, d.new_y))
+            assert z.z(d.player.group) * v > 0
+            assert (d.new_y == 0.0) if v > 0 else (d.new_x == 0.0)
+
+    @pytest.mark.parametrize("z_other", [0.0, 1e-200, -1e-200])
+    def test_limit_point_survives_large_cancelling_efforts(self, z_other):
+        # Group 1's extreme players hold huge offsetting efforts, so a
+        # step past the kink of one ulp of the valuation would round
+        # away in the group sum.  The middle players can still move the
+        # group's winning probability to 0 or 1 at negligible cost.
+        spec = make_spec([4, 1, -1, -2], [4, 2, -1], 0.5)
+        profile = _offset_to_zero(spec, gc.StrategyProfile.zeros(spec), 1, 1e9)
+        profile = profile.replace(gc.PlayerId(2, 1), max(z_other, 0.0), 0.0)
+        profile = profile.replace(gc.PlayerId(2, 3), 0.0, max(-z_other, 0.0) / spec.theta)
+        eff = gc.effective_efforts(spec, profile)
+        p_now = gc.win_probability(eff.z1, eff.z2).p1
+        for p in (gc.PlayerId(1, 2), gc.PlayerId(1, 3)):
+            v = gc.valuation(spec, p)
+            gain = v * (1.0 - p_now) if v > 0 else -v * p_now
+            d = gc.best_deviation(spec, profile, p)
+            assert d.improvement == pytest.approx(gain, abs=1e-6)
+            if gain > 0:
+                z = gc.effective_efforts(spec, profile.replace(p, d.new_x, d.new_y)).z1
+                assert z * v > 0
+
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_stationary_point_at_extreme_scale(self, k):
+        # v * z_other would overflow (k > 0) or underflow (k < 0) unscaled.
+        s = math.ldexp(1.0, k)
+        spec = make_spec([4 * s, 1 * s, -1 * s], [4 * s, 2 * s, -1 * s], 0.5)
+        profile = gc.solve(spec).profile
+        top = gc.PlayerId(1, 1)
+        d = gc.best_deviation(spec, profile.replace(top, 1.5 * s, 0.0), top)
+        assert d.new_x == s and d.improvement > 0
+
+    def test_kink_beyond_the_float_range_is_no_candidate(self):
+        # Neutralizing 1e10 of building takes 1e310 of sabotage at this theta.
+        spec = make_spec([1, -1], [1, -1], 1e-300)
+        profile = gc.StrategyProfile.zeros(spec).replace(gc.PlayerId(1, 1), 1e10, 0.0)
+        d = gc.best_deviation(spec, profile, gc.PlayerId(1, 2))
+        assert (d.new_x, d.new_y, d.improvement) == (0.0, 0.0, 0.0)
+
+    def test_refutes_every_class_on_random_specs(self):
+        rng = np.random.default_rng(31)
+        refuted = 0
+        for i in range(200):
+            theta = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+            spec = random_spec(rng, theta=theta, max_size=5)
+            for forbidden in gc.ForbiddenClass:
+                try:
+                    refuted += len(gc.refute_class(spec, forbidden, 2, seed=i))
+                except gc.ClassUnsatisfiable:
+                    pass
+        assert refuted > 1000
+
+    # Efforts reach down to 1e-200 (about 2**-664): from 2**-300 up every
+    # scaled value stays a normal float, where power-of-two scaling is exact.
+    @given(search_cases(), st.integers(-300, 600))
+    def test_search_scales_exactly_with_powers_of_two(self, case, k):
+        spec, profile = case
+        big = make_spec(
+            *([math.ldexp(v, k) for v in g.valuations] for g in (spec.group1, spec.group2)),
+            spec.theta,
+        )
+        doc = gc.profile_to_dict(profile)
+        for group in doc["efforts"]:
+            for e in group:
+                e["x"], e["y"] = math.ldexp(e["x"], k), math.ldexp(e["y"], k)
+        scaled = gc.profile_from_dict(doc)
+        for p in gc.players(spec):
+            d, f = gc.best_deviation(spec, profile, p), gc.best_deviation(big, scaled, p)
+            assert (f.new_x, f.new_y) == (math.ldexp(d.new_x, k), math.ldexp(d.new_y, k))
+            assert f.improvement == math.ldexp(d.improvement, k)
 
 
 class TestIsEpsilonNash:
