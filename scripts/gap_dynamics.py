@@ -17,22 +17,13 @@ from groupcontest import (
     ContestSpec,
     DynamicsStatus,
     GroupSpec,
-    StrategyProfile,
     best_response_dynamics,
     classify,
-    players,
     solve,
     thresholds,
     validate_spec,
 )
-
-
-def jittered(spec, seed, scale):
-    rng = np.random.default_rng(seed)
-    profile = StrategyProfile.zeros(spec)
-    for p in players(spec):
-        profile = profile.replace(p, float(rng.uniform(0, scale)), float(rng.uniform(0, scale)))
-    return profile
+from groupcontest.cli import _jittered_initial
 
 
 def main() -> None:
@@ -54,7 +45,7 @@ def main() -> None:
         regime, _ = classify(spec)
         for seed in range(args.seeds):
             result = best_response_dynamics(
-                spec, jittered(spec, seed, 1e-3 * c), args.max_iters, "round_robin"
+                spec, _jittered_initial(spec, seed), args.max_iters, "round_robin"
             )
             period = result.period if result.period is not None else "-"
             print(f"{theta:8.4f} {regime.value:>24} {seed:5d} "

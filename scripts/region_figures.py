@@ -26,21 +26,21 @@ def main() -> None:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    grid = [float(v) for v in np.linspace(args.lo, args.hi, args.points)]
+    axis = np.linspace(args.lo, args.hi, args.points)
 
     for w in (0.5, 0.8, 1.2, 2.0):
-        samples = region_sample(1, w, grid, grid)
-        inside = sum(s.in_region for s in samples)
+        grid = region_sample(1, w, axis, axis)
+        inside = int((grid.margin >= 0).sum())
         path = out / f"figure1_w{w}.csv"
-        path.write_text(region_csv(samples))
-        print(f"{path}: {inside}/{len(samples)} points inside")
+        path.write_text(region_csv(grid))
+        print(f"{path}: {inside}/{len(grid)} points inside")
 
     for theta in (0.5, 1.0, 2.0, 4.0):
-        samples = region_sample(2, 1.0, grid, grid, theta=theta)
-        inside = sum(s.in_region for s in samples)
+        grid = region_sample(2, 1.0, axis, axis, theta=theta)
+        inside = int((grid.margin >= 0).sum())
         path = out / f"figure2_t1.0_theta{theta}.csv"
-        path.write_text(region_csv(samples))
-        print(f"{path}: {inside}/{len(samples)} points inside")
+        path.write_text(region_csv(grid))
+        print(f"{path}: {inside}/{len(grid)} points inside")
 
 
 if __name__ == "__main__":

@@ -34,6 +34,10 @@ from .model import (
 from .verify import best_response_dynamics, is_epsilon_nash
 
 
+# Largest region sweep, in grid points: about 160 MB of CSV.
+MAX_REGION_POINTS = 4_000_000
+
+
 class UsageError(ContestError):
     pass
 
@@ -74,8 +78,9 @@ def _emit(obj) -> None:
     print(json.dumps(_round9(obj), indent=2))
 
 
-def _parse_grid(text: str) -> list[float]:
-    """Parse MIN:MAX:STEPS into an inclusive evenly spaced grid."""
+def _parse_grid(text: str) -> tuple[float, float, int]:
+    """Parse MIN:MAX:STEPS, the ends and point count of an inclusive
+    evenly spaced grid."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid must be MIN:MAX:STEPS, got {text!r}")
@@ -85,7 +90,7 @@ def _parse_grid(text: str) -> list[float]:
         raise UsageError(f"grid must be MIN:MAX:STEPS, got {text!r}") from exc
     if steps < 1:
         raise UsageError(f"grid needs at least one step, got {steps}")
-    return [float(v) for v in np.linspace(lo, hi, steps)]
+    return lo, hi, steps
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,20 +234,29 @@ def _cmd_br(args, spec: ContestSpec) -> int:
 
 
 def _cmd_region(args, spec: ContestSpec) -> int:
-    samples = region_sample(
+    grid1, grid2 = _parse_grid(args.axis1), _parse_grid(args.axis2)
+    points = grid1[2] * grid2[2]
+    if points > MAX_REGION_POINTS:  # refused before anything is allocated
+        raise UsageError(
+            f"region grid has {points} points, more than the {MAX_REGION_POINTS} allowed"
+        )
+    # Non-finite ends give nan or inf points, which region_sample refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        axis1, axis2 = np.linspace(*grid1), np.linspace(*grid2)
+    grid = region_sample(
         args.figure,
         args.fixed,
-        _parse_grid(args.axis1),
-        _parse_grid(args.axis2),
+        axis1,
+        axis2,
         theta=spec.theta if args.figure == 2 else None,
     )
     if args.format == "csv":
-        sys.stdout.write(region_csv(samples))
+        sys.stdout.write(region_csv(grid))
     else:
         _emit([
             {"axis1": s.axis1, "axis2": s.axis2, "margin": s.margin,
              "in_region": s.in_region}
-            for s in samples
+            for s in grid
         ])
     return 0
 

@@ -29,6 +29,7 @@ import numpy as np
 from .model import (
     ContestError,
     ContestSpec,
+    EffectiveEffort,
     PlayerId,
     StrategyProfile,
     effective_efforts,
@@ -97,8 +98,14 @@ def payoff(spec: ContestSpec, profile: StrategyProfile, player: PlayerId) -> flo
     Well defined for any nonnegative profile, including players that
     exert both effort types at once.
     """
+    return _payoff(spec, profile, player, effective_efforts(spec, profile))
+
+
+def _payoff(
+    spec: ContestSpec, profile: StrategyProfile, player: PlayerId, eff: EffectiveEffort
+) -> float:
+    """``payoff`` given the profile's effective efforts ``eff``."""
     v = valuation(spec, player)
-    eff = effective_efforts(spec, profile)
     probs = win_probability(eff.z1, eff.z2)
     p_own = probs.p1 if player.group == 1 else probs.p2
     e = profile.effort(player)

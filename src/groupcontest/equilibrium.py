@@ -7,9 +7,10 @@ or above the upper one a unique pure equilibrium with sabotage exists
 (only the two lowest-valuation players are active, both sabotaging);
 strictly between them no pure equilibrium exists at all.
 
-``region_sample`` evaluates the existence conditions over parameter
-grids, emitting margins so a plot can draw the boundary curve directly.
-Grid points are independent; sweeps may be parallelized freely.
+``region_sample`` evaluates one existence condition over a product of
+two parameter grids as a single numpy broadcast and returns the margins
+as a read-only array, so a plot can draw the boundary curve directly;
+``region_csv`` renders them row by row.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .model import (
     ContestError,
@@ -68,6 +71,32 @@ class RegionSample:
     axis2: float
     in_region: bool
     margin: float
+
+
+@dataclass(frozen=True, eq=False)
+class RegionGrid:
+    """An existence-region sweep over the product of two axis grids.
+
+    ``axis1`` (n1 points) and ``axis2`` (n2 points) are the grids in the
+    order given, and ``margin[i, j]`` is the margin at
+    (``axis1[i]``, ``axis2[j]``); the point lies in the region iff its
+    margin is >= 0.  All three are read-only float64 arrays.  The grid
+    has n1*n2 points, and iterating it yields them as ``RegionSample``
+    rows of Python floats in row-major order: axis1 outer, axis2 inner.
+    """
+
+    axis1: np.ndarray
+    axis2: np.ndarray
+    margin: np.ndarray
+
+    def __len__(self) -> int:
+        return self.margin.size
+
+    def __iter__(self) -> Iterator[RegionSample]:
+        axis2 = self.axis2.tolist()
+        for a1, row in zip(self.axis1.tolist(), self.margin.tolist()):
+            for a2, margin in zip(axis2, row):
+                yield RegionSample(a1, a2, margin >= 0, margin)
 
 
 def _centred(*values: float) -> list[float]:
@@ -151,48 +180,76 @@ def solve(spec: ContestSpec) -> EquilibriumResult:
     return EquilibriumResult(regime, profile, effective_efforts(spec, profile), boundary)
 
 
+def _axis(values: Iterable[float]) -> np.ndarray:
+    """A read-only float64 copy of one axis grid, checked point by point."""
+    axis = np.fromiter(values, dtype=np.float64)
+    if axis.size == 0:
+        raise EmptyGrid("both axis grids must be non-empty")
+    bad = ~(np.isfinite(axis) & (axis > 0))
+    if bad.any():
+        raise NonPositiveGridPoint(
+            f"grid points must be finite and positive, got {axis[bad][0]}"
+        )
+    axis.flags.writeable = False
+    return axis
+
+
 def region_sample(
     figure: int,
     fixed: float,
-    axis1_grid: Sequence[float] | Iterable[float],
-    axis2_grid: Sequence[float] | Iterable[float],
+    axis1_grid: Iterable[float],
+    axis2_grid: Iterable[float],
     theta: float | None = None,
-) -> list[RegionSample]:
+) -> RegionGrid:
     """Evaluate one figure's existence condition over a product grid.
 
     Figure 1 sweeps the two top valuations against a fixed adjusted
     bottom stake w: margin = a1*a2/(a1+a2) - w.  Figure 2 sweeps the two
     bottom valuation magnitudes against a fixed top valuation t at a
     given theta: margin = theta*m1*m2/(m1+m2) - t.
+
+    Grid points must be finite and positive (``NonPositiveGridPoint``),
+    and ``fixed`` and ``theta`` finite (``ContestError``); the grids
+    need not be sorted.  Returns a ``RegionGrid`` holding read-only
+    copies of both grids and the (n1, n2) margins.  The margins come
+    from one broadcast that applies the scalar formula's operations in
+    the same order, so each is the float that formula gives at its
+    point; products beyond the float range give inf or nan margins, as
+    they would in scalar arithmetic.
     """
     if figure not in (1, 2):
         raise ContestError(f"figure must be 1 or 2, got {figure}")
-    if figure == 2 and (theta is None or theta <= 0):
-        raise ContestError("figure 2 requires a positive theta")
-    grid1 = list(axis1_grid)
-    grid2 = list(axis2_grid)
-    if not grid1 or not grid2:
-        raise EmptyGrid("both axis grids must be non-empty")
-    for g in (grid1, grid2):
-        for value in g:
-            if value <= 0:
-                raise NonPositiveGridPoint(f"grid points must be positive, got {value}")
+    if figure == 2 and not (theta is not None and 0 < theta < math.inf):
+        raise ContestError("figure 2 requires a finite positive theta")
+    if not math.isfinite(fixed):
+        raise ContestError(f"the fixed stake must be finite, got {fixed}")
+    a1, a2 = _axis(axis1_grid), _axis(axis2_grid)
     scale = 1.0 if figure == 1 else theta
-    samples = []
-    for a1 in grid1:
-        for a2 in grid2:
-            margin = scale * a1 * a2 / (a1 + a2) - fixed
-            samples.append(RegionSample(a1, a2, margin >= 0, margin))
-    return samples
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = scale * a1[:, None] * a2[None, :] / (a1[:, None] + a2[None, :]) - fixed
+    margin.flags.writeable = False
+    return RegionGrid(a1, a2, margin)
 
 
-def region_csv(samples: Iterable[RegionSample]) -> str:
-    """Render samples as CSV with a header row; floats carry 9
-    significant digits, booleans print as true/false."""
-    lines = ["axis1,axis2,margin,in_region"]
-    for s in samples:
-        lines.append(
-            f"{s.axis1:.9g},{s.axis2:.9g},{s.margin:.9g},"
-            f"{'true' if s.in_region else 'false'}"
-        )
-    return "\n".join(lines) + "\n"
+_FLAGS = np.array(["false", "true"], dtype=object)  # in_region, indexed by margin >= 0
+
+
+def region_csv(grid: RegionGrid) -> str:
+    """Render a sweep as CSV: a header row, then one line per point in
+    the grid's row-major order.  Floats carry 9 significant digits
+    (``.9g``), in_region prints as true/false.
+
+    Each axis value is formatted once; a row is one ``%`` operation on
+    a template that holds its axis strings and takes its margins and
+    flags.
+    """
+    cells = [f"{a2:.9g},%.9g,%s\n" for a2 in grid.axis2.tolist()]
+    flags = _FLAGS[(grid.margin >= 0).astype(np.intp)].tolist()
+    lines = ["axis1,axis2,margin,in_region\n"]
+    for a1, margins, row_flags in zip(grid.axis1.tolist(), grid.margin.tolist(), flags):
+        prefix = f"{a1:.9g},"
+        values = [None] * (2 * len(margins))
+        values[0::2] = margins
+        values[1::2] = row_flags
+        lines.append((prefix + prefix.join(cells)) % tuple(values))
+    return "".join(lines)

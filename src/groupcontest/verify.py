@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import best_response as br
-from .csf import payoff, win_probability_short
+from .csf import _payoff, payoff, win_probability_short
 from .model import (
     ContestError,
     ContestSpec,
@@ -231,7 +231,7 @@ def _search(
     if best_x == current.x and best_y == current.y:
         return stay, count
     deviated = profile.replace(player, best_x, best_y)
-    improvement = payoff(spec, deviated, player) - payoff(spec, profile, player)
+    improvement = payoff(spec, deviated, player) - _payoff(spec, profile, player, eff)
     if improvement <= 0.0:
         return stay, count
     return Deviation(player, best_x, best_y, improvement), count

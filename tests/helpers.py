@@ -1,6 +1,7 @@
 """Shared test utilities: spec builders, seeded random spec generation,
-hypothesis strategies, and independent grid-search oracles for the
-single-axis best-response rules and for a player's best deviation.
+hypothesis strategies, independent grid-search oracles for the
+single-axis best-response rules and for a player's best deviation, and
+the point-by-point region sweep that the array-backed one must match.
 
 The oracles maximize the exact payoff of each regime by brute force on
 a dense effort grid (augmented with the exact piece endpoints, where
@@ -13,6 +14,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 import groupcontest as gc
+from groupcontest.equilibrium import RegionSample
 
 
 def make_spec(vals1, vals2, theta) -> gc.ContestSpec:
@@ -278,3 +280,29 @@ def grid_deviation(spec, profile, player) -> tuple[float, float, float]:
     if improvement <= 0.0:
         return current.x, current.y, 0.0
     return x, y, improvement
+
+
+# --- point-by-point region-sweep oracle -------------------------------------
+
+
+def region_rows(figure, fixed, axis1_grid, axis2_grid, theta=None) -> list:
+    """One ``RegionSample`` per grid point, axis1 outer and axis2 inner,
+    each margin computed by the scalar formula in Python floats."""
+    scale = 1.0 if figure == 1 else theta
+    rows = []
+    for a1 in axis1_grid:
+        for a2 in axis2_grid:
+            margin = scale * a1 * a2 / (a1 + a2) - fixed
+            rows.append(RegionSample(a1, a2, margin >= 0, margin))
+    return rows
+
+
+def region_rows_csv(rows) -> str:
+    """CSV of region rows, one f-string per row."""
+    lines = ["axis1,axis2,margin,in_region"]
+    for s in rows:
+        lines.append(
+            f"{s.axis1:.9g},{s.axis2:.9g},{s.margin:.9g},"
+            f"{'true' if s.in_region else 'false'}"
+        )
+    return "\n".join(lines) + "\n"

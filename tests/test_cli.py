@@ -1,7 +1,10 @@
+import hashlib
 import json
+import warnings
 
 import pytest
 
+from groupcontest import cli
 from groupcontest.cli import run
 
 NO_SABOTAGE = {
@@ -225,6 +228,75 @@ class TestRegionCommand:
         )
         assert code == 1
         assert "NonPositiveGridPoint" in err
+
+    # SHA-256 of the output of the point-by-point sweep that came before
+    # the array-backed one: descending, unequal and 1e-300..1e308 grids,
+    # whose margins include nan where the products overflow.
+    @pytest.mark.parametrize("spec, figure, fixed, axis1, axis2, fmt, digest", [
+        (NO_SABOTAGE, "1", "1", "0.1:5:30", "0.1:5:30", "csv",
+         "2698da28b5dbe64df7db88668c7907c113432e62195c4623361d5ea6ef8ce3d3"),
+        (NO_SABOTAGE, "1", "1", "0.1:5:30", "0.1:5:30", "json",
+         "a6cf648e5242e1e7582f200a92cfe7a0f04e7fbe46af2f7212bdaccd27dff4df"),
+        (NO_SABOTAGE, "2", "0.8", "1e-300:1e308:7", "1e-300:1e300:5", "csv",
+         "9a147907e512b039ee154b1edccac58eb99d3a2ca274bc649e7191b092f207d0"),
+        (NO_SABOTAGE, "2", "0.8", "1e-300:1e308:7", "1e-300:1e300:5", "json",
+         "5156fa6ff10e2cbc365d73b278caf24dd62f728a96737d69e555bdbb595cc266"),
+        (NO_SABOTAGE, "1", "-3", "5:0.1:13", "0.5:3:4", "csv",
+         "c59112ac999c45b8dadddad86312cca1b6fa14e1360eca59f10c558875ac9e4b"),
+        (SABOTAGE, "2", "1e-300", "1:7:9", "1e-10:1e10:11", "csv",
+         "3c7730be315aad436f4dc17ba35839fa7e7cabfc0026c7175fe4f7e28f66a223"),
+    ])
+    def test_golden_output(self, capsys, write, spec, figure, fixed, axis1, axis2, fmt, digest):
+        code, out, _ = invoke(
+            capsys, "region", "--spec", write("s.json", spec), "--figure", figure,
+            f"--fixed={fixed}", "--axis1", axis1, "--axis2", axis2, "--format", fmt,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("axis1, axis2, fixed", [
+        ("nan:1:3", "1:inf:2", "1"),
+        ("1:2:2", "1:2:2", "nan"),
+        ("1:2:2", "1:2:2", "inf"),
+    ])
+    def test_non_finite_input_is_validation_error(self, capsys, write, axis1, axis2, fixed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            code, out, err = invoke(
+                capsys, "region", "--spec", write("s.json", NO_SABOTAGE), "--figure", "1",
+                "--fixed", fixed, "--axis1", axis1, "--axis2", axis2,
+            )
+        assert code == 1 and out == ""
+        assert "finite" in err
+
+    # linspace is replaced, so a grid let past the budget fails the test
+    # instead of allocating.
+    @pytest.mark.parametrize("axis1, axis2", [
+        ("1:2:1000000000000", "1:2:1"),
+        ("1:2:1000000", "1:2:1000000"),
+    ])
+    def test_point_budget_refused_before_allocation(
+        self, capsys, write, monkeypatch, axis1, axis2
+    ):
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("allocated a grid above the point budget")
+
+        monkeypatch.setattr(cli.np, "linspace", no_linspace)
+        code, out, err = invoke(
+            capsys, "region", "--spec", write("s.json", NO_SABOTAGE), "--figure", "1",
+            "--fixed", "1", "--axis1", axis1, "--axis2", axis2,
+        )
+        assert code == 2 and out == ""
+        assert str(cli.MAX_REGION_POINTS) in err
+
+    def test_point_budget_boundary(self, capsys, write, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_REGION_POINTS", 6)
+        argv = ["region", "--spec", write("s.json", NO_SABOTAGE), "--figure", "1",
+                "--fixed", "1", "--axis1", "1:2:2"]
+        code, out, _ = invoke(capsys, *argv, "--axis2", "1:3:3")
+        assert code == 0 and out.count("\n") == 1 + 6
+        code, out, _ = invoke(capsys, *argv[:-1], "1:1:1", "--axis2", "1:7:7")
+        assert code == 2 and out == ""
 
 
 class TestDynamicsCommand:

@@ -1,12 +1,38 @@
+import contextlib
+import io
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupcontest as gc
-from helpers import make_spec, random_spec, specs
+from groupcontest import cli
+from helpers import make_spec, random_spec, region_rows, region_rows_csv, specs
+
+# Positive finite axis points from ordinary sizes out to 1e-300 and 1e300,
+# where ``.9g`` prints exponents and products leave the float range.
+region_points = st.one_of(st.floats(0.01, 100.0), st.floats(1e-300, 1e300))
+region_axes = st.lists(region_points, min_size=1, max_size=8)
+
+
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("region")
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _cli_output(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(argv) == 0
+    return out.getvalue()
 
 
 class TestThresholds:
@@ -256,3 +282,70 @@ class TestRegionSample:
         assert lines[0] == "axis1,axis2,margin,in_region"
         assert lines[1] == "2,2,0,true"
         assert lines[2] == "0.333333333,2,-0.714285714,false"
+
+    def test_grid_arrays(self):
+        axis1 = np.array([3.0, 1.0, 2.0])
+        grid = gc.region_sample(1, 0.5, axis1, [4.0, 0.5, 1.0, 2.0, 8.0])
+        assert grid.margin.shape == (3, 5) and len(grid) == 15
+        assert grid.axis1.tolist() == [3.0, 1.0, 2.0]
+        assert grid.margin[2, 3] == 2.0 * 2.0 / 4.0 - 0.5
+        for array in (grid.axis1, grid.axis2, grid.margin):
+            assert array.dtype == np.float64
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        axis1[0] = 5.0  # the caller's array is copied, not frozen
+        assert grid.axis1[0] == 3.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_non_finite_or_non_positive_point(self, bad):
+        with pytest.raises(gc.NonPositiveGridPoint, match="finite and positive"):
+            gc.region_sample(1, 1.0, [1.0], [2.0, bad])
+
+    @pytest.mark.parametrize("fixed", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fixed(self, fixed):
+        with pytest.raises(gc.ContestError, match="finite"):
+            gc.region_sample(1, fixed, [1.0], [1.0])
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, 0.0])
+    def test_figure2_theta_must_be_finite_positive(self, theta):
+        with pytest.raises(gc.ContestError, match="theta"):
+            gc.region_sample(2, 1.0, [1.0], [1.0], theta=theta)
+
+    @settings(max_examples=60)  # two CLI runs per example
+    @given(
+        figure=st.sampled_from([1, 2]),
+        theta=st.floats(1e-3, 1e3),
+        fixed=st.one_of(st.floats(-10.0, 10.0), st.floats(allow_nan=False, allow_infinity=False)),
+        axis1=region_axes,
+        axis2=region_axes,
+        ends=st.tuples(region_points, region_points, st.integers(1, 6)),
+    )
+    def test_matches_point_by_point_oracle(self, spec_dir, figure, theta, fixed, axis1, axis2, ends):
+        grid = gc.region_sample(figure, fixed, axis1, axis2, theta=theta)
+        rows = region_rows(figure, fixed, axis1, axis2, theta)
+        assert gc.region_csv(grid) == region_rows_csv(rows)
+        assert len(grid) == len(rows)
+        for got, want in zip(grid, rows, strict=True):
+            assert (got.axis1, got.axis2, got.in_region) == (want.axis1, want.axis2, want.in_region)
+            assert type(got.in_region) is bool and type(got.margin) is float
+            assert _bits(got.margin) == _bits(want.margin)
+
+        # The CLI sweeps evenly spaced axes; theta comes from the spec.
+        spec = spec_dir / "spec.json"
+        spec.write_text(json.dumps({
+            "theta": theta,
+            "groups": [{"valuations": [4, 1, -1]}, {"valuations": [4, 2, -1]}],
+        }))
+        lo, hi, steps = ends
+        axis = np.linspace(lo, hi, steps).tolist()
+        rows = region_rows(figure, fixed, axis, axis, theta)
+        argv = ["region", "--spec", str(spec), "--figure", str(figure), f"--fixed={fixed!r}",
+                "--axis1", f"{lo!r}:{hi!r}:{steps}", "--axis2", f"{lo!r}:{hi!r}:{steps}"]
+        assert _cli_output(argv) == region_rows_csv(rows)
+        expected = io.StringIO()
+        with contextlib.redirect_stdout(expected):
+            cli._emit([
+                {"axis1": r.axis1, "axis2": r.axis2, "margin": r.margin, "in_region": r.in_region}
+                for r in rows
+            ])
+        assert _cli_output([*argv, "--format", "json"]) == expected.getvalue()
