@@ -246,17 +246,27 @@ def effective_efforts(spec: ContestSpec, profile: StrategyProfile) -> EffectiveE
 # Exactly two groups, valuations in descending order.
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float.  Booleans and strings are refused, and
+    so are integers beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} is an integer beyond the float range") from None
+
+
 def spec_from_dict(obj: dict) -> ContestSpec:
     """Build (and validate) a ContestSpec from its JSON document form."""
     try:
-        if isinstance(obj["theta"], bool):
-            raise ValidationError(f"theta must be a number, got {obj['theta']}")
-        theta = float(obj["theta"])
+        theta = _number(obj["theta"], "theta")
         groups = obj["groups"]
         if len(groups) != 2:
             raise ValidationError(f"expected exactly 2 groups, got {len(groups)}")
         g1, g2 = (
-            GroupSpec(tuple(float(v) for v in g["valuations"])) for g in groups
+            GroupSpec(tuple(_number(v, "valuation") for v in g["valuations"]))
+            for g in groups
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed contest spec document: {exc}") from exc
@@ -279,7 +289,10 @@ def profile_from_dict(obj: dict) -> StrategyProfile:
         if len(groups) != 2:
             raise ValidationError(f"expected efforts for exactly 2 groups, got {len(groups)}")
         efforts = tuple(
-            tuple(Effort(float(e["x"]), float(e["y"])) for e in group)
+            tuple(
+                Effort(_number(e["x"], "effort x"), _number(e["y"], "effort y"))
+                for e in group
+            )
             for group in groups
         )
     except (KeyError, TypeError, ValueError) as exc:

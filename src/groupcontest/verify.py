@@ -34,9 +34,16 @@ improving deviation for every one of them.
 profile, reporting convergence, cycling, or exhaustion; it is an
 empirical probe of the no-equilibrium gap, not a solver.
 
-All functions are pure.  best_deviation calls for distinct players are
-independent and may run in parallel; round-robin dynamics is inherently
-sequential within an iteration.
+All functions are pure.  The search runs a group at a time: values that
+depend only on the group (its valuations, efforts and residuals, both
+effective efforts, the current winning odds and whether the rival's
+effort is within the rounding band) are computed once and shared by its
+players, whose searches are otherwise independent.  ``is_epsilon_nash``
+searches each group in one pass and ``best_deviation`` searches one
+player, so best_deviation calls for distinct players may run in
+parallel.  Round-robin dynamics is inherently sequential within an
+iteration; it recomputes effective efforts only after a player moves,
+and simultaneous play once per iteration.
 """
 
 from __future__ import annotations
@@ -162,79 +169,87 @@ def _stationary(v: float, theta: float, z_minus: float, z_other: float) -> float
     none.  The rules are homogeneous of degree 1 in (v, z_minus, z_other),
     so they run on arguments scaled by a power of two to at most 1, where
     v*z_other cannot overflow or underflow, and scale back exactly."""
-    e = math.frexp(max(abs(v), abs(z_minus), abs(z_other)))[1]
-    v1, m1, o1 = (math.ldexp(t, -e) for t in (v, z_minus, z_other))
-    if v > 0 and z_other > 0:
-        effort = br.br_positive_x(v1, m1, o1).effort
-    elif v < 0 and z_other < 0:
-        effort = br.br_negative_y(theta, v1, m1, o1).effort
-    else:
+    if not (z_other > 0 if v > 0 else z_other < 0):
         return 0.0
+    e = math.frexp(max(abs(v), abs(z_minus), abs(z_other)))[1]
+    v1, m1, o1 = math.ldexp(v, -e), math.ldexp(z_minus, -e), math.ldexp(z_other, -e)
+    if v > 0:
+        effort = br.br_positive_x(v1, m1, o1).effort
+    else:
+        effort = br.br_negative_y(theta, v1, m1, o1).effort
     try:
         return math.ldexp(effort, e)
     except OverflowError:  # beyond the float range: no candidate
         return math.inf
 
 
-def _own_z(spec: ContestSpec, profile: StrategyProfile, player: PlayerId, x, y) -> float:
-    """Own-group effective effort after a move, rounded as in ``payoff``."""
+def _own_z(spec: ContestSpec, profile: StrategyProfile, player: PlayerId, effort: float) -> float:
+    """Own-group effective effort after the player moves to ``effort`` on
+    the valuation's axis, rounded as in ``payoff``."""
+    x, y = (effort, 0.0) if valuation(spec, player) > 0 else (0.0, effort)
     return effective_efforts(spec, profile.replace(player, x, y)).z(player.group)
 
 
-def _search(
+def _search_group(
     spec: ContestSpec,
     profile: StrategyProfile,
-    player: PlayerId,
+    group: int,
+    indices,
     eff: EffectiveEffort,
     sums: tuple[tuple[float, int], ...],
-) -> tuple[Deviation, int]:
-    """Exact best deviation of one player; ``sums`` is ``_group_sums``."""
-    v = valuation(spec, player)
+) -> tuple[list[Deviation], int]:
+    """Exact best deviations of the listed players of one group, and the
+    number of points scored; ``sums`` is ``_group_sums``."""
     theta = spec.theta
-    z_minus = eff.z_minus(player)
-    z_other = eff.z_other(player.group)
-    current = profile.effort(player)
+    valuations = spec.group(group).valuations
+    efforts = profile.efforts[group - 1]
+    residuals = eff.residuals[group - 1]
+    z_other = eff.z_other(group)
+    p_now = win_probability_short(eff.z(group), z_other)
+    own_gross, terms = sums[group - 1]
+    exact = abs(z_other) > ROUNDING_BAND * (terms + 4) * math.ulp(own_gross)
 
-    # The current effort is scored first, so ties keep the player put.
-    best_x, best_y = current.x, current.y
-    best_value = v * win_probability_short(eff.z(player.group), z_other) - best_x - best_y
+    deviations, count = [], 0
+    for k in indices:
+        player = PlayerId(group, k)
+        v, z_minus, current = valuations[k - 1], residuals[k - 1], efforts[k - 1]
+        # Candidate efforts on the valuation's axis, each with its own-group z.
+        kink = max(0.0, -z_minus) if v > 0 else max(0.0, z_minus / theta)
+        moves = [0.0]
+        for e in (kink, _stationary(v, theta, z_minus, z_other)):
+            if e > 0 and e not in moves and math.isfinite(e):
+                moves.append(e)
+        if exact:
+            scored = [(e, z_minus + e if v > 0 else z_minus - theta * e) for e in moves]
+        else:
+            scored = [(e, _own_z(spec, profile, player, e)) for e in moves]
+            # The limit point: step past the kink until the rounded group
+            # sum is past 0, unless the kink is out of the float range.
+            d = math.ulp(max(abs(v), kink))
+            while math.isfinite(kink + d):
+                z = _own_z(spec, profile, player, kink + d)
+                if (z > 0) if v > 0 else (z < 0):
+                    scored.append((kink + d, z))
+                    break
+                d *= 2.0
+        count += 1 + len(scored)
 
-    move = (lambda e: (e, 0.0)) if v > 0 else (lambda e: (0.0, e))
-    kink = max(0.0, -z_minus) if v > 0 else max(0.0, z_minus / theta)
-    moves = [move(0.0)]
-    for e in (kink, _stationary(v, theta, z_minus, z_other)):
-        if e > 0 and move(e) not in moves and math.isfinite(e):
-            moves.append(move(e))
-    own_gross, terms = sums[player.group - 1]
-    if abs(z_other) > ROUNDING_BAND * (terms + 4) * math.ulp(own_gross):
-        candidates = [(x, y, z_minus + x - theta * y) for x, y in moves]
-    else:
-        candidates = [(x, y, _own_z(spec, profile, player, x, y)) for x, y in moves]
-        # The limit point: step past the kink until the rounded group sum
-        # is past 0, unless the kink is out of the float range.
-        d = math.ulp(max(abs(v), kink))
-        while math.isfinite(kink + d):
-            x, y = move(kink + d)
-            z = _own_z(spec, profile, player, x, y)
-            if (z > 0) if v > 0 else (z < 0):
-                candidates.append((x, y, z))
-                break
-            d *= 2.0
-
-    for x, y, z in candidates:
-        value = v * win_probability_short(z, z_other) - x - y
-        if value > best_value:
-            best_x, best_y, best_value = x, y, value
-    count = 1 + len(candidates)
-
-    stay = Deviation(player, current.x, current.y, 0.0)
-    if best_x == current.x and best_y == current.y:
-        return stay, count
-    deviated = profile.replace(player, best_x, best_y)
-    improvement = payoff(spec, deviated, player) - _payoff(spec, profile, player, eff)
-    if improvement <= 0.0:
-        return stay, count
-    return Deviation(player, best_x, best_y, improvement), count
+        # The current effort is scored first, so ties keep the player put.
+        best_x, best_y = current.x, current.y
+        best_value = v * p_now - best_x - best_y
+        for e, z in scored:
+            value = v * win_probability_short(z, z_other) - e
+            if value > best_value:
+                best_x, best_y = (e, 0.0) if v > 0 else (0.0, e)
+                best_value = value
+        gain = 0.0
+        if best_x != current.x or best_y != current.y:
+            deviated = profile.replace(player, best_x, best_y)
+            gain = payoff(spec, deviated, player) - _payoff(spec, profile, player, eff)
+        if gain <= 0.0:
+            best_x, best_y, gain = current.x, current.y, 0.0
+        deviations.append(Deviation(player, best_x, best_y, gain))
+    return deviations, count
 
 
 def _group_sums(spec: ContestSpec, profile: StrategyProfile) -> tuple[tuple[float, int], ...]:
@@ -246,12 +261,25 @@ def _group_sums(spec: ContestSpec, profile: StrategyProfile) -> tuple[tuple[floa
     )
 
 
+def _search_all(
+    spec: ContestSpec, profile: StrategyProfile, eff: EffectiveEffort, sums
+) -> tuple[list[Deviation], int]:
+    """``_search_group`` over every player, group 1 then group 2."""
+    (found1, n1), (found2, n2) = (
+        _search_group(spec, profile, g, range(1, size + 1), eff, sums)
+        for g, size in enumerate(spec.sizes(), start=1)
+    )
+    return found1 + found2, n1 + n2
+
+
 def best_deviation(
     spec: ContestSpec, profile: StrategyProfile, player: PlayerId
 ) -> Deviation:
     """Search one player's deviations, holding all others fixed."""
     eff = effective_efforts(spec, profile)
-    deviation, _ = _search(spec, profile, player, eff, _group_sums(spec, profile))
+    valuation(spec, player)  # raises UnknownPlayer
+    sums = _group_sums(spec, profile)
+    (deviation,), _ = _search_group(spec, profile, player.group, (player.index,), eff, sums)
     return deviation
 
 
@@ -260,23 +288,19 @@ def is_epsilon_nash(
     profile: StrategyProfile,
     epsilon: float | None = None,
 ) -> VerificationReport:
-    """Run best_deviation for every player; certify the profile as an
-    epsilon-Nash equilibrium iff nobody improves by more than epsilon.
+    """Search every player's best deviation, as best_deviation does;
+    certify the profile as an epsilon-Nash equilibrium iff nobody
+    improves by more than epsilon.
 
-    epsilon defaults to 1e-6 times the largest valuation magnitude.
+    epsilon defaults to 1e-6 times the largest valuation magnitude and
+    must be finite and positive.
     """
     if epsilon is None:
         epsilon = default_epsilon(spec)
-    if epsilon <= 0:
-        raise ContestError(f"epsilon must be positive, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ContestError(f"epsilon must be finite and positive, got {epsilon}")
     eff = effective_efforts(spec, profile)
-    sums = _group_sums(spec, profile)
-    deviations = []
-    count = 0
-    for p in players(spec):
-        d, n = _search(spec, profile, p, eff, sums)
-        deviations.append(d)
-        count += n
+    deviations, count = _search_all(spec, profile, eff, _group_sums(spec, profile))
     certified = all(d.improvement <= epsilon for d in deviations)
     return VerificationReport(certified, epsilon, tuple(deviations), count)
 
@@ -470,8 +494,9 @@ def best_response_dynamics(
     if order not in ("round_robin", "simultaneous"):
         raise ContestError(f"order must be round_robin or simultaneous, got {order!r}")
     roster = list(players(spec))
-    effective_efforts(spec, initial)  # shape check
     current = initial
+    # The search state of ``current``, recomputed whenever it changes.
+    eff, sums = effective_efforts(spec, current), _group_sums(spec, current)
     trajectory = [initial]
     history = [_flatten(initial)]
 
@@ -479,15 +504,19 @@ def best_response_dynamics(
         gain = 0.0
         if order == "round_robin":
             for p in roster:
-                d = best_deviation(spec, current, p)
+                (d,), _ = _search_group(spec, current, p.group, (p.index,), eff, sums)
                 gain = max(gain, d.improvement)
-                current = current.replace(p, d.new_x, d.new_y)
+                if d.improvement > 0.0:
+                    current = current.replace(p, d.new_x, d.new_y)
+                    eff, sums = effective_efforts(spec, current), _group_sums(spec, current)
         else:
-            moves = [best_deviation(spec, current, p) for p in roster]
+            moves, _ = _search_all(spec, current, eff, sums)
             gain = max(d.improvement for d in moves)
             if gain > FIXED_POINT_TOL:
-                for p, d in zip(roster, moves):
-                    current = current.replace(p, d.new_x, d.new_y)
+                for d in moves:
+                    if d.improvement > 0.0:
+                        current = current.replace(d.player, d.new_x, d.new_y)
+                eff, sums = effective_efforts(spec, current), _group_sums(spec, current)
 
         vec = _flatten(current)
         delta = float(np.max(np.abs(vec - history[-1])))

@@ -1,20 +1,28 @@
 """Shared test utilities: spec builders, seeded random spec generation,
 hypothesis strategies, independent grid-search oracles for the
-single-axis best-response rules and for a player's best deviation, and
-the point-by-point region sweep that the array-backed one must match.
+single-axis best-response rules and for a player's best deviation, the
+player-by-player deviation search that the group-at-once one must match
+bit for bit, and the point-by-point region sweep that the array-backed
+one must match.
 
-The oracles maximize the exact payoff of each regime by brute force on
-a dense effort grid (augmented with the exact piece endpoints, where
+The grid oracles maximize the exact payoff of each regime by brute force
+on a dense effort grid (augmented with the exact piece endpoints, where
 the payoff has a kink) and never call the closed forms they check.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
 import groupcontest as gc
+from groupcontest import best_response as br
+from groupcontest.csf import _payoff, payoff, win_probability_short
 from groupcontest.equilibrium import RegionSample
+from groupcontest.model import effective_efforts, valuation
+from groupcontest.verify import ROUNDING_BAND, Deviation
 
 
 def make_spec(vals1, vals2, theta) -> gc.ContestSpec:
@@ -280,6 +288,159 @@ def grid_deviation(spec, profile, player) -> tuple[float, float, float]:
     if improvement <= 0.0:
         return current.x, current.y, 0.0
     return x, y, improvement
+
+
+# --- player-by-player deviation-search oracle --------------------------------
+#
+# The exact search as it ran one player at a time, kept verbatim: the
+# group-at-once search must reproduce its deviations, candidate counts
+# and verdicts bit for bit.
+
+
+def _stationary(v: float, theta: float, z_minus: float, z_other: float) -> float:
+    """The concave piece's peak on the player's axis, or 0 if there is
+    none.  The rules are homogeneous of degree 1 in (v, z_minus, z_other),
+    so they run on arguments scaled by a power of two to at most 1, where
+    v*z_other cannot overflow or underflow, and scale back exactly."""
+    e = math.frexp(max(abs(v), abs(z_minus), abs(z_other)))[1]
+    v1, m1, o1 = (math.ldexp(t, -e) for t in (v, z_minus, z_other))
+    if v > 0 and z_other > 0:
+        effort = br.br_positive_x(v1, m1, o1).effort
+    elif v < 0 and z_other < 0:
+        effort = br.br_negative_y(theta, v1, m1, o1).effort
+    else:
+        return 0.0
+    try:
+        return math.ldexp(effort, e)
+    except OverflowError:  # beyond the float range: no candidate
+        return math.inf
+
+
+def _own_z(spec, profile, player, x, y) -> float:
+    """Own-group effective effort after a move, rounded as in ``payoff``."""
+    return effective_efforts(spec, profile.replace(player, x, y)).z(player.group)
+
+
+def scalar_search(spec, profile, player, eff, sums):
+    """Exact best deviation of one player and the number of points
+    scored; ``sums`` is ``verify._group_sums``."""
+    v = valuation(spec, player)
+    theta = spec.theta
+    z_minus = eff.z_minus(player)
+    z_other = eff.z_other(player.group)
+    current = profile.effort(player)
+
+    # The current effort is scored first, so ties keep the player put.
+    best_x, best_y = current.x, current.y
+    best_value = v * win_probability_short(eff.z(player.group), z_other) - best_x - best_y
+
+    move = (lambda e: (e, 0.0)) if v > 0 else (lambda e: (0.0, e))
+    kink = max(0.0, -z_minus) if v > 0 else max(0.0, z_minus / theta)
+    moves = [move(0.0)]
+    for e in (kink, _stationary(v, theta, z_minus, z_other)):
+        if e > 0 and move(e) not in moves and math.isfinite(e):
+            moves.append(move(e))
+    own_gross, terms = sums[player.group - 1]
+    if abs(z_other) > ROUNDING_BAND * (terms + 4) * math.ulp(own_gross):
+        candidates = [(x, y, z_minus + x - theta * y) for x, y in moves]
+    else:
+        candidates = [(x, y, _own_z(spec, profile, player, x, y)) for x, y in moves]
+        # The limit point: step past the kink until the rounded group sum
+        # is past 0, unless the kink is out of the float range.
+        d = math.ulp(max(abs(v), kink))
+        while math.isfinite(kink + d):
+            x, y = move(kink + d)
+            z = _own_z(spec, profile, player, x, y)
+            if (z > 0) if v > 0 else (z < 0):
+                candidates.append((x, y, z))
+                break
+            d *= 2.0
+
+    for x, y, z in candidates:
+        value = v * win_probability_short(z, z_other) - x - y
+        if value > best_value:
+            best_x, best_y, best_value = x, y, value
+    count = 1 + len(candidates)
+
+    stay = Deviation(player, current.x, current.y, 0.0)
+    if best_x == current.x and best_y == current.y:
+        return stay, count
+    deviated = profile.replace(player, best_x, best_y)
+    improvement = payoff(spec, deviated, player) - _payoff(spec, profile, player, eff)
+    if improvement <= 0.0:
+        return stay, count
+    return Deviation(player, best_x, best_y, improvement), count
+
+
+def deviation_hex(d) -> str:
+    """A deviation with every float written exactly."""
+    return (
+        f"{d.player.group}:{d.player.index}:{d.new_x.hex()}:{d.new_y.hex()}"
+        f":{d.improvement.hex()}"
+    )
+
+
+# --- seeded profile corpus ---------------------------------------------------
+
+PROFILE_KINDS = ("mixed", "sparse", "closed_form", "perturbed", "zeroed", "offset", "in_band")
+
+
+def corpus_group(rng: np.random.Generator, n: int, scale: float) -> list[float]:
+    """n valid valuations of magnitude 0.1 to 10 times ``scale``,
+    sometimes with an interior tie."""
+    n_pos = int(rng.integers(1, n))
+    mags = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n))
+    vals = sorted(mags[:n_pos], reverse=True) + sorted(-mags[n_pos:], reverse=True)
+    vals[0] *= 1.05
+    vals[-1] *= 1.05
+    if n >= 4 and rng.random() < 0.3:
+        j = int(rng.integers(1, n - 2))
+        vals[j + 1] = vals[j]
+    return [float(v) * scale for v in vals]
+
+
+def corpus_case(rng: np.random.Generator, max_size: int = 30):
+    """A spec at valuation scale 2**k, k in [-600, 600], with a profile
+    of one of ``PROFILE_KINDS``: all players mixing x and y, a few
+    players active on their own axis (also where a closed form was
+    asked for and none exists), the closed-form equilibrium or every
+    effort of it times 1.5, or mixed with one group idle, offset to an
+    effective effort of exactly 0, or offset to within rounding of 0."""
+    s = math.ldexp(1.0, int(rng.integers(-600, 601)))
+    theta = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
+    n1, n2 = (int(n) for n in rng.integers(2, max_size + 1, 2))
+    spec = make_spec(corpus_group(rng, n1, s), corpus_group(rng, n2, s), theta)
+    kind = PROFILE_KINDS[int(rng.integers(len(PROFILE_KINDS)))]
+    profile = gc.StrategyProfile.zeros(spec)
+    solved = gc.solve(spec).profile
+    if kind in ("closed_form", "perturbed") and solved is not None:
+        profile = solved
+        if kind == "perturbed":
+            for p in gc.players(spec):
+                e = profile.effort(p)
+                profile = profile.replace(p, 1.5 * e.x, 1.5 * e.y)
+        return spec, profile
+    if kind in ("sparse", "closed_form", "perturbed"):
+        roster = list(gc.players(spec))
+        for j in rng.choice(len(roster), size=min(3, len(roster)), replace=False):
+            p = roster[int(j)]
+            e = s * float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
+            profile = profile.replace(p, e, 0.0) if gc.valuation(spec, p) > 0 else (
+                profile.replace(p, 0.0, e / theta))
+        return spec, profile
+    for p in gc.players(spec):
+        x, y = (s * float(rng.uniform(0, 2)) if rng.random() < 0.6 else 0.0 for _ in "xy")
+        profile = profile.replace(p, x, y)
+    if kind != "mixed":
+        g = int(rng.integers(1, 3))
+        for k in range(1, spec.group(g).size + 1):
+            profile = profile.replace(gc.PlayerId(g, k), 0.0, 0.0)
+        if kind != "zeroed":
+            t = s * float(rng.uniform(0.01, 2))
+            slack = t * float(rng.uniform(1e-6, 1e-3)) if kind == "in_band" else 0.0
+            profile = profile.replace(gc.PlayerId(g, 1), theta * t + slack, 0.0)
+            profile = profile.replace(gc.PlayerId(g, spec.group(g).size), 0.0, t)
+    return spec, profile
 
 
 # --- point-by-point region-sweep oracle -------------------------------------

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -146,6 +149,83 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert "ContestError" in err
+
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+    def test_non_finite_epsilon(self, capsys, write, epsilon):
+        profile = {"efforts": [[{"x": 0, "y": 0}, {"x": 0, "y": 1}],
+                               [{"x": 0, "y": 0}, {"x": 0, "y": 1}]]}
+        code, out, err = invoke(
+            capsys, "verify", "--spec", write("s.json", SABOTAGE),
+            "--profile", write("p.json", profile), f"--epsilon={epsilon}",
+        )
+        assert (code, out) == (1, "")
+        assert "finite and positive" in err
+
+
+class TestDocumentNumbers:
+    HUGE = "1" + "0" * 400  # a JSON integer beyond the float range
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"theta": %s, "groups": [{"valuations": [1, -1]}, {"valuations": [1, -1]}]}' % HUGE,
+            '{"theta": 1, "groups": [{"valuations": [4, true, -1]}, {"valuations": [1, -1]}]}',
+            '{"theta": "0.5", "groups": [{"valuations": [1, -1]}, {"valuations": [1, -1]}]}',
+            '{"theta": 1, "groups": [{"valuations": ["4", -1]}, {"valuations": [1, -1]}]}',
+        ],
+        ids=["huge_theta", "boolean_valuation", "string_theta", "string_valuation"],
+    )
+    def test_spec_numbers_are_validation_errors(self, capsys, write, text):
+        code, out, err = invoke(capsys, "classify", "--spec", write("s.json", text))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ValidationError:")
+
+    @pytest.mark.parametrize("x", [HUGE, "true", '"1"'], ids=["huge", "boolean", "string"])
+    def test_profile_numbers_are_validation_errors(self, capsys, write, x):
+        zero = '{"x": 0, "y": 0}'
+        text = f'{{"efforts": [[{{"x": {x}, "y": 0}}, {zero}], [{zero}, {zero}]]}}'
+        code, out, err = invoke(
+            capsys, "verify", "--spec", write("s.json", SYMMETRIC_GAP),
+            "--profile", write("p.json", text),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ValidationError:")
+
+    @pytest.mark.parametrize(
+        "text", ["1" * 5000, "[" * 100_000 + "]" * 100_000], ids=["long_integer", "deep_nesting"]
+    )
+    def test_unparseable_json_is_malformed(self, capsys, write, text):
+        # Python refuses integers of more than 4300 digits and nesting
+        # deeper than its recursion limit.
+        code, out, err = invoke(capsys, "classify", "--spec", write("s.json", text))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: MalformedJson:")
+
+
+class TestBrokenPipe:
+    def test_closed_pipe_leaves_no_traceback(self, write):
+        # About 120 kB of output, more than a pipe buffers, so writing
+        # outlives the reader.  Only the top players gain by moving.
+        n = 400
+        vals = [float(n - k) for k in range(n // 2)] + [-float(k + 1) for k in range(n // 2)]
+        spec = {"theta": 1.0, "groups": [{"valuations": vals}, {"valuations": vals}]}
+        group = [{"x": 1e6, "y": 0}] + [{"x": 0, "y": 0}] * (n - 1)
+        profile = {"efforts": [group, group]}
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")]
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-m", "groupcontest", "verify", "--spec", write("s.json", spec),
+             "--profile", write("p.json", profile)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert child.stdout.readline() == b"{\n"
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 1
+        assert "Traceback" not in err and err == ""
 
 
 class TestBrCommand:

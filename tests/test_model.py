@@ -164,3 +164,30 @@ class TestDocuments:
     def test_profile_document_rejects_negative_effort(self):
         with pytest.raises(gc.ValidationError):
             gc.profile_from_dict({"efforts": [[{"x": -1, "y": 0}], [{"x": 0, "y": 0}]]})
+
+    @pytest.mark.parametrize(
+        "theta, valuations",
+        [
+            ("0.5", [1, -1]),
+            (10**400, [1, -1]),
+            (1.0, [4, True, -1]),
+            (1.0, ["4", -1]),
+            (1.0, [10**400, -1]),
+        ],
+        ids=["string_theta", "huge_theta", "boolean_valuation", "string_valuation",
+             "huge_valuation"],
+    )
+    def test_spec_document_numbers_must_be_numbers(self, theta, valuations):
+        doc = {"theta": theta, "groups": [{"valuations": valuations}, {"valuations": [1, -1]}]}
+        with pytest.raises(gc.ValidationError, match="must be a number|beyond the float range"):
+            gc.spec_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [("1", 0), (0, True), (10**400, 0), (0, -(10**400))],
+        ids=["string_x", "boolean_y", "huge_x", "huge_negative_y"],
+    )
+    def test_profile_document_numbers_must_be_numbers(self, x, y):
+        doc = {"efforts": [[{"x": x, "y": y}, {"x": 0, "y": 0}], [{"x": 0, "y": 0}] * 2]}
+        with pytest.raises(gc.ValidationError, match="must be a number|beyond the float range"):
+            gc.profile_from_dict(doc)

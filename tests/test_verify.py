@@ -1,19 +1,25 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupcontest as gc
+from groupcontest.verify import _group_sums
 from helpers import (
+    corpus_case,
+    corpus_group,
+    deviation_hex,
     efforts_st,
     grid_deviation,
     make_spec,
     profile_distance,
     random_profile,
     random_spec,
+    scalar_search,
     specs,
 )
 
@@ -274,6 +280,125 @@ class TestExactSearch:
             assert f.improvement == math.ldexp(d.improvement, k)
 
 
+@st.composite
+def group_search_cases(draw):
+    """A spec with 2 to 40 players per group at valuation scale 2**k,
+    k in [-600, 600], and a profile where every player mixes x and y or
+    a few players are active; sometimes one group is idle, offset to an
+    effective effort of exactly 0, or offset to within rounding of 0."""
+    k = draw(st.integers(-600, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = [corpus_group(rng, draw(st.integers(2, 40)), math.ldexp(1.0, k)) for _ in "12"]
+    spec = make_spec(*vals, draw(st.floats(0.01, 100.0)))
+    roster = list(gc.players(spec))
+    if draw(st.booleans()):
+        active = roster
+    else:
+        active = draw(st.lists(st.sampled_from(roster), min_size=1, max_size=3, unique=True))
+    profile = gc.StrategyProfile.zeros(spec)
+    for p in active:
+        profile = profile.replace(
+            p, math.ldexp(draw(efforts_st), k), math.ldexp(draw(efforts_st), k)
+        )
+    band = draw(st.sampled_from([None, "idle", "offset", "in_band"]))
+    if band is not None:
+        g = draw(st.integers(1, 2))
+        for i in range(1, spec.group(g).size + 1):
+            profile = profile.replace(gc.PlayerId(g, i), 0.0, 0.0)
+        if band != "idle":
+            t = math.ldexp(draw(st.floats(1e-3, 50.0)), k)
+            slack = t * draw(st.floats(1e-9, 1e-3)) if band == "in_band" else 0.0
+            profile = profile.replace(gc.PlayerId(g, 1), spec.theta * t + slack, 0.0)
+            profile = profile.replace(gc.PlayerId(g, spec.group(g).size), 0.0, t)
+    return spec, profile
+
+
+def _verification_digest(cases: int, seed: int) -> str:
+    """SHA-256 over every verdict, candidate count and deviation that
+    ``is_epsilon_nash`` reports on a seeded corpus, plus two players'
+    ``best_deviation`` per profile, every float written exactly."""
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    for _ in range(cases):
+        spec, profile = corpus_case(rng)
+        r = gc.is_epsilon_nash(spec, profile)
+        h.update(f"{r.is_epsilon_nash}:{r.epsilon.hex()}:{r.candidate_count}\n".encode())
+        for d in r.deviations:
+            h.update(f"{deviation_hex(d)}\n".encode())
+        roster = list(gc.players(spec))
+        for j in rng.choice(len(roster), size=2, replace=False):
+            d = gc.best_deviation(spec, profile, roster[int(j)])
+            h.update(f"{deviation_hex(d)}\n".encode())
+    return h.hexdigest()
+
+
+def _dynamics_digest(runs: int, seed: int) -> str:
+    """SHA-256 over status, iterations, period and every trajectory
+    profile of dynamics from seeded jitter on small specs at valuation
+    scales 2**k, alternating round-robin and simultaneous play."""
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    for i in range(runs):
+        s = math.ldexp(1.0, int(rng.integers(-600, 601)))
+        n1, n2 = (int(n) for n in rng.integers(2, 6, 2))
+        theta = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
+        spec = make_spec(corpus_group(rng, n1, s), corpus_group(rng, n2, s), theta)
+        initial = random_profile(rng, spec, scale=1e-3 * s)
+        r = gc.best_response_dynamics(spec, initial, 40, ("round_robin", "simultaneous")[i % 2])
+        h.update(f"{r.status.value}:{r.iterations}:{r.period}\n".encode())
+        for profile in r.trajectory:
+            row = " ".join(f"{e.x.hex()},{e.y.hex()}" for g in profile.efforts for e in g)
+            h.update(f"{row}\n".encode())
+    return h.hexdigest()
+
+
+class TestGroupSearch:
+    """The group-at-once search reproduces the player-by-player search
+    bit for bit.  The digests were computed with the player-by-player
+    search, before the group-at-once one replaced it."""
+
+    @settings(max_examples=25)
+    @given(group_search_cases(), st.data())
+    def test_matches_player_by_player_oracle(self, case, data):
+        spec, profile = case
+        eff = gc.effective_efforts(spec, profile)
+        sums = _group_sums(spec, profile)
+        expected = [scalar_search(spec, profile, p, eff, sums) for p in gc.players(spec)]
+        report = gc.is_epsilon_nash(spec, profile)
+        assert [deviation_hex(d) for d in report.deviations] == [
+            deviation_hex(d) for d, _ in expected
+        ]
+        assert report.candidate_count == sum(n for _, n in expected)
+        assert report.is_epsilon_nash == all(d.improvement <= report.epsilon for d, _ in expected)
+        for d, _ in data.draw(st.lists(st.sampled_from(expected), min_size=1, max_size=4)):
+            assert deviation_hex(gc.best_deviation(spec, profile, d.player)) == deviation_hex(d)
+
+    def test_verification_golden_digest(self):
+        assert _verification_digest(150, 2026) == (
+            "f3458834ebc962aa4d847122dc62dff4118a9fafeac306200bf53732419069ba"
+        )
+
+    def test_dynamics_golden_digest(self):
+        assert _dynamics_digest(40, 2027) == (
+            "adc96e729c3886ad1ad66e6be6ff1efa6ad4416e35bdb4e35688fb421547e461"
+        )
+
+    def test_non_finite_group_sum_is_refused(self, no_sabotage_spec):
+        big = gc.StrategyProfile.zeros(no_sabotage_spec)
+        for k in (1, 2):
+            big = big.replace(gc.PlayerId(1, k), 1e308, 0.0)
+        with pytest.raises(gc.NonFiniteInput):
+            gc.is_epsilon_nash(no_sabotage_spec, big)
+        with pytest.raises(gc.NonFiniteInput):
+            gc.best_deviation(no_sabotage_spec, big, gc.PlayerId(2, 1))
+
+    def test_unknown_player(self, no_sabotage_spec):
+        profile = gc.StrategyProfile.zeros(no_sabotage_spec)
+        for player in (gc.PlayerId(1, 0), gc.PlayerId(1, 4), gc.PlayerId(3, 1)):
+            with pytest.raises(gc.UnknownPlayer):
+                gc.best_deviation(no_sabotage_spec, profile, player)
+
+
 class TestIsEpsilonNash:
     def test_certifies_sabotage_equilibrium(self, sabotage_spec):
         profile = gc.solve(sabotage_spec).profile
@@ -314,6 +439,12 @@ class TestIsEpsilonNash:
     def test_rejects_bad_epsilon(self, no_sabotage_spec):
         with pytest.raises(gc.ContestError):
             gc.is_epsilon_nash(no_sabotage_spec, gc.StrategyProfile.zeros(no_sabotage_spec), 0.0)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_epsilon(self, no_sabotage_spec, epsilon):
+        profile = gc.StrategyProfile.zeros(no_sabotage_spec)
+        with pytest.raises(gc.ContestError, match="finite and positive"):
+            gc.is_epsilon_nash(no_sabotage_spec, profile, epsilon)
 
     def test_report_serialization(self, no_sabotage_spec):
         report = gc.is_epsilon_nash(no_sabotage_spec, gc.solve(no_sabotage_spec).profile)
