@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -212,6 +213,10 @@ def _cmd_verify(args, spec: ContestSpec) -> int:
 
 def _cmd_br(args, spec: ContestSpec) -> int:
     v, z_minus, z_other = args.v, args.z_minus, args.z_other
+    for flag, value in (("--v", v), ("--z-minus", z_minus), ("--z-other", z_other),
+                        ("--theta", args.theta)):
+        if value is not None and not math.isfinite(value):
+            raise ContestError(f"{flag} must be finite, got {value}")
 
     def need_theta() -> float:
         if args.theta is None:

@@ -80,8 +80,8 @@ def win_probability_short(z1: float, z2: float) -> float:
 def p1_values(z1, z2) -> np.ndarray:
     """Vectorized winning probability of the group listed first.
 
-    Accepts scalars or arrays (broadcast together).  Used by the
-    deviation-search and sweep code to score whole candidate batches.
+    Accepts scalars or arrays (broadcast together).  The deviation
+    search scores a large group's candidates with it in one call.
     """
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
@@ -106,7 +106,13 @@ def _payoff(
 ) -> float:
     """``payoff`` given the profile's effective efforts ``eff``."""
     v = valuation(spec, player)
-    probs = win_probability(eff.z1, eff.z2)
-    p_own = probs.p1 if player.group == 1 else probs.p2
     e = profile.effort(player)
-    return v * p_own - e.x - e.y
+    return _payoff_at(v, player.group, eff.z1, eff.z2, e.x, e.y)
+
+
+def _payoff_at(v: float, group: int, z1: float, z2: float, x: float, y: float) -> float:
+    """Payoff v * p_own - x - y of a ``group`` player exerting (x, y)
+    when the groups' effective efforts are (z1, z2)."""
+    probs = win_probability(z1, z2)
+    p_own = probs.p1 if group == 1 else probs.p2
+    return v * p_own - x - y

@@ -20,9 +20,10 @@ rounded as ``effective_efforts`` rounds it, lands strictly past 0
 (large efforts that cancel inside the group round smaller steps away).
 The same goes when the rival's effort is within rounding of 0
 (``ROUNDING_BAND``); there all candidates are scored from rounded group
-sums.  The winner's improvement is recomputed exactly through the payoff
-function, or is 0.0 when the winner is the current effort: a finite
-certificate over an infinite action space.
+sums.  The winner's improvement is recomputed exactly, as the payoff
+function computes it on the deviated profile but from the group's sums
+with the move swapped in, or is 0.0 when the winner is the current
+effort: a finite certificate over an infinite action space.
 
 ``refute_class`` mechanizes the deviation arguments that rule out whole
 families of profiles (mixed-sign effective efforts, some zero effective
@@ -44,6 +45,17 @@ player, so best_deviation calls for distinct players may run in
 parallel.  Round-robin dynamics is inherently sequential within an
 iteration; it recomputes effective efforts only after a player moves,
 and simultaneous play once per iteration.
+
+A group's search takes one of two paths, chosen by its size.  Outside
+the rounding band, a search that lists ``ARRAY_MIN_PLAYERS`` or more
+players scores all their candidates as float64 arrays: the same
+candidates in the same order, the same IEEE operations and the same tie
+rule, so every report is bit for bit the scalar loop's.  Smaller
+searches, single-player ones (``best_deviation``, round-robin dynamics)
+and groups inside the band run the scalar loop.  Both stay because each
+is faster where it runs: the array path pays about 60 numpy calls per
+group, so in-process it takes about 5x the loop's time at 3 players per
+group, breaks even at 40 to 50 and takes 0.6x at 200.
 """
 
 from __future__ import annotations
@@ -51,11 +63,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from . import best_response as br
-from .csf import _payoff, payoff, win_probability_short
+from .csf import _payoff_at, p1_values, win_probability_short
 from .model import (
     ContestError,
     ContestSpec,
@@ -76,6 +89,10 @@ CYCLE_TOL = 1e-6
 # where |z_other| exceeds that by ROUNDING_BAND, keeping their error below
 # about |v| * 2**-44.
 ROUNDING_BAND = 2.0**44
+# Searches of at least this many players of a group outside the rounding
+# band run on arrays; the scalar loop is faster below it (the measured
+# crossover, see the module docstring).
+ARRAY_MIN_PLAYERS = 45
 
 
 class ClassUnsatisfiable(ContestError):
@@ -190,6 +207,82 @@ def _own_z(spec: ContestSpec, profile: StrategyProfile, player: PlayerId, effort
     return effective_efforts(spec, profile.replace(player, x, y)).z(player.group)
 
 
+def _columns(efforts) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """A group's x efforts and y efforts."""
+    return tuple(e.x for e in efforts), tuple(e.y for e in efforts)
+
+
+def _improvement(theta, group, eff, columns, k, v, current, x, y) -> float:
+    """Exact payoff gain of player k of ``group`` moving from ``current``
+    to (x, y), without rebuilding the profile.  The group's effective
+    effort after the move is the builtin sum over ``columns`` (the
+    group's x and y efforts) with the move swapped in: the same sum over
+    the same sequence as ``effective_efforts`` on the deviated profile,
+    so the gain is bit for bit the payoff function's."""
+    xs, ys = columns
+    z = sum(chain(xs[: k - 1], (x,), xs[k:])) - theta * sum(chain(ys[: k - 1], (y,), ys[k:]))
+    z_other = eff.z_other(group)
+    z1, z2 = (z, z_other) if group == 1 else (z_other, z)
+    return _payoff_at(v, group, z1, z2, x, y) - _payoff_at(
+        v, group, eff.z1, eff.z2, current.x, current.y
+    )
+
+
+def _search_array(theta, indices, valuations, residuals, columns, z_other, p_now):
+    """The exact-mode search of the listed players on float64 arrays:
+    per player the same candidates in the same order (0, the kink, the
+    stationary point), scored by the same IEEE operations with the same
+    strict ``>``, so every pick is the scalar loop's.  Returns the
+    (position, x, y) of each listed player whose pick differs from the
+    current effort, and the number of points scored; or None where the
+    scalar loop raises (a candidate's group sum is not finite, or a
+    stationary point's rescaled arguments underflow to 0)."""
+    idx = np.fromiter(indices, np.intp, len(indices)) - 1
+    v, m, cx, cy = np.array((valuations, residuals, *columns))[:, idx]
+    pos = v > 0
+    with np.errstate(all="ignore"):
+        kink = np.where(pos, np.maximum(0.0, -m), np.maximum(0.0, m / theta))
+        # z_other != 0 outside the rounding band, so exactly one sign class
+        # has a concave piece: builders against a building rival, saboteurs
+        # against a sabotaging one.  Scaled as in ``_stationary``.
+        has = pos if z_other > 0 else ~pos
+        vs, ms = v[has], m[has]
+        e = np.frexp(np.maximum(np.maximum(np.abs(vs), np.abs(ms)), abs(z_other)))[1]
+        v1, m1, o1 = np.ldexp(vs, -e), np.ldexp(ms, -e), np.ldexp(z_other, -e)
+        if not (np.all(v1 != 0) and np.all(o1 != 0)):
+            return None
+        if z_other > 0:
+            peak = np.maximum(0.0, np.sqrt(v1 * o1) - o1 - m1)
+        else:
+            root = np.sqrt(theta * np.abs(v1) * np.abs(o1))
+            peak = np.maximum(0.0, (root - np.abs(o1) + m1) / theta)
+        stat = np.zeros_like(v)
+        stat[has] = np.ldexp(peak, e)
+        kink_ok = (kink > 0) & np.isfinite(kink)
+        stat_ok = (stat > 0) & np.isfinite(stat) & ~(kink_ok & (stat == kink))
+        moves = np.stack(
+            [np.zeros_like(v), np.where(kink_ok, kink, 0.0), np.where(stat_ok, stat, 0.0)]
+        )
+        z = m + np.where(pos, 1.0, -theta) * moves
+        if not np.all(np.isfinite(z)):
+            return None
+        values = v * p1_values(z, z_other) - moves
+    # The current effort is scored first, so ties keep the player put.
+    best = v * p_now - cx - cy
+    took = np.zeros(len(v), dtype=bool)
+    pick = np.zeros_like(v)
+    for move, value, ok in zip(moves, values, (True, kink_ok, stat_ok)):
+        better = ok & (value > best)
+        best = np.where(better, value, best)
+        pick = np.where(better, move, pick)
+        took |= better
+    bx = np.where(took, np.where(pos, pick, 0.0), cx)
+    by = np.where(took, np.where(pos, 0.0, pick), cy)
+    movers = np.flatnonzero((bx != cx) | (by != cy))
+    count = 2 * len(v) + int(np.count_nonzero(kink_ok)) + int(np.count_nonzero(stat_ok))
+    return list(zip(movers.tolist(), bx[movers].tolist(), by[movers].tolist())), count
+
+
 def _search_group(
     spec: ContestSpec,
     profile: StrategyProfile,
@@ -199,7 +292,9 @@ def _search_group(
     sums: tuple[tuple[float, int], ...],
 ) -> tuple[list[Deviation], int]:
     """Exact best deviations of the listed players of one group, and the
-    number of points scored; ``sums`` is ``_group_sums``."""
+    number of points scored; ``sums`` is ``_group_sums``.  Outside the
+    rounding band, ``ARRAY_MIN_PLAYERS`` or more listed players are
+    searched by ``_search_array``, fewer by the scalar loop."""
     theta = spec.theta
     valuations = spec.group(group).valuations
     efforts = profile.efforts[group - 1]
@@ -208,6 +303,24 @@ def _search_group(
     p_now = win_probability_short(eff.z(group), z_other)
     own_gross, terms = sums[group - 1]
     exact = abs(z_other) > ROUNDING_BAND * (terms + 4) * math.ulp(own_gross)
+
+    if exact and len(indices) >= ARRAY_MIN_PLAYERS:
+        columns = _columns(efforts)
+        found = _search_array(theta, indices, valuations, residuals, columns, z_other, p_now)
+        if found is not None:
+            moves, count = found
+            deviations = [
+                Deviation(PlayerId(group, k), efforts[k - 1].x, efforts[k - 1].y, 0.0)
+                for k in indices
+            ]
+            for i, x, y in moves:
+                k = indices[i]
+                gain = _improvement(
+                    theta, group, eff, columns, k, valuations[k - 1], efforts[k - 1], x, y
+                )
+                if gain > 0.0:
+                    deviations[i] = Deviation(PlayerId(group, k), x, y, gain)
+            return deviations, count
 
     deviations, count = [], 0
     for k in indices:
@@ -244,8 +357,9 @@ def _search_group(
                 best_value = value
         gain = 0.0
         if best_x != current.x or best_y != current.y:
-            deviated = profile.replace(player, best_x, best_y)
-            gain = payoff(spec, deviated, player) - _payoff(spec, profile, player, eff)
+            gain = _improvement(
+                theta, group, eff, _columns(efforts), k, v, current, best_x, best_y
+            )
         if gain <= 0.0:
             best_x, best_y, gain = current.x, current.y, 0.0
         deviations.append(Deviation(player, best_x, best_y, gain))

@@ -262,6 +262,18 @@ class TestBrCommand:
         assert code == 2
         assert "theta" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--v", "inf", "--z-minus", "0", "--z-other", "1"],
+        ["--v", "4", "--z-minus", "nan", "--z-other", "1"],
+        ["--v", "4", "--z-minus", "0", "--z-other=-inf"],
+        ["--v", "-10", "--theta", "nan", "--z-minus", "4", "--z-other", "3"],
+        ["--v", "4", "--theta", "inf", "--z-minus", "0", "--z-other", "1"],
+    ])
+    def test_non_finite_flags_are_refused(self, capsys, write, flags):
+        code, out, err = invoke(capsys, "br", "--spec", write("s.json", NO_SABOTAGE), *flags)
+        assert (code, out) == (1, "")
+        assert "must be finite" in err
+
     def test_unsupported_signs(self, capsys, write):
         code, _, err = invoke(
             capsys, "br", "--spec", write("s.json", NO_SABOTAGE),

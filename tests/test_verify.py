@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupcontest as gc
+from groupcontest import csf, verify
 from groupcontest.verify import _group_sums
 from helpers import (
     corpus_case,
@@ -397,6 +399,141 @@ class TestGroupSearch:
         for player in (gc.PlayerId(1, 0), gc.PlayerId(1, 4), gc.PlayerId(3, 1)):
             with pytest.raises(gc.UnknownPlayer):
                 gc.best_deviation(no_sabotage_spec, profile, player)
+
+
+ARRAY_KINDS = ("closed_form", "perturbed", "mixed", "sparse", "far_kink")
+
+
+@st.composite
+def array_search_cases(draw):
+    """A spec with ARRAY_MIN_PLAYERS to 200 players per group at valuation
+    scale 2**k and a profile of one of ``ARRAY_KINDS``: the closed-form
+    equilibrium or every effort of it times 1.5, every player mixing x
+    and y (many improvers), a few players active on their own axis, or
+    builders only under a theta so small that every saboteur's kink lies
+    beyond the float range.  In the last two, one group's efforts are
+    2**12 times the other's: with this many active players a group is
+    outside the rounding band only against a much larger rival effort."""
+    kind = draw(st.sampled_from(ARRAY_KINDS))
+    k = draw(st.integers(100 if kind == "far_kink" else -600, 600))
+    s = math.ldexp(1.0, k)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = st.integers(verify.ARRAY_MIN_PLAYERS, 200)
+    vals = [corpus_group(rng, draw(sizes), s) for _ in "12"]
+    if kind in ("closed_form", "perturbed"):
+        cut = gc.thresholds(make_spec(*vals, 1.0))
+        theta = cut.theta_no_sabotage / 2 if draw(st.booleans()) else 2 * cut.theta_sabotage
+    elif kind == "far_kink":
+        theta = math.ldexp(1.0, -1000)
+    else:
+        theta = draw(st.floats(0.05, 20.0))
+    spec = make_spec(*vals, theta)
+    if kind in ("closed_form", "perturbed"):
+        factor = 1.5 if kind == "perturbed" else 1.0
+        solved = gc.solve(spec).profile.efforts
+        efforts = [[(factor * e.x, factor * e.y) for e in g] for g in solved]
+    elif kind == "sparse":
+        efforts = [[(0.0, 0.0)] * len(g) for g in vals]
+        for _ in range(3):
+            g = int(rng.integers(2))
+            i = int(rng.integers(len(vals[g])))
+            e = s * float(rng.uniform(1e-3, 10.0))
+            efforts[g][i] = (e, 0.0) if vals[g][i] > 0 else (0.0, e / theta)
+    else:
+        big = draw(st.integers(0, 1))
+        efforts = [
+            [tuple(s * float(rng.uniform(0, 2)) if rng.random() < 0.6 else 0.0 for _ in "xy")
+             for _ in g]
+            for g in vals
+        ]
+        efforts[big] = [(x * 2**12, y * 2**12) for x, y in efforts[big]]
+        if kind == "far_kink":
+            efforts = [[(x, 0.0) for x, _ in g] for g in efforts]
+    return spec, gc.StrategyProfile(tuple(tuple(gc.Effort(x, y) for x, y in g) for g in efforts))
+
+
+VERIFICATION_GOLDEN = "f3458834ebc962aa4d847122dc62dff4118a9fafeac306200bf53732419069ba"
+
+
+class TestArraySearch:
+    """Groups of ``ARRAY_MIN_PLAYERS`` or more players outside the rounding
+    band are searched on arrays, with the scalar loop's results bit for
+    bit."""
+
+    @settings(max_examples=40)
+    @given(array_search_cases())
+    def test_matches_player_by_player_oracle(self, case):
+        spec, profile = case
+        eff = gc.effective_efforts(spec, profile)
+        sums = _group_sums(spec, profile)
+        expected = [scalar_search(spec, profile, p, eff, sums) for p in gc.players(spec)]
+        with mock.patch.object(verify, "_search_array", wraps=verify._search_array) as spy:
+            report = gc.is_epsilon_nash(spec, profile)
+        assert spy.call_count >= 1
+        assert [deviation_hex(d) for d in report.deviations] == [
+            deviation_hex(d) for d, _ in expected
+        ]
+        assert report.candidate_count == sum(n for _, n in expected)
+
+    def test_verification_golden_digest_on_arrays(self, monkeypatch):
+        monkeypatch.setattr(verify, "ARRAY_MIN_PLAYERS", 2)
+        assert _verification_digest(150, 2026) == VERIFICATION_GOLDEN
+
+    def test_stationary_point_at_the_kink_is_scored_once(self):
+        # Group 1's top player faces z_minus = -1 and z_other = 4 = v, so
+        # her stationary point sqrt(v * z_other) - z_other - z_minus is the
+        # kink -z_minus = 1 exactly: one candidate, counted once.
+        n = verify.ARRAY_MIN_PLAYERS
+        vals = [4.0] + [1.0] * (n - 3) + [-1.0, -2.0]
+        spec = make_spec(vals, vals, 1.0)
+        profile = gc.StrategyProfile.zeros(spec)
+        profile = profile.replace(gc.PlayerId(1, n), 0.0, 1.0)
+        profile = profile.replace(gc.PlayerId(2, 1), 4.0, 0.0)
+        eff = gc.effective_efforts(spec, profile)
+        sums = _group_sums(spec, profile)
+        expected = [scalar_search(spec, profile, p, eff, sums) for p in gc.players(spec)]
+        report = gc.is_epsilon_nash(spec, profile)
+        assert report.candidate_count == sum(n for _, n in expected)
+        assert [deviation_hex(d) for d in report.deviations] == [
+            deviation_hex(d) for d, _ in expected
+        ]
+
+    def test_non_finite_candidate_is_refused(self):
+        # The bottom saboteur's stationary point in group 1 needs about
+        # 1e450 of sabotage in effective terms: the group sum overflows.
+        n = verify.ARRAY_MIN_PLAYERS
+        vals = [1.0] + [-1.0] * (n - 2) + [-1e300]
+        spec = make_spec(vals, vals, 1e300)
+        profile = gc.StrategyProfile.zeros(spec).replace(gc.PlayerId(2, n), 0.0, 1.0)
+        with pytest.raises(gc.NonFiniteInput):
+            gc.is_epsilon_nash(spec, profile)
+
+    def test_exact_improvements_rebuild_nothing(self, monkeypatch):
+        # 796 improving players: each gain comes from its group's sums
+        # with the move swapped in, not from a rebuilt profile.
+        vals = [float(v) for v in range(400, 200, -1)] + [-float(v) for v in range(1, 201)]
+        spec = make_spec(vals, vals, 1.0)
+        profile = gc.StrategyProfile.zeros(spec)
+        for g in (1, 2):
+            profile = profile.replace(gc.PlayerId(g, 1), 1.0, 0.0)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        effective = counted("effective_efforts", gc.effective_efforts)
+        for module in (verify, csf):
+            monkeypatch.setattr(module, "effective_efforts", effective)
+        monkeypatch.setattr(
+            gc.StrategyProfile, "replace", counted("replace", gc.StrategyProfile.replace)
+        )
+        report = gc.is_epsilon_nash(spec, profile)
+        assert sum(d.improvement > 0 for d in report.deviations) == 796
+        assert calls == ["effective_efforts"]
 
 
 class TestIsEpsilonNash:
