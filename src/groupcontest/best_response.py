@@ -120,13 +120,3 @@ def br_negative_x(v: float, z_minus: float, z_other: float) -> AxisBestResponse:
         return AxisBestResponse(abs(z_minus))
     return AxisBestResponse(0.0, tie=True)
 
-
-def group_best_effective_effort(v: float, z_other: float) -> float:
-    """Effective effort a group would pick against a positive rival
-    effort z_other if it maximized v*z/(z + z_other) - z as one body
-    with valuation v > 0.  Increasing in v, which is why only the
-    highest-valuation member stays active in the no-sabotage outcome.
-    """
-    if v <= 0 or z_other <= 0:
-        raise DomainError(f"need v > 0 and z_other > 0, got v={v}, z_other={z_other}")
-    return max(0.0, math.sqrt(v * z_other) - z_other)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import best_response as br
-from .csf import win_probability
+from .csf import win_probability_short
 from .equilibrium import classify, region_csv, region_sample, solve, thresholds
 from .model import (
     ContestError,
@@ -149,57 +149,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _thresholds_dict(spec: ContestSpec) -> dict:
+def _threshold_fields(spec: ContestSpec) -> tuple[dict, dict]:
+    """Both cutoffs, and theta's distance to each."""
     cut = thresholds(spec)
-    return {"no_sabotage": cut.theta_no_sabotage, "sabotage": cut.theta_sabotage}
-
-
-def _slack_fields(spec: ContestSpec) -> dict:
-    cut = thresholds(spec)
-    return {
-        "slack_no_sabotage": abs(spec.theta - cut.theta_no_sabotage),
-        "slack_sabotage": abs(spec.theta - cut.theta_sabotage),
-    }
+    return (
+        {"no_sabotage": cut.theta_no_sabotage, "sabotage": cut.theta_sabotage},
+        {
+            "slack_no_sabotage": abs(spec.theta - cut.theta_no_sabotage),
+            "slack_sabotage": abs(spec.theta - cut.theta_sabotage),
+        },
+    )
 
 
 def _cmd_solve(args, spec: ContestSpec) -> int:
     result = solve(spec)
+    cuts, slacks = _threshold_fields(spec)
     out = {
         "regime": result.regime.value,
         "boundary": result.boundary,
         "theta": spec.theta,
-        "thresholds": _thresholds_dict(spec),
+        "thresholds": cuts,
         "profile": None,
         "effective": None,
         "win_probabilities": None,
     }
     if result.profile is not None:
         eff = result.effective
-        probs = win_probability(eff.z1, eff.z2)
+        p1 = win_probability_short(eff.z1, eff.z2)
         out["profile"] = profile_to_dict(result.profile)
         out["effective"] = {"z1": eff.z1, "z2": eff.z2}
-        out["win_probabilities"] = {"p1": probs.p1, "p2": probs.p2}
+        out["win_probabilities"] = {"p1": p1, "p2": 1.0 - p1}
     if args.slack:
-        out.update(_slack_fields(spec))
+        out.update(slacks)
     _emit(out)
     return 0
 
 
 def _cmd_classify(args, spec: ContestSpec) -> int:
     regime, boundary = classify(spec)
-    cut = thresholds(spec)
+    cuts, slacks = _threshold_fields(spec)
     out = {
         "regime": regime.value,
         "boundary": boundary,
         "theta": spec.theta,
-        "thresholds": _thresholds_dict(spec),
-        "slack": min(
-            abs(spec.theta - cut.theta_no_sabotage),
-            abs(spec.theta - cut.theta_sabotage),
-        ),
+        "thresholds": cuts,
+        "slack": min(slacks.values()),
     }
     if args.slack:
-        out.update(_slack_fields(spec))
+        out.update(slacks)
     _emit(out)
     return 0
 

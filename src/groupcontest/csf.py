@@ -12,9 +12,15 @@ effective efforts (z1, z2):
 and group 2 wins with the complementary probability.  A negative
 effective effort counts through its absolute value: a group whose
 sabotage outweighs its constructive effort is, as a whole, trying not
-to win.  The same map can be written in one line,
-p1 = (max(z1, 0) - min(0, z2)) / (|z1| + |z2|), which is what the
-vectorized helper uses.
+to win.
+
+The package evaluates the map in one line,
+p1 = (max(0, z1) - min(0, z2)) / (|z1| + |z2|), which gives the five
+cases' floats bit for bit: in the corner cases the numerator is 0 or
+equals the denominator.  ``win_probability_short`` is the scalar form
+and ``p1_values`` the array form.  Where |z1| + |z2| overflows, both
+run on (z1/2, z2/2): the map is scale-free, and halving is exact there
+because both magnitudes are then at least 2**970.
 
 Pure functions on immutable values; unrestricted concurrent use.
 """
@@ -22,14 +28,12 @@ Pure functions on immutable values; unrestricted concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
     ContestError,
     ContestSpec,
-    EffectiveEffort,
     PlayerId,
     StrategyProfile,
     effective_efforts,
@@ -38,54 +42,43 @@ from .model import (
 
 
 class NonFiniteInput(ContestError):
-    """win_probability was handed a NaN or infinite effective effort."""
-
-
-@dataclass(frozen=True)
-class WinProbabilities:
-    """Both groups' winning probabilities; p1 + p2 = 1 by construction."""
-
-    p1: float
-    p2: float
-
-
-def win_probability(z1: float, z2: float) -> WinProbabilities:
-    """Evaluate the five-case contest success function at (z1, z2)."""
-    if not (math.isfinite(z1) and math.isfinite(z2)):
-        raise NonFiniteInput(f"effective efforts must be finite, got ({z1}, {z2})")
-    if z1 > 0 and z2 >= 0:
-        p1 = z1 / (z1 + z2)
-    elif z1 >= 0 and z2 < 0:
-        p1 = 1.0
-    elif z1 <= 0 and z2 > 0:
-        p1 = 0.0
-    elif z1 < 0 and z2 <= 0:
-        p1 = abs(z2) / (abs(z1) + abs(z2))
-    else:  # z1 == z2 == 0
-        p1 = 0.5
-    return WinProbabilities(p1, 1.0 - p1)
+    """The success function was handed a NaN or infinite effective effort."""
 
 
 def win_probability_short(z1: float, z2: float) -> float:
-    """One-line form of the same map; must agree with win_probability
-    on every input (exercised by the branch-agreement tests)."""
+    """Group 1's winning probability at (z1, z2), all five sign cases in
+    one expression (the branch-agreement tests pin it to the five-case
+    definition bit for bit).  Where |z1| + |z2| overflows it runs on the
+    halved inputs: the map is scale-free and halving is exact there."""
     if not (math.isfinite(z1) and math.isfinite(z2)):
         raise NonFiniteInput(f"effective efforts must be finite, got ({z1}, {z2})")
     scale = abs(z1) + abs(z2)
+    if scale == math.inf:
+        z1, z2 = 0.5 * z1, 0.5 * z2
+        scale = abs(z1) + abs(z2)
     if scale == 0:
         return 0.5
-    return (max(z1, 0.0) - min(0.0, z2)) / scale
+    return (max(0.0, z1) - min(0.0, z2)) / scale
 
 
 def p1_values(z1, z2) -> np.ndarray:
-    """Vectorized winning probability of the group listed first.
+    """Vectorized ``win_probability_short``, bit for bit, overflow rule
+    included.
 
     Accepts scalars or arrays (broadcast together).  The deviation
     search scores a large group's candidates with it in one call.
     """
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
-    scale = np.abs(z1) + np.abs(z2)
+    with np.errstate(over="ignore"):
+        scale = np.abs(z1) + np.abs(z2)
+    big = np.isinf(scale)
+    if big.any():
+        half = np.where(big, 0.5, 1.0)
+        z1, z2 = half * z1, half * z2
+        scale = np.abs(z1) + np.abs(z2)
+    # np.maximum keeps its second argument on ties, max its first: both
+    # map z1 = -0.0 to +0.0.
     num = np.maximum(z1, 0.0) - np.minimum(0.0, z2)
     out = np.full(np.broadcast(z1, z2).shape, 0.5)
     np.divide(num, scale, out=out, where=scale > 0)
@@ -98,14 +91,8 @@ def payoff(spec: ContestSpec, profile: StrategyProfile, player: PlayerId) -> flo
     Well defined for any nonnegative profile, including players that
     exert both effort types at once.
     """
-    return _payoff(spec, profile, player, effective_efforts(spec, profile))
-
-
-def _payoff(
-    spec: ContestSpec, profile: StrategyProfile, player: PlayerId, eff: EffectiveEffort
-) -> float:
-    """``payoff`` given the profile's effective efforts ``eff``."""
-    v = valuation(spec, player)
+    eff = effective_efforts(spec, profile)
+    v = valuation(spec, player)  # raises UnknownPlayer
     e = profile.effort(player)
     return _payoff_at(v, player.group, eff.z1, eff.z2, e.x, e.y)
 
@@ -113,6 +100,5 @@ def _payoff(
 def _payoff_at(v: float, group: int, z1: float, z2: float, x: float, y: float) -> float:
     """Payoff v * p_own - x - y of a ``group`` player exerting (x, y)
     when the groups' effective efforts are (z1, z2)."""
-    probs = win_probability(z1, z2)
-    p_own = probs.p1 if group == 1 else probs.p2
-    return v * p_own - x - y
+    p1 = win_probability_short(z1, z2)
+    return v * (p1 if group == 1 else 1.0 - p1) - x - y

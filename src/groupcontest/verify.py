@@ -20,10 +20,16 @@ rounded as ``effective_efforts`` rounds it, lands strictly past 0
 (large efforts that cancel inside the group round smaller steps away).
 The same goes when the rival's effort is within rounding of 0
 (``ROUNDING_BAND``); there all candidates are scored from rounded group
-sums.  The winner's improvement is recomputed exactly, as the payoff
-function computes it on the deviated profile but from the group's sums
-with the move swapped in, or is 0.0 when the winner is the current
-effort: a finite certificate over an infinite action space.
+sums.  The payoff is undefined where a group sum leaves the float range,
+so a candidate whose sums would is cut back to the largest effort that
+keeps them finite (``_edge``): its piece still rises there, or, below a
+kink out of reach, peaks at its ends.  The winner's improvement is
+recomputed exactly, as the payoff function computes it on the deviated
+profile, or is 0.0 when the winner is the current effort: a finite
+certificate over an infinite action space.  Rounded group sums, in the
+band and for the improvement, come from ``_moved_z``: the builtin sum
+over the group's efforts with the move swapped in, the very sum
+``effective_efforts`` takes on the deviated profile.
 
 ``refute_class`` mechanizes the deviation arguments that rule out whole
 families of profiles (mixed-sign effective efforts, some zero effective
@@ -35,27 +41,24 @@ improving deviation for every one of them.
 profile, reporting convergence, cycling, or exhaustion; it is an
 empirical probe of the no-equilibrium gap, not a solver.
 
-All functions are pure.  The search runs a group at a time: values that
-depend only on the group (its valuations, efforts and residuals, both
-effective efforts, the current winning odds and whether the rival's
-effort is within the rounding band) are computed once and shared by its
-players, whose searches are otherwise independent.  ``is_epsilon_nash``
-searches each group in one pass and ``best_deviation`` searches one
-player, so best_deviation calls for distinct players may run in
-parallel.  Round-robin dynamics is inherently sequential within an
-iteration; it recomputes effective efforts only after a player moves,
-and simultaneous play once per iteration.
+All functions are pure.  The search runs a group at a time: what
+depends only on the group (its valuations, efforts and residuals, both
+effective efforts, the current odds, the rounding-band decision) is
+computed once and shared by its players.  ``best_deviation`` searches
+one player, so calls for distinct players may run in parallel.
+Round-robin dynamics is inherently sequential; it recomputes effective
+efforts only after a player moves, and simultaneous play once per
+iteration.
 
-A group's search takes one of two paths, chosen by its size.  Outside
-the rounding band, a search that lists ``ARRAY_MIN_PLAYERS`` or more
-players scores all their candidates as float64 arrays: the same
-candidates in the same order, the same IEEE operations and the same tie
-rule, so every report is bit for bit the scalar loop's.  Smaller
-searches, single-player ones (``best_deviation``, round-robin dynamics)
-and groups inside the band run the scalar loop.  Both stay because each
-is faster where it runs: the array path pays about 60 numpy calls per
-group, so in-process it takes about 5x the loop's time at 3 players per
-group, breaks even at 40 to 50 and takes 0.6x at 200.
+A group's search takes one of two paths.  Outside the rounding band, a
+search of ``ARRAY_MIN_PLAYERS`` or more players scores all their
+candidates as float64 arrays: the same candidates in the same order,
+the same IEEE operations and the same tie rule, so every report is the
+scalar loop's bit for bit, and no case is handed back to the loop.  All
+other searches run the scalar loop, which is faster there: the array
+path pays about 60 numpy calls per group, so in-process it takes about
+5x the loop's time at 3 players per group, breaks even at 40 to 50 and
+takes 0.6x at 200.
 """
 
 from __future__ import annotations
@@ -93,6 +96,9 @@ ROUNDING_BAND = 2.0**44
 # band run on arrays; the scalar loop is faster below it (the measured
 # crossover, see the module docstring).
 ARRAY_MIN_PLAYERS = 45
+# Below this, the group's gross effort plus a move (theta times it for y)
+# keeps every sum the search takes finite; above it ``_edge`` checks them.
+SUM_EDGE = 2.0**1023
 
 
 class ClassUnsatisfiable(ContestError):
@@ -185,42 +191,61 @@ def _stationary(v: float, theta: float, z_minus: float, z_other: float) -> float
     """The concave piece's peak on the player's axis, or 0 if there is
     none.  The rules are homogeneous of degree 1 in (v, z_minus, z_other),
     so they run on arguments scaled by a power of two to at most 1, where
-    v*z_other cannot overflow or underflow, and scale back exactly."""
+    v*z_other cannot overflow or underflow, and scale back exactly.  Where
+    that scaling underflows v or z_other to 0, the square root of their
+    product is taken as a product of square roots in the original units."""
     if not (z_other > 0 if v > 0 else z_other < 0):
         return 0.0
     e = math.frexp(max(abs(v), abs(z_minus), abs(z_other)))[1]
     v1, m1, o1 = math.ldexp(v, -e), math.ldexp(z_minus, -e), math.ldexp(z_other, -e)
+    if v1 == 0 or o1 == 0:
+        root = math.sqrt(abs(v)) * math.sqrt(abs(z_other))
+        if v > 0:
+            return max(0.0, root - z_other - z_minus)
+        return max(0.0, (math.sqrt(theta) * root - abs(z_other) + z_minus) / theta)
     if v > 0:
         effort = br.br_positive_x(v1, m1, o1).effort
     else:
         effort = br.br_negative_y(theta, v1, m1, o1).effort
     try:
         return math.ldexp(effort, e)
-    except OverflowError:  # beyond the float range: no candidate
+    except OverflowError:  # beyond the float range: cut back by ``_edge``
         return math.inf
 
 
-def _own_z(spec: ContestSpec, profile: StrategyProfile, player: PlayerId, effort: float) -> float:
-    """Own-group effective effort after the player moves to ``effort`` on
-    the valuation's axis, rounded as in ``payoff``."""
-    x, y = (effort, 0.0) if valuation(spec, player) > 0 else (0.0, effort)
-    return effective_efforts(spec, profile.replace(player, x, y)).z(player.group)
+def _moved_z(theta: float, columns, k: int, x: float, y: float) -> float:
+    """The group's effective effort after its player k moves to (x, y),
+    without rebuilding the profile: the builtin sum over ``columns`` (the
+    group's x and y efforts) with the move swapped in.  That is the same
+    sum over the same sequence as ``effective_efforts`` on the deviated
+    profile, so the result is bit for bit its z."""
+    xs, ys = columns
+    return sum(chain(xs[: k - 1], (x,), xs[k:])) - theta * sum(chain(ys[: k - 1], (y,), ys[k:]))
 
 
-def _columns(efforts) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """A group's x efforts and y efforts."""
-    return tuple(e.x for e in efforts), tuple(e.y for e in efforts)
+def _edge(theta, columns, k, v, z_minus, e):
+    """The largest effort in [0, e] on player k's axis at which both group
+    sums the search takes, z_minus +- effort and ``_moved_z``, are finite.
+    Efforts are nonnegative, so both sums are monotone in the effort and
+    finite at 0: a bisection over the floats' bit patterns finds it."""
+    def finite(f):
+        x, y = (f, 0.0) if v > 0 else (0.0, f)
+        z, moved = z_minus + x - theta * y, _moved_z(theta, columns, k, x, y)
+        return math.isfinite(z) and math.isfinite(moved)
+
+    if finite(e):
+        return e
+    lo, hi = 0, int(np.float64(e).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if finite(float(np.int64(mid).view(np.float64))) else (lo, mid)
+    return float(np.int64(lo).view(np.float64))
 
 
 def _improvement(theta, group, eff, columns, k, v, current, x, y) -> float:
     """Exact payoff gain of player k of ``group`` moving from ``current``
-    to (x, y), without rebuilding the profile.  The group's effective
-    effort after the move is the builtin sum over ``columns`` (the
-    group's x and y efforts) with the move swapped in: the same sum over
-    the same sequence as ``effective_efforts`` on the deviated profile,
-    so the gain is bit for bit the payoff function's."""
-    xs, ys = columns
-    z = sum(chain(xs[: k - 1], (x,), xs[k:])) - theta * sum(chain(ys[: k - 1], (y,), ys[k:]))
+    to (x, y): bit for bit the payoff function's, from ``_moved_z``."""
+    z = _moved_z(theta, columns, k, x, y)
     z_other = eff.z_other(group)
     z1, z2 = (z, z_other) if group == 1 else (z_other, z)
     return _payoff_at(v, group, z1, z2, x, y) - _payoff_at(
@@ -228,15 +253,14 @@ def _improvement(theta, group, eff, columns, k, v, current, x, y) -> float:
     )
 
 
-def _search_array(theta, indices, valuations, residuals, columns, z_other, p_now):
+def _search_array(theta, indices, valuations, residuals, columns, z_other, p_now, own_gross):
     """The exact-mode search of the listed players on float64 arrays:
     per player the same candidates in the same order (0, the kink, the
-    stationary point), scored by the same IEEE operations with the same
-    strict ``>``, so every pick is the scalar loop's.  Returns the
-    (position, x, y) of each listed player whose pick differs from the
-    current effort, and the number of points scored; or None where the
-    scalar loop raises (a candidate's group sum is not finite, or a
-    stationary point's rescaled arguments underflow to 0)."""
+    stationary point), cut back by ``_edge`` where their group sums may
+    leave the float range and scored by the same IEEE operations with
+    the same strict ``>``, so every pick is the scalar loop's.  Returns
+    the (position, x, y) of each listed player whose pick differs from
+    the current effort, and the number of points scored."""
     idx = np.fromiter(indices, np.intp, len(indices)) - 1
     v, m, cx, cy = np.array((valuations, residuals, *columns))[:, idx]
     pos = v > 0
@@ -249,8 +273,6 @@ def _search_array(theta, indices, valuations, residuals, columns, z_other, p_now
         vs, ms = v[has], m[has]
         e = np.frexp(np.maximum(np.maximum(np.abs(vs), np.abs(ms)), abs(z_other)))[1]
         v1, m1, o1 = np.ldexp(vs, -e), np.ldexp(ms, -e), np.ldexp(z_other, -e)
-        if not (np.all(v1 != 0) and np.all(o1 != 0)):
-            return None
         if z_other > 0:
             peak = np.maximum(0.0, np.sqrt(v1 * o1) - o1 - m1)
         else:
@@ -258,28 +280,35 @@ def _search_array(theta, indices, valuations, residuals, columns, z_other, p_now
             peak = np.maximum(0.0, (root - np.abs(o1) + m1) / theta)
         stat = np.zeros_like(v)
         stat[has] = np.ldexp(peak, e)
-        kink_ok = (kink > 0) & np.isfinite(kink)
-        stat_ok = (stat > 0) & np.isfinite(stat) & ~(kink_ok & (stat == kink))
+        if not (v1.all() and o1.all()):  # the common scaling underflows
+            for i in np.flatnonzero(has)[(v1 == 0) | (o1 == 0)].tolist():
+                stat[i] = _stationary(float(v[i]), theta, float(m[i]), z_other)
+        kink_ok = kink > 0
+        stat_ok = (stat > 0) & ~(kink_ok & (stat == kink))
         moves = np.stack(
             [np.zeros_like(v), np.where(kink_ok, kink, 0.0), np.where(stat_ok, stat, 0.0)]
         )
+        ok = np.stack([np.ones_like(pos), kink_ok, stat_ok])
+        if not own_gross + max(1.0, theta) * moves.max() <= SUM_EDGE:
+            far = (moves > 0) & ~(own_gross + np.where(pos, 1.0, theta) * moves <= SUM_EDGE)
+            for r, i in np.argwhere(far).tolist():
+                k, e = indices[i], float(moves[r, i])
+                moves[r, i] = _edge(theta, columns, k, valuations[k - 1], residuals[k - 1], e)
         z = m + np.where(pos, 1.0, -theta) * moves
-        if not np.all(np.isfinite(z)):
-            return None
         values = v * p1_values(z, z_other) - moves
     # The current effort is scored first, so ties keep the player put.
     best = v * p_now - cx - cy
     took = np.zeros(len(v), dtype=bool)
     pick = np.zeros_like(v)
-    for move, value, ok in zip(moves, values, (True, kink_ok, stat_ok)):
-        better = ok & (value > best)
+    for move, value, valid in zip(moves, values, ok):
+        better = valid & (value > best)
         best = np.where(better, value, best)
         pick = np.where(better, move, pick)
         took |= better
     bx = np.where(took, np.where(pos, pick, 0.0), cx)
     by = np.where(took, np.where(pos, 0.0, pick), cy)
     movers = np.flatnonzero((bx != cx) | (by != cy))
-    count = 2 * len(v) + int(np.count_nonzero(kink_ok)) + int(np.count_nonzero(stat_ok))
+    count = len(v) + int(np.count_nonzero(ok))
     return list(zip(movers.tolist(), bx[movers].tolist(), by[movers].tolist())), count
 
 
@@ -298,6 +327,7 @@ def _search_group(
     theta = spec.theta
     valuations = spec.group(group).valuations
     efforts = profile.efforts[group - 1]
+    columns = tuple(e.x for e in efforts), tuple(e.y for e in efforts)
     residuals = eff.residuals[group - 1]
     z_other = eff.z_other(group)
     p_now = win_probability_short(eff.z(group), z_other)
@@ -305,46 +335,50 @@ def _search_group(
     exact = abs(z_other) > ROUNDING_BAND * (terms + 4) * math.ulp(own_gross)
 
     if exact and len(indices) >= ARRAY_MIN_PLAYERS:
-        columns = _columns(efforts)
-        found = _search_array(theta, indices, valuations, residuals, columns, z_other, p_now)
-        if found is not None:
-            moves, count = found
-            deviations = [
-                Deviation(PlayerId(group, k), efforts[k - 1].x, efforts[k - 1].y, 0.0)
-                for k in indices
-            ]
-            for i, x, y in moves:
-                k = indices[i]
-                gain = _improvement(
-                    theta, group, eff, columns, k, valuations[k - 1], efforts[k - 1], x, y
-                )
-                if gain > 0.0:
-                    deviations[i] = Deviation(PlayerId(group, k), x, y, gain)
-            return deviations, count
+        moves, count = _search_array(
+            theta, indices, valuations, residuals, columns, z_other, p_now, own_gross
+        )
+        deviations = [
+            Deviation(PlayerId(group, k), efforts[k - 1].x, efforts[k - 1].y, 0.0)
+            for k in indices
+        ]
+        for i, x, y in moves:
+            k = indices[i]
+            gain = _improvement(
+                theta, group, eff, columns, k, valuations[k - 1], efforts[k - 1], x, y
+            )
+            if gain > 0.0:
+                deviations[i] = Deviation(PlayerId(group, k), x, y, gain)
+        return deviations, count
 
     deviations, count = [], 0
     for k in indices:
         player = PlayerId(group, k)
         v, z_minus, current = valuations[k - 1], residuals[k - 1], efforts[k - 1]
+        axis = (lambda e: (e, 0.0)) if v > 0 else (lambda e: (0.0, e))
         # Candidate efforts on the valuation's axis, each with its own-group z.
         kink = max(0.0, -z_minus) if v > 0 else max(0.0, z_minus / theta)
         moves = [0.0]
         for e in (kink, _stationary(v, theta, z_minus, z_other)):
-            if e > 0 and e not in moves and math.isfinite(e):
+            if e > 0 and e not in moves:
                 moves.append(e)
-        if exact:
-            scored = [(e, z_minus + e if v > 0 else z_minus - theta * e) for e in moves]
-        else:
-            scored = [(e, _own_z(spec, profile, player, e)) for e in moves]
+        if not exact:
             # The limit point: step past the kink until the rounded group
             # sum is past 0, unless the kink is out of the float range.
             d = math.ulp(max(abs(v), kink))
             while math.isfinite(kink + d):
-                z = _own_z(spec, profile, player, kink + d)
+                z = _moved_z(theta, columns, k, *axis(kink + d))
                 if (z > 0) if v > 0 else (z < 0):
-                    scored.append((kink + d, z))
+                    moves.append(kink + d)
                     break
                 d *= 2.0
+        for i, e in enumerate(moves):
+            if not own_gross + (e if v > 0 else theta * e) <= SUM_EDGE:
+                moves[i] = _edge(theta, columns, k, v, z_minus, e)
+        if exact:
+            scored = [(e, z_minus + e if v > 0 else z_minus - theta * e) for e in moves]
+        else:
+            scored = [(e, _moved_z(theta, columns, k, *axis(e))) for e in moves]
         count += 1 + len(scored)
 
         # The current effort is scored first, so ties keep the player put.
@@ -353,13 +387,11 @@ def _search_group(
         for e, z in scored:
             value = v * win_probability_short(z, z_other) - e
             if value > best_value:
-                best_x, best_y = (e, 0.0) if v > 0 else (0.0, e)
+                best_x, best_y = axis(e)
                 best_value = value
         gain = 0.0
         if best_x != current.x or best_y != current.y:
-            gain = _improvement(
-                theta, group, eff, _columns(efforts), k, v, current, best_x, best_y
-            )
+            gain = _improvement(theta, group, eff, columns, k, v, current, best_x, best_y)
         if gain <= 0.0:
             best_x, best_y, gain = current.x, current.y, 0.0
         deviations.append(Deviation(player, best_x, best_y, gain))

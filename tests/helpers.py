@@ -1,9 +1,10 @@
 """Shared test utilities: spec builders, seeded random spec generation,
-hypothesis strategies, independent grid-search oracles for the
-single-axis best-response rules and for a player's best deviation, the
-player-by-player deviation search that the group-at-once one must match
-bit for bit, and the point-by-point region sweep that the array-backed
-one must match.
+hypothesis strategies, the five-case contest success function that the
+one-line form must match bit for bit, independent grid-search oracles
+for the single-axis best-response rules and for a player's best
+deviation, the player-by-player deviation search that the group-at-once
+one must match bit for bit, and the point-by-point region sweep that
+the array-backed one must match.
 
 The grid oracles maximize the exact payoff of each regime by brute force
 on a dense effort grid (augmented with the exact piece endpoints, where
@@ -13,13 +14,14 @@ the payoff has a kink) and never call the closed forms they check.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 from hypothesis import strategies as st
 
 import groupcontest as gc
 from groupcontest import best_response as br
-from groupcontest.csf import _payoff, payoff, win_probability_short
+from groupcontest.csf import payoff, win_probability_short
 from groupcontest.equilibrium import RegionSample
 from groupcontest.model import effective_efforts, valuation
 from groupcontest.verify import ROUNDING_BAND, Deviation
@@ -78,6 +80,33 @@ def profile_distance(a: gc.StrategyProfile, b: gc.StrategyProfile) -> float:
         for ga, gb in zip(a.efforts, b.efforts)
         for ea, eb in zip(ga, gb)
     )
+
+
+# --- five-case contest success function ----------------------------------
+
+
+def win_probability_five(z1: float, z2: float) -> float:
+    """Group 1's winning probability by the five sign cases, as defined."""
+    if not (math.isfinite(z1) and math.isfinite(z2)):
+        raise gc.NonFiniteInput(f"effective efforts must be finite, got ({z1}, {z2})")
+    if z1 > 0 and z2 >= 0:
+        return z1 / (z1 + z2)
+    if z1 >= 0 and z2 < 0:
+        return 1.0
+    if z1 <= 0 and z2 > 0:
+        return 0.0
+    if z1 < 0 and z2 <= 0:
+        return abs(z2) / (abs(z1) + abs(z2))
+    return 0.5  # z1 == z2 == 0
+
+
+def _payoff(spec, profile, player, eff) -> float:
+    """Payoff v * p_own - x - y of one player given the profile's
+    effective efforts ``eff``, through the five-case form."""
+    v = valuation(spec, player)
+    e = profile.effort(player)
+    p1 = win_probability_five(eff.z1, eff.z2)
+    return v * (p1 if player.group == 1 else 1.0 - p1) - e.x - e.y
 
 
 # --- hypothesis strategies -------------------------------------------------
@@ -230,6 +259,17 @@ def oracle_for_case(op: str, params: dict) -> tuple[float, float, object]:
     return effort, value, f
 
 
+def group_best_effective_effort(v: float, z_other: float) -> float:
+    """Effective effort a group would pick against a positive rival
+    effort z_other if it maximized v*z/(z + z_other) - z as one body
+    with valuation v > 0.  Increasing in v, which is why only the
+    highest-valuation member stays active in the no-sabotage outcome.
+    """
+    if v <= 0 or z_other <= 0:
+        raise gc.DomainError(f"need v > 0 and z_other > 0, got v={v}, z_other={z_other}")
+    return max(0.0, math.sqrt(v * z_other) - z_other)
+
+
 CLOSED_FORMS = {
     "positive_x": lambda p: gc.br_positive_x(p["v"], p["z_minus"], p["z_other"]).effort,
     "positive_y": lambda p: gc.br_positive_y(
@@ -239,7 +279,7 @@ CLOSED_FORMS = {
         p["theta"], p["v"], p["z_minus"], p["z_other"]
     ).effort,
     "negative_x": lambda p: gc.br_negative_x(p["v"], p["z_minus"], p["z_other"]).effort,
-    "group": lambda p: gc.group_best_effective_effort(p["v"], p["z_other"]),
+    "group": lambda p: group_best_effective_effort(p["v"], p["z_other"]),
 }
 
 BR_OPS = tuple(CLOSED_FORMS)
@@ -312,13 +352,28 @@ def _stationary(v: float, theta: float, z_minus: float, z_other: float) -> float
         return 0.0
     try:
         return math.ldexp(effort, e)
-    except OverflowError:  # beyond the float range: no candidate
+    except OverflowError:  # beyond the float range: cut back below
         return math.inf
 
 
 def _own_z(spec, profile, player, x, y) -> float:
     """Own-group effective effort after a move, rounded as in ``payoff``."""
     return effective_efforts(spec, profile.replace(player, x, y)).z(player.group)
+
+
+def _largest_where(holds, e: float) -> float:
+    """The largest float in [0, e] at which ``holds``, a predicate that is
+    true at 0 and stays false once false, by bisection over the bit
+    patterns of the nonnegative floats."""
+    if holds(e):
+        return e
+    bits = lambda f: struct.unpack("<q", struct.pack("<d", f))[0]
+    value = lambda i: struct.unpack("<d", struct.pack("<q", i))[0]
+    lo, hi = 0, bits(e)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(value(mid)) else (lo, mid)
+    return value(lo)
 
 
 def scalar_search(spec, profile, player, eff, sums):
@@ -336,25 +391,36 @@ def scalar_search(spec, profile, player, eff, sums):
 
     move = (lambda e: (e, 0.0)) if v > 0 else (lambda e: (0.0, e))
     kink = max(0.0, -z_minus) if v > 0 else max(0.0, z_minus / theta)
-    moves = [move(0.0)]
+    efforts = [0.0]
     for e in (kink, _stationary(v, theta, z_minus, z_other)):
-        if e > 0 and move(e) not in moves and math.isfinite(e):
-            moves.append(move(e))
+        if e > 0 and e not in efforts:
+            efforts.append(e)
     own_gross, terms = sums[player.group - 1]
-    if abs(z_other) > ROUNDING_BAND * (terms + 4) * math.ulp(own_gross):
-        candidates = [(x, y, z_minus + x - theta * y) for x, y in moves]
-    else:
-        candidates = [(x, y, _own_z(spec, profile, player, x, y)) for x, y in moves]
+    exact = abs(z_other) > ROUNDING_BAND * (terms + 4) * math.ulp(own_gross)
+    if not exact:
         # The limit point: step past the kink until the rounded group sum
         # is past 0, unless the kink is out of the float range.
         d = math.ulp(max(abs(v), kink))
         while math.isfinite(kink + d):
-            x, y = move(kink + d)
-            z = _own_z(spec, profile, player, x, y)
+            z = _own_z(spec, profile, player, *move(kink + d))
             if (z > 0) if v > 0 else (z < 0):
-                candidates.append((x, y, z))
+                efforts.append(kink + d)
                 break
             d *= 2.0
+
+    def sums_finite(e):
+        x, y = move(e)
+        return math.isfinite(z_minus + x - theta * y) and math.isfinite(
+            _own_z(spec, profile, player, x, y)
+        )
+
+    # The payoff is undefined beyond the float range: each candidate is cut
+    # back to the largest effort at which both group sums stay finite.
+    moves = [move(_largest_where(sums_finite, e)) for e in efforts]
+    if exact:
+        candidates = [(x, y, z_minus + x - theta * y) for x, y in moves]
+    else:
+        candidates = [(x, y, _own_z(spec, profile, player, x, y)) for x, y in moves]
 
     for x, y, z in candidates:
         value = v * win_probability_short(z, z_other) - x - y

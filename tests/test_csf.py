@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import groupcontest as gc
-from helpers import make_spec
+from helpers import make_spec, win_probability_five
 
 finite_z = st.floats(-1e6, 1e6)
 # Power-of-two scaling is exact only while values stay in the normal
@@ -15,6 +15,12 @@ normal_z = st.one_of(
     st.just(0.0), st.floats(1e-290, 1e6), st.floats(-1e6, -1e-290)
 )
 signed_grid = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+# Every finite float, with the signed zeros and subnormals drawn often.
+any_z = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+)
 
 
 class TestWinProbability:
@@ -29,42 +35,68 @@ class TestWinProbability:
         ],
     )
     def test_sign_cases(self, z1, z2, expected):
-        assert gc.win_probability(z1, z2).p1 == expected
+        assert gc.win_probability_short(z1, z2) == expected
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(gc.NonFiniteInput):
-            gc.win_probability(bad, 1.0)
+            gc.win_probability_short(bad, 1.0)
         with pytest.raises(gc.NonFiniteInput):
-            gc.win_probability(1.0, bad)
+            gc.win_probability_short(1.0, bad)
 
     @given(finite_z, finite_z)
     def test_normalization(self, z1, z2):
-        probs = gc.win_probability(z1, z2)
-        assert 0.0 <= probs.p1 <= 1.0
-        assert probs.p2 == 1.0 - probs.p1
-        assert probs.p1 + probs.p2 == pytest.approx(1.0, abs=1e-15)
+        p1 = gc.win_probability_short(z1, z2)
+        p2 = 1.0 - p1  # group 2's odds, as payoff and solve take them
+        assert 0.0 <= p1 <= 1.0
+        assert 0.0 <= p2 <= 1.0
+        assert p1 + p2 == pytest.approx(1.0, abs=1e-15)
 
     @given(finite_z, finite_z)
     def test_branch_agreement(self, z1, z2):
-        assert gc.win_probability(z1, z2).p1 == gc.win_probability_short(z1, z2)
+        assert win_probability_five(z1, z2) == gc.win_probability_short(z1, z2)
 
     @pytest.mark.parametrize("z1", signed_grid)
     @pytest.mark.parametrize("z2", signed_grid)
     def test_branch_agreement_all_sign_patterns(self, z1, z2):
-        five = gc.win_probability(z1, z2).p1
+        five = win_probability_five(z1, z2)
         assert five == gc.win_probability_short(z1, z2)
         assert five == float(gc.p1_values(z1, z2))
 
+    @given(st.lists(st.tuples(any_z, any_z), min_size=1, max_size=8))
+    def test_bit_agreement_on_every_finite_float(self, pairs):
+        # Where |z1| + |z2| overflows, the five cases are taken at the
+        # halved inputs, as both one-line forms take them.
+        want = []
+        for z1, z2 in pairs:
+            if abs(z1) + abs(z2) == math.inf:
+                z1, z2 = z1 / 2, z2 / 2
+            want.append(win_probability_five(z1, z2).hex())
+        assert [gc.win_probability_short(z1, z2).hex() for z1, z2 in pairs] == want
+        z1s, z2s = (np.array(zs) for zs in zip(*pairs))
+        assert [p.hex() for p in gc.p1_values(z1s, z2s).tolist()] == want
+
+    @pytest.mark.parametrize(
+        "z1,z2,expected",
+        [(1e308, 1e308, 0.5), (1e308, -1e308, 1.0), (-1e308, 1e308, 0.0), (-1e308, -1e308, 0.5)],
+    )
+    def test_overflowing_sum(self, z1, z2, expected):
+        assert gc.win_probability_short(z1, z2) == expected
+        assert float(gc.p1_values(z1, z2)) == expected
+
+    def test_negative_zero_gives_positive_zero(self):
+        assert gc.win_probability_short(-0.0, 1.0).hex() == (0.0).hex()
+        assert float(gc.p1_values(-0.0, 1.0)).hex() == (0.0).hex()
+
     @given(st.floats(1e-6, 1e6))
     def test_symmetry(self, z):
-        assert gc.win_probability(z, z).p1 == 0.5
-        assert gc.win_probability(-z, -z).p1 == 0.5
+        assert gc.win_probability_short(z, z) == 0.5
+        assert gc.win_probability_short(-z, -z) == 0.5
 
     @given(normal_z, normal_z, st.integers(-20, 20))
     def test_scale_invariance_powers_of_two(self, z1, z2, exponent):
         lam = 2.0**exponent
-        assert gc.win_probability(lam * z1, lam * z2) == gc.win_probability(z1, z2)
+        assert gc.win_probability_short(lam * z1, lam * z2) == gc.win_probability_short(z1, z2)
 
     # Magnitudes bounded away from zero so lam * z cannot underflow to
     # 0.0 and hop onto the both-zero branch.
@@ -74,8 +106,8 @@ class TestWinProbability:
         st.floats(1e-3, 1e3),
     )
     def test_scale_invariance_general(self, z1, z2, lam):
-        assert gc.win_probability(lam * z1, lam * z2).p1 == pytest.approx(
-            gc.win_probability(z1, z2).p1, abs=1e-12
+        assert gc.win_probability_short(lam * z1, lam * z2) == pytest.approx(
+            gc.win_probability_short(z1, z2), abs=1e-12
         )
 
     def test_vectorized_matches_scalar(self):
@@ -83,7 +115,7 @@ class TestWinProbability:
         zs = rng.uniform(-5, 5, size=(200, 2))
         zs[:10] = 0.0
         got = gc.p1_values(zs[:, 0], zs[:, 1])
-        want = [gc.win_probability(a, b).p1 for a, b in zs]
+        want = [gc.win_probability_short(a, b) for a, b in zs]
         assert np.array_equal(got, np.array(want))
 
     def test_continuity_at_branch_seams(self):
@@ -95,9 +127,9 @@ class TestWinProbability:
             for seam in ("z1", "z2"):
                 def p(z):
                     return (
-                        gc.win_probability(z, other).p1
+                        gc.win_probability_short(z, other)
                         if seam == "z1"
-                        else gc.win_probability(other, z).p1
+                        else gc.win_probability_short(other, z)
                     )
                 assert abs(p(delta) - p(0.0)) < 1e-8
                 assert abs(p(-delta) - p(0.0)) < 1e-8
@@ -126,7 +158,7 @@ def _derivatives(z1, z2):
 class TestDerivativeSigns:
     def _check_point(self, z1, z2):
         h = 1e-5 * max(1.0, abs(z1) + abs(z2))
-        p = lambda a, b: gc.win_probability(a, b).p1
+        p = gc.win_probability_short
         d1 = (p(z1 + h, z2) - p(z1 - h, z2)) / (2 * h)
         d2 = (p(z1 + h, z2) - 2 * p(z1, z2) + p(z1 - h, z2)) / h**2
         a1, a2 = _derivatives(z1, z2)
@@ -150,7 +182,7 @@ class TestDerivativeSigns:
 
     def test_rival_effort_hurts_in_positive_quadrant(self):
         rng = np.random.default_rng(4)
-        p = lambda a, b: gc.win_probability(a, b).p1
+        p = gc.win_probability_short
         for _ in range(300):
             z1, z2 = draw_quadrant_point(rng)
             h = 1e-5 * max(1.0, z1 + z2)

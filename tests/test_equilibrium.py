@@ -116,7 +116,7 @@ class TestSolve:
         assert result.profile.effort(gc.PlayerId(1, 1)) == gc.Effort(1.0, 0.0)
         assert result.profile.effort(gc.PlayerId(2, 1)) == gc.Effort(1.0, 0.0)
         assert result.effective.z1 == 1.0 and result.effective.z2 == 1.0
-        assert gc.win_probability(result.effective.z1, result.effective.z2).p1 == 0.5
+        assert gc.win_probability_short(result.effective.z1, result.effective.z2) == 0.5
         assert gc.is_epsilon_nash(spec, result.profile).is_epsilon_nash
 
     def test_sabotage_profile(self):

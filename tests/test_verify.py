@@ -222,7 +222,7 @@ class TestExactSearch:
         profile = profile.replace(gc.PlayerId(2, 1), max(z_other, 0.0), 0.0)
         profile = profile.replace(gc.PlayerId(2, 3), 0.0, max(-z_other, 0.0) / spec.theta)
         eff = gc.effective_efforts(spec, profile)
-        p_now = gc.win_probability(eff.z1, eff.z2).p1
+        p_now = gc.win_probability_short(eff.z1, eff.z2)
         for p in (gc.PlayerId(1, 2), gc.PlayerId(1, 3)):
             v = gc.valuation(spec, p)
             gain = v * (1.0 - p_now) if v > 0 else -v * p_now
@@ -248,6 +248,63 @@ class TestExactSearch:
         profile = gc.StrategyProfile.zeros(spec).replace(gc.PlayerId(1, 1), 1e10, 0.0)
         d = gc.best_deviation(spec, profile, gc.PlayerId(1, 2))
         assert (d.new_x, d.new_y, d.improvement) == (0.0, 0.0, 0.0)
+
+    def test_huge_opposite_efforts_keep_finite_odds(self):
+        # |z1| + |z2| overflows: the odds come from the halved efforts, so
+        # dropping 1e308 of building, which still wins, gains 1e308.
+        spec = make_spec([1, -1], [1, -1], 1.0)
+        profile = gc.StrategyProfile.zeros(spec).replace(gc.PlayerId(1, 1), 1e308, 0.0)
+        profile = profile.replace(gc.PlayerId(2, 2), 0.0, 1e308)
+        d = gc.is_epsilon_nash(spec, profile).deviations[0]
+        assert (d.player, d.new_x, d.new_y, d.improvement) == (gc.PlayerId(1, 1), 0.0, 0.0, 1e308)
+        deviated = profile.replace(d.player, d.new_x, d.new_y)
+        assert d.improvement == gc.payoff(spec, deviated, d.player) - gc.payoff(
+            spec, profile, d.player
+        )
+
+    @pytest.mark.parametrize("rival_y", [1e8, 1e6])
+    def test_candidate_with_overflowing_group_sum_is_cut_back(self, rival_y):
+        # Player (1, 2)'s stationary sabotage, about 1e154 at theta 1e300,
+        # takes her group's effective effort below -1e308.  Her payoff
+        # rises all the way to the float range's edge, so the best effort
+        # is the largest y whose theta * y is finite.  A rival y of 1e8
+        # searches on z_minus - theta * y, 1e6 inside the rounding band.
+        spec = make_spec([1e300, -1e300], [1e300, -1e300], 1e300)
+        profile = gc.StrategyProfile.zeros(spec).replace(gc.PlayerId(1, 1), 1e308, 0.0)
+        profile = profile.replace(gc.PlayerId(2, 2), 0.0, rival_y)
+        player = gc.PlayerId(1, 2)
+        d = gc.best_deviation(spec, profile, player)
+        assert d.new_x == 0.0
+        assert math.isfinite(1e300 * d.new_y)
+        assert 1e300 * math.nextafter(d.new_y, math.inf) == math.inf
+        now = gc.payoff(spec, profile, player)
+        deviated = profile.replace(player, d.new_x, d.new_y)
+        assert d.improvement == gc.payoff(spec, deviated, player) - now
+        probe = profile.replace(player, 0.0, 1.7e8)
+        assert d.improvement > gc.payoff(spec, probe, player) - now > 4e299
+        report = gc.is_epsilon_nash(spec, profile)
+        assert report.deviations[1] == d
+        eff, sums = gc.effective_efforts(spec, profile), _group_sums(spec, profile)
+        for p, found in zip(gc.players(spec), report.deviations):
+            assert deviation_hex(scalar_search(spec, profile, p, eff, sums)[0]) == (
+                deviation_hex(found)
+            )
+
+    def test_valuations_beyond_one_scale(self):
+        # Player (1, 2)'s valuation, rival effort and residual 1e300 span
+        # more than the float range: scaled together, v underflows to 0.
+        spec = make_spec([1e300, 1e-300, -1], [1, -1], 1.0)
+        profile = gc.StrategyProfile.zeros(spec).replace(gc.PlayerId(1, 1), 1e300, 0.0)
+        profile = profile.replace(gc.PlayerId(2, 1), 1e-300, 0.0)
+        d = gc.best_deviation(spec, profile, gc.PlayerId(1, 2))
+        assert (d.new_x, d.new_y, d.improvement) == (0.0, 0.0, 0.0)
+        assert gc.is_epsilon_nash(spec, profile).deviations[1] == d
+
+    @pytest.mark.parametrize("v,z_minus,z_other", [(1e-300, -1e31, 1e30), (-1e-300, 1e31, -1e30)])
+    def test_stationary_point_scales_v_and_z_other_apart(self, v, z_minus, z_other):
+        # sqrt(v * z_other) is 1e-135, far below the rounding of
+        # |z_minus| - |z_other| = 9e30, which is the stationary effort.
+        assert verify._stationary(v, 1.0, z_minus, z_other) == 9e30
 
     def test_refutes_every_class_on_random_specs(self):
         rng = np.random.default_rng(31)
@@ -498,15 +555,47 @@ class TestArraySearch:
             deviation_hex(d) for d, _ in expected
         ]
 
-    def test_non_finite_candidate_is_refused(self):
+    def test_non_finite_candidate_is_cut_back(self, monkeypatch):
         # The bottom saboteur's stationary point in group 1 needs about
-        # 1e450 of sabotage in effective terms: the group sum overflows.
+        # 1e450 of sabotage in effective terms: the group sum overflows, so
+        # that candidate is cut back to the float range's edge, on arrays
+        # as in the scalar loop.
         n = verify.ARRAY_MIN_PLAYERS
         vals = [1.0] + [-1.0] * (n - 2) + [-1e300]
         spec = make_spec(vals, vals, 1e300)
         profile = gc.StrategyProfile.zeros(spec).replace(gc.PlayerId(2, n), 0.0, 1.0)
-        with pytest.raises(gc.NonFiniteInput):
-            gc.is_epsilon_nash(spec, profile)
+        with mock.patch.object(verify, "_search_array", wraps=verify._search_array) as spy:
+            report = gc.is_epsilon_nash(spec, profile)
+        assert spy.call_count >= 1
+        monkeypatch.setattr(verify, "ARRAY_MIN_PLAYERS", 10**9)
+        scalar = gc.is_epsilon_nash(spec, profile)
+        assert [deviation_hex(d) for d in report.deviations] == [
+            deviation_hex(d) for d in scalar.deviations
+        ]
+        assert report.candidate_count == scalar.candidate_count
+        d = report.deviations[n - 1]
+        assert d.player == gc.PlayerId(1, n)
+        assert 1e300 * math.nextafter(d.new_y, math.inf) == math.inf
+        probe = profile.replace(d.player, 0.0, 1e8)
+        now = gc.payoff(spec, profile, d.player)
+        assert d.improvement > gc.payoff(spec, probe, d.player) - now
+
+    def test_stationary_point_of_a_tiny_valuation(self, monkeypatch):
+        # Against a rival effort of 1e30 the players valued at 1e-300 share
+        # no power-of-two scale with it: scaled together, v underflows to 0.
+        n = verify.ARRAY_MIN_PLAYERS
+        spec = make_spec([1e300] + [1e-300] * (n - 2) + [-1.0], [1.0, -1.0], 1.0)
+        profile = gc.StrategyProfile.zeros(spec).replace(gc.PlayerId(2, 1), 1e30, 0.0)
+        profile = profile.replace(gc.PlayerId(1, n), 0.0, 1e31)
+        with mock.patch.object(verify, "_search_array", wraps=verify._search_array) as spy:
+            report = gc.is_epsilon_nash(spec, profile)
+        assert spy.call_count >= 1
+        monkeypatch.setattr(verify, "ARRAY_MIN_PLAYERS", 10**9)
+        scalar = gc.is_epsilon_nash(spec, profile)
+        assert [deviation_hex(d) for d in report.deviations] == [
+            deviation_hex(d) for d in scalar.deviations
+        ]
+        assert report.candidate_count == scalar.candidate_count
 
     def test_exact_improvements_rebuild_nothing(self, monkeypatch):
         # 796 improving players: each gain comes from its group's sums
