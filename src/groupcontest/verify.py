@@ -41,14 +41,14 @@ improving deviation for every one of them.
 profile, reporting convergence, cycling, or exhaustion; it is an
 empirical probe of the no-equilibrium gap, not a solver.
 
-All functions are pure.  The search runs a group at a time: what
-depends only on the group (its valuations, efforts and residuals, both
-effective efforts, the current odds, the rounding-band decision) is
-computed once and shared by its players.  ``best_deviation`` searches
-one player, so calls for distinct players may run in parallel.
-Round-robin dynamics is inherently sequential; it recomputes effective
-efforts only after a player moves, and simultaneous play once per
-iteration.
+All functions are pure.  The search runs a group at a time and reads
+the profile in one place: what depends only on the group (its effort
+columns and gross effort, both effective efforts, the current odds,
+the rounding-band decision) is computed once, by the sums
+``effective_efforts`` takes, and shared by its players.
+``best_deviation`` searches one player, so calls for distinct players
+may run in parallel.  Round-robin dynamics is inherently sequential; it
+keeps nothing beside the profile, which each search reads afresh.
 
 A group's search takes one of two paths.  Outside the rounding band, a
 search of ``ARRAY_MIN_PLAYERS`` or more players scores all their
@@ -75,10 +75,9 @@ from .csf import _payoff_at, p1_values, win_probability_short
 from .model import (
     ContestError,
     ContestSpec,
-    EffectiveEffort,
     PlayerId,
     StrategyProfile,
-    effective_efforts,
+    _check_shape,
     players,
     valuation,
 )
@@ -242,18 +241,7 @@ def _edge(theta, columns, k, v, z_minus, e):
     return float(np.int64(lo).view(np.float64))
 
 
-def _improvement(theta, group, eff, columns, k, v, current, x, y) -> float:
-    """Exact payoff gain of player k of ``group`` moving from ``current``
-    to (x, y): bit for bit the payoff function's, from ``_moved_z``."""
-    z = _moved_z(theta, columns, k, x, y)
-    z_other = eff.z_other(group)
-    z1, z2 = (z, z_other) if group == 1 else (z_other, z)
-    return _payoff_at(v, group, z1, z2, x, y) - _payoff_at(
-        v, group, eff.z1, eff.z2, current.x, current.y
-    )
-
-
-def _search_array(theta, indices, valuations, residuals, columns, z_other, p_now, own_gross):
+def _search_array(theta, indices, valuations, columns, z, z_other, p_now, own_gross):
     """The exact-mode search of the listed players on float64 arrays:
     per player the same candidates in the same order (0, the kink, the
     stationary point), cut back by ``_edge`` where their group sums may
@@ -262,7 +250,8 @@ def _search_array(theta, indices, valuations, residuals, columns, z_other, p_now
     the (position, x, y) of each listed player whose pick differs from
     the current effort, and the number of points scored."""
     idx = np.fromiter(indices, np.intp, len(indices)) - 1
-    v, m, cx, cy = np.array((valuations, residuals, *columns))[:, idx]
+    v, cx, cy = np.array((valuations, *columns))[:, idx]
+    m = z - (cx - theta * cy)  # the residuals, as ``_search_group`` takes them
     pos = v > 0
     with np.errstate(all="ignore"):
         kink = np.where(pos, np.maximum(0.0, -m), np.maximum(0.0, m / theta))
@@ -292,10 +281,10 @@ def _search_array(theta, indices, valuations, residuals, columns, z_other, p_now
         if not own_gross + max(1.0, theta) * moves.max() <= SUM_EDGE:
             far = (moves > 0) & ~(own_gross + np.where(pos, 1.0, theta) * moves <= SUM_EDGE)
             for r, i in np.argwhere(far).tolist():
-                k, e = indices[i], float(moves[r, i])
-                moves[r, i] = _edge(theta, columns, k, valuations[k - 1], residuals[k - 1], e)
-        z = m + np.where(pos, 1.0, -theta) * moves
-        values = v * p1_values(z, z_other) - moves
+                e = float(moves[r, i])
+                moves[r, i] = _edge(theta, columns, indices[i], float(v[i]), float(m[i]), e)
+        z_moved = m + np.where(pos, 1.0, -theta) * moves
+        values = v * p1_values(z_moved, z_other) - moves
     # The current effort is scored first, so ties keep the player put.
     best = v * p_now - cx - cy
     took = np.zeros(len(v), dtype=bool)
@@ -313,106 +302,91 @@ def _search_array(theta, indices, valuations, residuals, columns, z_other, p_now
 
 
 def _search_group(
-    spec: ContestSpec,
-    profile: StrategyProfile,
-    group: int,
-    indices,
-    eff: EffectiveEffort,
-    sums: tuple[tuple[float, int], ...],
+    spec: ContestSpec, profile: StrategyProfile, group: int, indices
 ) -> tuple[list[Deviation], int]:
     """Exact best deviations of the listed players of one group, and the
-    number of points scored; ``sums`` is ``_group_sums``.  Outside the
-    rounding band, ``ARRAY_MIN_PLAYERS`` or more listed players are
-    searched by ``_search_array``, fewer by the scalar loop."""
+    number of points scored.  The group's values are read from the
+    profile here, by the sums ``effective_efforts`` takes, so they are
+    its values bit for bit.  Outside the rounding band,
+    ``ARRAY_MIN_PLAYERS`` or more listed players are searched by
+    ``_search_array``, fewer by the scalar loop; both pick only the
+    moves, whose exact gains are taken here."""
     theta = spec.theta
     valuations = spec.group(group).valuations
-    efforts = profile.efforts[group - 1]
-    columns = tuple(e.x for e in efforts), tuple(e.y for e in efforts)
-    residuals = eff.residuals[group - 1]
-    z_other = eff.z_other(group)
-    p_now = win_probability_short(eff.z(group), z_other)
-    own_gross, terms = sums[group - 1]
+    efforts, others = profile.efforts[group - 1], profile.efforts[2 - group]
+    columns = xs, ys = [e.x for e in efforts], [e.y for e in efforts]
+    z = sum(xs) - theta * sum(ys)
+    z_other = sum(e.x for e in others) - theta * sum(e.y for e in others)
+    # The gross effort and the number of nonzero efforts bound the
+    # rounding in z.
+    own_gross = sum(x + theta * y for x, y in zip(xs, ys))
+    terms = 2 * len(xs) - xs.count(0.0) - ys.count(0.0)
+    p_now = win_probability_short(z, z_other)
     exact = abs(z_other) > ROUNDING_BAND * (terms + 4) * math.ulp(own_gross)
 
     if exact and len(indices) >= ARRAY_MIN_PLAYERS:
-        moves, count = _search_array(
-            theta, indices, valuations, residuals, columns, z_other, p_now, own_gross
+        picks, count = _search_array(
+            theta, indices, valuations, columns, z, z_other, p_now, own_gross
         )
-        deviations = [
-            Deviation(PlayerId(group, k), efforts[k - 1].x, efforts[k - 1].y, 0.0)
-            for k in indices
-        ]
-        for i, x, y in moves:
-            k = indices[i]
-            gain = _improvement(
-                theta, group, eff, columns, k, valuations[k - 1], efforts[k - 1], x, y
-            )
-            if gain > 0.0:
-                deviations[i] = Deviation(PlayerId(group, k), x, y, gain)
-        return deviations, count
+    else:
+        picks, count = [], 0
+        for i, k in enumerate(indices):
+            v, z_minus = valuations[k - 1], z - (xs[k - 1] - theta * ys[k - 1])
+            axis = (lambda e: (e, 0.0)) if v > 0 else (lambda e: (0.0, e))
+            # Candidate efforts on the valuation's axis, each with its own-group z.
+            kink = max(0.0, -z_minus) if v > 0 else max(0.0, z_minus / theta)
+            moves = [0.0]
+            for e in (kink, _stationary(v, theta, z_minus, z_other)):
+                if e > 0 and e not in moves:
+                    moves.append(e)
+            if not exact:
+                # The limit point: step past the kink until the rounded group
+                # sum is past 0, unless the kink is out of the float range.
+                d = math.ulp(max(abs(v), kink))
+                while math.isfinite(kink + d):
+                    past = _moved_z(theta, columns, k, *axis(kink + d))
+                    if (past > 0) if v > 0 else (past < 0):
+                        moves.append(kink + d)
+                        break
+                    d *= 2.0
+            for j, e in enumerate(moves):
+                if not own_gross + (e if v > 0 else theta * e) <= SUM_EDGE:
+                    moves[j] = _edge(theta, columns, k, v, z_minus, e)
+            if exact:
+                scored = [(e, z_minus + e if v > 0 else z_minus - theta * e) for e in moves]
+            else:
+                scored = [(e, _moved_z(theta, columns, k, *axis(e))) for e in moves]
+            count += 1 + len(scored)
+            # The current effort is scored first, so ties keep the player put.
+            current = best = xs[k - 1], ys[k - 1]
+            best_value = v * p_now - xs[k - 1] - ys[k - 1]
+            for e, z_e in scored:
+                value = v * win_probability_short(z_e, z_other) - e
+                if value > best_value:
+                    best, best_value = axis(e), value
+            if best != current:
+                picks.append((i, *best))
 
-    deviations, count = [], 0
-    for k in indices:
-        player = PlayerId(group, k)
-        v, z_minus, current = valuations[k - 1], residuals[k - 1], efforts[k - 1]
-        axis = (lambda e: (e, 0.0)) if v > 0 else (lambda e: (0.0, e))
-        # Candidate efforts on the valuation's axis, each with its own-group z.
-        kink = max(0.0, -z_minus) if v > 0 else max(0.0, z_minus / theta)
-        moves = [0.0]
-        for e in (kink, _stationary(v, theta, z_minus, z_other)):
-            if e > 0 and e not in moves:
-                moves.append(e)
-        if not exact:
-            # The limit point: step past the kink until the rounded group
-            # sum is past 0, unless the kink is out of the float range.
-            d = math.ulp(max(abs(v), kink))
-            while math.isfinite(kink + d):
-                z = _moved_z(theta, columns, k, *axis(kink + d))
-                if (z > 0) if v > 0 else (z < 0):
-                    moves.append(kink + d)
-                    break
-                d *= 2.0
-        for i, e in enumerate(moves):
-            if not own_gross + (e if v > 0 else theta * e) <= SUM_EDGE:
-                moves[i] = _edge(theta, columns, k, v, z_minus, e)
-        if exact:
-            scored = [(e, z_minus + e if v > 0 else z_minus - theta * e) for e in moves]
-        else:
-            scored = [(e, _moved_z(theta, columns, k, *axis(e))) for e in moves]
-        count += 1 + len(scored)
+    def payoff(k, x, y, z_own):
+        z1, z2 = (z_own, z_other) if group == 1 else (z_other, z_own)
+        return _payoff_at(valuations[k - 1], group, z1, z2, x, y)
 
-        # The current effort is scored first, so ties keep the player put.
-        best_x, best_y = current.x, current.y
-        best_value = v * p_now - best_x - best_y
-        for e, z in scored:
-            value = v * win_probability_short(z, z_other) - e
-            if value > best_value:
-                best_x, best_y = axis(e)
-                best_value = value
-        gain = 0.0
-        if best_x != current.x or best_y != current.y:
-            gain = _improvement(theta, group, eff, columns, k, v, current, best_x, best_y)
-        if gain <= 0.0:
-            best_x, best_y, gain = current.x, current.y, 0.0
-        deviations.append(Deviation(player, best_x, best_y, gain))
+    # A pick's gain is exact, from the group sum with the move swapped in;
+    # a player whose pick gains nothing stays put.
+    deviations = [Deviation(PlayerId(group, k), xs[k - 1], ys[k - 1], 0.0) for k in indices]
+    for i, x, y in picks:
+        k = indices[i]
+        moved = _moved_z(theta, columns, k, x, y)
+        gain = payoff(k, x, y, moved) - payoff(k, xs[k - 1], ys[k - 1], z)
+        if gain > 0.0:
+            deviations[i] = Deviation(PlayerId(group, k), x, y, gain)
     return deviations, count
 
 
-def _group_sums(spec: ContestSpec, profile: StrategyProfile) -> tuple[tuple[float, int], ...]:
-    """Per group, the gross effort x + theta*y and the number of nonzero
-    efforts: together they bound the rounding in its effective effort."""
-    return tuple(
-        (sum(e.x + spec.theta * e.y for e in g), sum((e.x != 0) + (e.y != 0) for e in g))
-        for g in profile.efforts
-    )
-
-
-def _search_all(
-    spec: ContestSpec, profile: StrategyProfile, eff: EffectiveEffort, sums
-) -> tuple[list[Deviation], int]:
+def _search_all(spec: ContestSpec, profile: StrategyProfile) -> tuple[list[Deviation], int]:
     """``_search_group`` over every player, group 1 then group 2."""
     (found1, n1), (found2, n2) = (
-        _search_group(spec, profile, g, range(1, size + 1), eff, sums)
+        _search_group(spec, profile, g, range(1, size + 1))
         for g, size in enumerate(spec.sizes(), start=1)
     )
     return found1 + found2, n1 + n2
@@ -422,10 +396,9 @@ def best_deviation(
     spec: ContestSpec, profile: StrategyProfile, player: PlayerId
 ) -> Deviation:
     """Search one player's deviations, holding all others fixed."""
-    eff = effective_efforts(spec, profile)
+    _check_shape(spec, profile)
     valuation(spec, player)  # raises UnknownPlayer
-    sums = _group_sums(spec, profile)
-    (deviation,), _ = _search_group(spec, profile, player.group, (player.index,), eff, sums)
+    (deviation,), _ = _search_group(spec, profile, player.group, (player.index,))
     return deviation
 
 
@@ -445,8 +418,8 @@ def is_epsilon_nash(
         epsilon = default_epsilon(spec)
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ContestError(f"epsilon must be finite and positive, got {epsilon}")
-    eff = effective_efforts(spec, profile)
-    deviations, count = _search_all(spec, profile, eff, _group_sums(spec, profile))
+    _check_shape(spec, profile)
+    deviations, count = _search_all(spec, profile)
     certified = all(d.improvement <= epsilon for d in deviations)
     return VerificationReport(certified, epsilon, tuple(deviations), count)
 
@@ -639,10 +612,9 @@ def best_response_dynamics(
         raise ContestError(f"max_iters must be >= 1, got {max_iters}")
     if order not in ("round_robin", "simultaneous"):
         raise ContestError(f"order must be round_robin or simultaneous, got {order!r}")
+    _check_shape(spec, initial)
     roster = list(players(spec))
     current = initial
-    # The search state of ``current``, recomputed whenever it changes.
-    eff, sums = effective_efforts(spec, current), _group_sums(spec, current)
     trajectory = [initial]
     history = [_flatten(initial)]
 
@@ -650,19 +622,17 @@ def best_response_dynamics(
         gain = 0.0
         if order == "round_robin":
             for p in roster:
-                (d,), _ = _search_group(spec, current, p.group, (p.index,), eff, sums)
+                (d,), _ = _search_group(spec, current, p.group, (p.index,))
                 gain = max(gain, d.improvement)
                 if d.improvement > 0.0:
                     current = current.replace(p, d.new_x, d.new_y)
-                    eff, sums = effective_efforts(spec, current), _group_sums(spec, current)
         else:
-            moves, _ = _search_all(spec, current, eff, sums)
+            moves, _ = _search_all(spec, current)
             gain = max(d.improvement for d in moves)
             if gain > FIXED_POINT_TOL:
                 for d in moves:
                     if d.improvement > 0.0:
                         current = current.replace(d.player, d.new_x, d.new_y)
-                eff, sums = effective_efforts(spec, current), _group_sums(spec, current)
 
         vec = _flatten(current)
         delta = float(np.max(np.abs(vec - history[-1])))

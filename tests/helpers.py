@@ -376,11 +376,16 @@ def _largest_where(holds, e: float) -> float:
     return value(lo)
 
 
-def scalar_search(spec, profile, player, eff, sums):
+def scalar_search(spec, profile, player):
     """Exact best deviation of one player and the number of points
-    scored; ``sums`` is ``verify._group_sums``."""
+    scored."""
     v = valuation(spec, player)
     theta = spec.theta
+    eff = effective_efforts(spec, profile)
+    group = profile.efforts[player.group - 1]
+    # The group's gross effort and nonzero efforts bound the rounding in z.
+    own_gross = sum(e.x + theta * e.y for e in group)
+    terms = sum((e.x != 0) + (e.y != 0) for e in group)
     z_minus = eff.z_minus(player)
     z_other = eff.z_other(player.group)
     current = profile.effort(player)
@@ -395,7 +400,6 @@ def scalar_search(spec, profile, player, eff, sums):
     for e in (kink, _stationary(v, theta, z_minus, z_other)):
         if e > 0 and e not in efforts:
             efforts.append(e)
-    own_gross, terms = sums[player.group - 1]
     exact = abs(z_other) > ROUNDING_BAND * (terms + 4) * math.ulp(own_gross)
     if not exact:
         # The limit point: step past the kink until the rounded group sum

@@ -1,16 +1,16 @@
 import hashlib
 import json
 import math
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import groupcontest as gc
-from groupcontest import csf, verify
-from groupcontest.verify import _group_sums
+from groupcontest import verify
 from helpers import (
     corpus_case,
     corpus_group,
@@ -184,7 +184,45 @@ def search_cases(draw):
     return spec, profile
 
 
+def _magnitudes(lo: int, hi: int):
+    """Floats in [2**(lo - 1), 2**hi)."""
+    return st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(lo, hi))
+
+
+@st.composite
+def wide_scale_cases(draw):
+    """A valid spec whose valuations within one group may span 2**-1000
+    to 2**1000, and a profile of efforts from 0 and the subnormals up to
+    the float range's edge whose groups' effective efforts are finite."""
+
+    def group():
+        pos, neg = (
+            sorted(draw(st.lists(_magnitudes(-1000, 1000), min_size=1, max_size=3, unique=True)))
+            for _ in "+-"
+        )
+        return [*reversed(pos), *(-v for v in neg)]
+
+    spec = make_spec(group(), group(), draw(_magnitudes(-60, 60)))
+    effort = st.one_of(st.just(0.0), _magnitudes(-1074, 1024))
+    profile = gc.StrategyProfile(
+        tuple(tuple(gc.Effort(draw(effort), draw(effort)) for _ in range(n)) for n in spec.sizes())
+    )
+    eff = gc.effective_efforts(spec, profile)
+    assume(math.isfinite(eff.z1) and math.isfinite(eff.z2))
+    return spec, profile
+
+
 class TestExactSearch:
+    @settings(max_examples=60)
+    @given(wide_scale_cases())
+    def test_any_scale_raises_nothing(self, case):
+        spec, profile = case
+        report = gc.is_epsilon_nash(spec, profile)
+        for d in report.deviations:
+            assert gc.best_deviation(spec, profile, d.player) == d
+        for order in ("round_robin", "simultaneous"):
+            gc.best_response_dynamics(spec, profile, 1, order)
+
     @given(search_cases())
     def test_dense_grid_oracle_never_beats_the_search(self, case):
         spec, profile = case
@@ -284,9 +322,8 @@ class TestExactSearch:
         assert d.improvement > gc.payoff(spec, probe, player) - now > 4e299
         report = gc.is_epsilon_nash(spec, profile)
         assert report.deviations[1] == d
-        eff, sums = gc.effective_efforts(spec, profile), _group_sums(spec, profile)
         for p, found in zip(gc.players(spec), report.deviations):
-            assert deviation_hex(scalar_search(spec, profile, p, eff, sums)[0]) == (
+            assert deviation_hex(scalar_search(spec, profile, p)[0]) == (
                 deviation_hex(found)
             )
 
@@ -372,6 +409,38 @@ def group_search_cases(draw):
     return spec, profile
 
 
+def _count_calls(monkeypatch) -> list[str]:
+    """Record each call of ``effective_efforts``, through every binding of
+    it in the package, and of ``StrategyProfile.replace``."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    effective = counted("effective_efforts", gc.effective_efforts)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "groupcontest" and hasattr(module, "effective_efforts"):
+            monkeypatch.setattr(module, "effective_efforts", effective)
+    monkeypatch.setattr(
+        gc.StrategyProfile, "replace", counted("replace", gc.StrategyProfile.replace)
+    )
+    return calls
+
+
+def _hash_report(h, r) -> None:
+    h.update(f"{r.is_epsilon_nash}:{r.epsilon.hex()}:{r.candidate_count}\n".encode())
+    for d in r.deviations:
+        h.update(f"{deviation_hex(d)}\n".encode())
+
+
+def _profile_hex(profile) -> str:
+    return " ".join(f"{e.x.hex()},{e.y.hex()}" for g in profile.efforts for e in g)
+
+
 def _verification_digest(cases: int, seed: int) -> str:
     """SHA-256 over every verdict, candidate count and deviation that
     ``is_epsilon_nash`` reports on a seeded corpus, plus two players'
@@ -380,10 +449,7 @@ def _verification_digest(cases: int, seed: int) -> str:
     h = hashlib.sha256()
     for _ in range(cases):
         spec, profile = corpus_case(rng)
-        r = gc.is_epsilon_nash(spec, profile)
-        h.update(f"{r.is_epsilon_nash}:{r.epsilon.hex()}:{r.candidate_count}\n".encode())
-        for d in r.deviations:
-            h.update(f"{deviation_hex(d)}\n".encode())
+        _hash_report(h, gc.is_epsilon_nash(spec, profile))
         roster = list(gc.players(spec))
         for j in rng.choice(len(roster), size=2, replace=False):
             d = gc.best_deviation(spec, profile, roster[int(j)])
@@ -406,9 +472,39 @@ def _dynamics_digest(runs: int, seed: int) -> str:
         r = gc.best_response_dynamics(spec, initial, 40, ("round_robin", "simultaneous")[i % 2])
         h.update(f"{r.status.value}:{r.iterations}:{r.period}\n".encode())
         for profile in r.trajectory:
-            row = " ".join(f"{e.x.hex()},{e.y.hex()}" for g in profile.efforts for e in g)
-            h.update(f"{row}\n".encode())
+            h.update(f"{_profile_hex(profile)}\n".encode())
     return h.hexdigest()
+
+
+def _refutation_digest(specs: int, seed: int) -> str:
+    """SHA-256 over every sampled profile and refuting deviation that
+    ``refute_class`` returns for each forbidden class on seeded specs at
+    valuation scales 2**k, every float written exactly."""
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    for i in range(specs):
+        s = math.ldexp(1.0, int(rng.integers(-600, 601)))
+        theta = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
+        spec = make_spec(*(corpus_group(rng, int(rng.integers(2, 7)), s) for _ in "12"), theta)
+        for forbidden in gc.ForbiddenClass:
+            try:
+                records = gc.refute_class(spec, forbidden, 3, seed=i)
+            except gc.ClassUnsatisfiable:
+                h.update(f"{forbidden.value}:unsatisfiable\n".encode())
+                continue
+            for r in records:
+                h.update(
+                    f"{forbidden.value}:{_profile_hex(r.profile)}:{deviation_hex(r.deviation)}\n"
+                    .encode()
+                )
+    return h.hexdigest()
+
+
+def _ladder_spec(n: int) -> gc.ContestSpec:
+    """n players a group, valued n down to n/2 + 1 and -1 down to -n/2,
+    theta 1."""
+    vals = [float(v) for v in range(n, n // 2, -1)] + [-float(v) for v in range(1, n // 2 + 1)]
+    return make_spec(vals, vals, 1.0)
 
 
 class TestGroupSearch:
@@ -420,9 +516,7 @@ class TestGroupSearch:
     @given(group_search_cases(), st.data())
     def test_matches_player_by_player_oracle(self, case, data):
         spec, profile = case
-        eff = gc.effective_efforts(spec, profile)
-        sums = _group_sums(spec, profile)
-        expected = [scalar_search(spec, profile, p, eff, sums) for p in gc.players(spec)]
+        expected = [scalar_search(spec, profile, p) for p in gc.players(spec)]
         report = gc.is_epsilon_nash(spec, profile)
         assert [deviation_hex(d) for d in report.deviations] == [
             deviation_hex(d) for d, _ in expected
@@ -441,6 +535,44 @@ class TestGroupSearch:
         assert _dynamics_digest(40, 2027) == (
             "adc96e729c3886ad1ad66e6be6ff1efa6ad4416e35bdb4e35688fb421547e461"
         )
+
+    # Every effort of a 2x200 ladder uniform in [0, 2] leaves both groups
+    # inside the rounding band, as does the all-zero 2x400 ladder, so no
+    # group goes to the arrays.  The digests were computed while the
+    # search still took its group values from ``effective_efforts``.
+    @pytest.mark.parametrize(
+        "n,seed,digest",
+        [
+            (400, None, "b85ad74cb6cacc5b0601ca219cb202b236eaf5316e9053293add46d78d781e17"),
+            (200, 0, "aec4b69a048e906d76664849b3583333df9ce246345b3bef9a132d1c87e7bdfa"),
+        ],
+        ids=["zero_2x400", "mixed_2x200"],
+    )
+    def test_in_band_golden_digest(self, n, seed, digest):
+        spec = _ladder_spec(n)
+        if seed is None:
+            profile = gc.StrategyProfile.zeros(spec)
+        else:
+            profile = random_profile(np.random.default_rng(seed), spec, scale=2.0)
+        with mock.patch.object(verify, "_search_array", wraps=verify._search_array) as spy:
+            report = gc.is_epsilon_nash(spec, profile)
+        assert spy.call_count == 0
+        h = hashlib.sha256()
+        _hash_report(h, report)
+        assert h.hexdigest() == digest
+
+    def test_large_in_band_group_matches_oracle(self):
+        # Past ARRAY_MIN_PLAYERS, but inside the band: the scalar loop.
+        spec = _ladder_spec(50)
+        profile = random_profile(np.random.default_rng(1), spec, scale=2.0)
+        with mock.patch.object(verify, "_search_array", wraps=verify._search_array) as spy:
+            report = gc.is_epsilon_nash(spec, profile)
+        assert spy.call_count == 0
+        expected = [scalar_search(spec, profile, p) for p in gc.players(spec)]
+        assert [deviation_hex(d) for d in report.deviations] == [
+            deviation_hex(d) for d, _ in expected
+        ]
+        assert report.candidate_count == sum(n for _, n in expected)
 
     def test_non_finite_group_sum_is_refused(self, no_sabotage_spec):
         big = gc.StrategyProfile.zeros(no_sabotage_spec)
@@ -521,9 +653,7 @@ class TestArraySearch:
     @given(array_search_cases())
     def test_matches_player_by_player_oracle(self, case):
         spec, profile = case
-        eff = gc.effective_efforts(spec, profile)
-        sums = _group_sums(spec, profile)
-        expected = [scalar_search(spec, profile, p, eff, sums) for p in gc.players(spec)]
+        expected = [scalar_search(spec, profile, p) for p in gc.players(spec)]
         with mock.patch.object(verify, "_search_array", wraps=verify._search_array) as spy:
             report = gc.is_epsilon_nash(spec, profile)
         assert spy.call_count >= 1
@@ -546,9 +676,7 @@ class TestArraySearch:
         profile = gc.StrategyProfile.zeros(spec)
         profile = profile.replace(gc.PlayerId(1, n), 0.0, 1.0)
         profile = profile.replace(gc.PlayerId(2, 1), 4.0, 0.0)
-        eff = gc.effective_efforts(spec, profile)
-        sums = _group_sums(spec, profile)
-        expected = [scalar_search(spec, profile, p, eff, sums) for p in gc.players(spec)]
+        expected = [scalar_search(spec, profile, p) for p in gc.players(spec)]
         report = gc.is_epsilon_nash(spec, profile)
         assert report.candidate_count == sum(n for _, n in expected)
         assert [deviation_hex(d) for d in report.deviations] == [
@@ -600,29 +728,14 @@ class TestArraySearch:
     def test_exact_improvements_rebuild_nothing(self, monkeypatch):
         # 796 improving players: each gain comes from its group's sums
         # with the move swapped in, not from a rebuilt profile.
-        vals = [float(v) for v in range(400, 200, -1)] + [-float(v) for v in range(1, 201)]
-        spec = make_spec(vals, vals, 1.0)
+        spec = _ladder_spec(400)
         profile = gc.StrategyProfile.zeros(spec)
         for g in (1, 2):
             profile = profile.replace(gc.PlayerId(g, 1), 1.0, 0.0)
-        calls = []
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls.append(name)
-                return fn(*args)
-
-            return wrapper
-
-        effective = counted("effective_efforts", gc.effective_efforts)
-        for module in (verify, csf):
-            monkeypatch.setattr(module, "effective_efforts", effective)
-        monkeypatch.setattr(
-            gc.StrategyProfile, "replace", counted("replace", gc.StrategyProfile.replace)
-        )
+        calls = _count_calls(monkeypatch)
         report = gc.is_epsilon_nash(spec, profile)
         assert sum(d.improvement > 0 for d in report.deviations) == 796
-        assert calls == ["effective_efforts"]
+        assert calls == []
 
 
 class TestIsEpsilonNash:
@@ -732,6 +845,11 @@ class TestRefuteClass:
                 no_sabotage_spec.group(r.deviation.player.group).size,
             )
 
+    def test_refutation_golden_digest(self):
+        assert _refutation_digest(6, 2028) == (
+            "2333f30a9f295d4e26d85e7fb097d7121b62e09c7f6d7a6908c50f8ea28cab2b"
+        )
+
     def test_unsatisfiable_class(self):
         spec = make_spec([1, -1], [2, -3], 1.0)
         with pytest.raises(gc.ClassUnsatisfiable):
@@ -788,6 +906,20 @@ class TestDynamics:
             )
             assert result.status is gc.DynamicsStatus.CONVERGED
             assert gc.is_epsilon_nash(sabotage_spec, result.profile).is_epsilon_nash
+
+    def test_round_robin_rebuilds_only_the_moves(self, gap_spec, monkeypatch):
+        # The search reads each profile afresh: a move costs one replace.
+        initial = self._jitter(gap_spec, 4)
+        calls = _count_calls(monkeypatch)
+        result = gc.best_response_dynamics(gap_spec, initial, 30, "round_robin")
+        moves = sum(
+            a != b
+            for before, after in zip(result.trajectory, result.trajectory[1:])
+            for ga, gb in zip(before.efforts, after.efforts)
+            for a, b in zip(ga, gb)
+        )
+        assert moves > 0
+        assert calls == ["replace"] * moves
 
     def test_trajectory_bookkeeping(self, gap_spec):
         result = gc.best_response_dynamics(gap_spec, self._jitter(gap_spec, 0), 50, "round_robin")
