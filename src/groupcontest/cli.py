@@ -23,12 +23,12 @@ import numpy as np
 
 from . import best_response as br
 from .csf import win_probability_short
-from .equilibrium import classify, region_csv, region_sample, solve, thresholds
+from .equilibrium import RegionGrid, classify, region_csv, region_sample, solve, thresholds
 from .model import (
     ContestError,
     ContestSpec,
+    Effort,
     StrategyProfile,
-    players,
     profile_from_dict,
     profile_to_dict,
     spec_from_dict,
@@ -36,7 +36,7 @@ from .model import (
 from .verify import best_response_dynamics, is_epsilon_nash
 
 
-# Largest region sweep, in grid points: about 160 MB of CSV.
+# Largest region sweep, in grid points: about 160 MB of CSV or 440 MB of JSON.
 MAX_REGION_POINTS = 4_000_000
 
 
@@ -78,6 +78,24 @@ def _round9(obj):
 
 def _emit(obj) -> None:
     print(json.dumps(_round9(obj), indent=2))
+
+
+def _region_json(grid: RegionGrid) -> str:
+    """What ``_emit`` prints for the sweep as a list of {axis1, axis2,
+    margin, in_region} objects, rendered from the arrays row by row as
+    ``region_csv`` renders its rows."""
+    cells = [
+        f'    "axis2": {json.dumps(_round9(a2))},\n    "margin": %s,\n    "in_region": %s\n  }}'
+        for a2 in grid.axis2.tolist()
+    ]
+    rows = []
+    for a1, margins in zip(grid.axis1.tolist(), grid.margin.tolist()):
+        prefix = f'  {{\n    "axis1": {json.dumps(_round9(a1))},\n'
+        values = [None] * (2 * len(margins))
+        values[0::2] = map(json.dumps, _round9(margins))
+        values[1::2] = ["true" if m >= 0 else "false" for m in margins]
+        rows.append((prefix + (",\n" + prefix).join(cells)) % tuple(values))
+    return "[\n" + ",\n".join(rows) + "\n]\n"
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -253,29 +271,22 @@ def _cmd_region(args, spec: ContestSpec) -> int:
         axis2,
         theta=spec.theta if args.figure == 2 else None,
     )
-    if args.format == "csv":
-        sys.stdout.write(region_csv(grid))
-    else:
-        _emit([
-            {"axis1": s.axis1, "axis2": s.axis2, "margin": s.margin,
-             "in_region": s.in_region}
-            for s in grid
-        ])
+    sys.stdout.write(region_csv(grid) if args.format == "csv" else _region_json(grid))
     return 0
 
 
 def _jittered_initial(spec: ContestSpec, seed: int) -> StrategyProfile:
-    rng = np.random.default_rng(seed)
+    """x then y of each player, in player order, uniform in [0, 1e-3 * max |v|]."""
     scale = 1e-3 * spec.max_abs_valuation()
-    profile = StrategyProfile.zeros(spec)
-    for p in players(spec):
-        profile = profile.replace(
-            p, float(rng.uniform(0, scale)), float(rng.uniform(0, scale))
-        )
-    return profile
+    draws = iter(np.random.default_rng(seed).uniform(0, scale, 2 * sum(spec.sizes())).tolist())
+    return StrategyProfile(tuple(
+        tuple(Effort(next(draws), next(draws)) for _ in range(n)) for n in spec.sizes()
+    ))
 
 
 def _cmd_dynamics(args, spec: ContestSpec) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     if args.profile is not None:
         initial = profile_from_dict(_load_json(args.profile))
     else:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -62,17 +62,6 @@ class EquilibriumResult:
     boundary: bool
 
 
-@dataclass(frozen=True)
-class RegionSample:
-    """One grid point of an existence-region sweep.  margin >= 0 means
-    the point satisfies the regime's existence condition."""
-
-    axis1: float
-    axis2: float
-    in_region: bool
-    margin: float
-
-
 @dataclass(frozen=True, eq=False)
 class RegionGrid:
     """An existence-region sweep over the product of two axis grids.
@@ -80,9 +69,9 @@ class RegionGrid:
     ``axis1`` (n1 points) and ``axis2`` (n2 points) are the grids in the
     order given, and ``margin[i, j]`` is the margin at
     (``axis1[i]``, ``axis2[j]``); the point lies in the region iff its
-    margin is >= 0.  All three are read-only float64 arrays.  The grid
-    has n1*n2 points, and iterating it yields them as ``RegionSample``
-    rows of Python floats in row-major order: axis1 outer, axis2 inner.
+    margin is >= 0.  All three are read-only float64 arrays, and the
+    grid has n1*n2 points; renderings list them in row-major order,
+    axis1 outer and axis2 inner.
     """
 
     axis1: np.ndarray
@@ -91,12 +80,6 @@ class RegionGrid:
 
     def __len__(self) -> int:
         return self.margin.size
-
-    def __iter__(self) -> Iterator[RegionSample]:
-        axis2 = self.axis2.tolist()
-        for a1, row in zip(self.axis1.tolist(), self.margin.tolist()):
-            for a2, margin in zip(axis2, row):
-                yield RegionSample(a1, a2, margin >= 0, margin)
 
 
 def _centred(*values: float) -> list[float]:

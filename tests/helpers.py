@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
@@ -22,7 +23,6 @@ from hypothesis import strategies as st
 import groupcontest as gc
 from groupcontest import best_response as br
 from groupcontest.csf import payoff, win_probability_short
-from groupcontest.equilibrium import RegionSample
 from groupcontest.model import effective_efforts, valuation
 from groupcontest.verify import ROUNDING_BAND, Deviation
 
@@ -516,15 +516,24 @@ def corpus_case(rng: np.random.Generator, max_size: int = 30):
 # --- point-by-point region-sweep oracle -------------------------------------
 
 
+class RegionRow(NamedTuple):
+    """One grid point of a region sweep, in Python floats."""
+
+    axis1: float
+    axis2: float
+    in_region: bool
+    margin: float
+
+
 def region_rows(figure, fixed, axis1_grid, axis2_grid, theta=None) -> list:
-    """One ``RegionSample`` per grid point, axis1 outer and axis2 inner,
+    """One ``RegionRow`` per grid point, axis1 outer and axis2 inner,
     each margin computed by the scalar formula in Python floats."""
     scale = 1.0 if figure == 1 else theta
     rows = []
     for a1 in axis1_grid:
         for a2 in axis2_grid:
             margin = scale * a1 * a2 / (a1 + a2) - fixed
-            rows.append(RegionSample(a1, a2, margin >= 0, margin))
+            rows.append(RegionRow(a1, a2, margin >= 0, margin))
     return rows
 
 

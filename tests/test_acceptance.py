@@ -196,12 +196,12 @@ def test_criterion_09_region_monotonicity():
     grid = list(np.linspace(0.05, 5.0, 100))
     small_w = gc.region_sample(1, 0.8, grid, grid)
     large_w = gc.region_sample(1, 1.2, grid, grid)
-    for a, b in zip(large_w, small_w):
-        assert (not a.in_region) or b.in_region  # larger w never adds points
+    # larger w never adds points
+    assert (~(large_w.margin >= 0) | (small_w.margin >= 0)).all()
     small_theta = gc.region_sample(2, 1.0, grid, grid, theta=1.0)
     large_theta = gc.region_sample(2, 1.0, grid, grid, theta=1.6)
-    for a, b in zip(small_theta, large_theta):
-        assert (not a.in_region) or b.in_region  # larger theta never removes points
+    # larger theta never removes points
+    assert (~(small_theta.margin >= 0) | (large_theta.margin >= 0)).all()
     print("\nACCEPTANCE 9 PASS: 100x100 region sweeps are monotone in w and theta")
 
 

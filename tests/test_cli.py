@@ -1,14 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
 
 from groupcontest import cli
 from groupcontest.cli import run
+from helpers import make_spec
 
 NO_SABOTAGE = {
     "theta": 0.5,
@@ -334,9 +338,10 @@ class TestRegionCommand:
         assert code == 1
         assert "NonPositiveGridPoint" in err
 
-    # SHA-256 of the output of the point-by-point sweep that came before
-    # the array-backed one: descending, unequal and 1e-300..1e308 grids,
-    # whose margins include nan where the products overflow.
+    # SHA-256 of the output of the point-by-point sweeps and renderings
+    # that came before the array-backed ones: descending, unequal and
+    # 1e-300..1e308 grids, whose margins include nan where the products
+    # overflow, and negative margins and exponent forms such as 7e+22.
     @pytest.mark.parametrize("spec, figure, fixed, axis1, axis2, fmt, digest", [
         (NO_SABOTAGE, "1", "1", "0.1:5:30", "0.1:5:30", "csv",
          "2698da28b5dbe64df7db88668c7907c113432e62195c4623361d5ea6ef8ce3d3"),
@@ -350,6 +355,10 @@ class TestRegionCommand:
          "c59112ac999c45b8dadddad86312cca1b6fa14e1360eca59f10c558875ac9e4b"),
         (SABOTAGE, "2", "1e-300", "1:7:9", "1e-10:1e10:11", "csv",
          "3c7730be315aad436f4dc17ba35839fa7e7cabfc0026c7175fe4f7e28f66a223"),
+        (NO_SABOTAGE, "1", "-3", "5:0.1:13", "0.5:3:4", "json",
+         "7c96d0080103dae19ec9ff2362c2d7923f7ca864858a8ef710b964292ddaff81"),
+        (SABOTAGE, "2", "1e-300", "1:7:9", "1e-10:1e10:11", "json",
+         "519375d2a7154663ddf8bc03c58d6391e2959c123d22687e08c83d407d6e4473"),
     ])
     def test_golden_output(self, capsys, write, spec, figure, fixed, axis1, axis2, fmt, digest):
         code, out, _ = invoke(
@@ -358,6 +367,22 @@ class TestRegionCommand:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_json_memory_is_linear_in_output(self, write):
+        argv = ["region", "--spec", write("s.json", NO_SABOTAGE), "--figure", "1",
+                "--fixed", "1", "--axis1", "0.1:5:200", "--axis2", "0.1:5:200",
+                "--format", "json"]
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = run(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # No per-point objects: the peak is a small multiple of the text.
+        assert peak < 6 * len(out.getvalue())
 
     @pytest.mark.parametrize("axis1, axis2, fixed", [
         ("nan:1:3", "1:inf:2", "1"),
@@ -447,6 +472,30 @@ class TestDynamicsCommand:
         )
         assert code == 0
         assert json.loads(out)["status"] == "Converged"
+
+    def test_negative_seed_is_usage_error(self, capsys, write):
+        code, out, err = invoke(
+            capsys, "dynamics", "--spec", write("s.json", NO_SABOTAGE), "--seed", "-1",
+        )
+        assert (code, out) == (2, "")
+        assert "--seed" in err and "Traceback" not in err
+
+    # SHA-256 of the float.hex of every jittered effort, players in order:
+    # the seeded draws and their order fix the default dynamics start.
+    def test_jittered_initial_golden_digest(self):
+        def vals(n, top, bottom):
+            return [top, *[top / 2] * (n - 2), bottom]
+
+        lines = []
+        for seed, (n1, n2, top) in enumerate([(2, 2, 1.0), (2, 60, 7.5), (60, 3, 0.25),
+                                              (17, 41, 3e5)]):
+            spec = make_spec(vals(n1, top, -1.0), vals(n2, 2 * top, -3.0), 1.0)
+            profile = cli._jittered_initial(spec, seed)
+            lines += [f"{e.x.hex()} {e.y.hex()}" for g in profile.efforts for e in g]
+        assert len(lines) == 187
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "3f7359bfd9fbf180759c6d947de7480d6a4b26608a26d8fff85bf6232798f3ae"
+        )
 
 
 class TestUsageErrors:

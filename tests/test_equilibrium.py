@@ -237,36 +237,32 @@ class TestScale:
 
 class TestRegionSample:
     def test_figure1_boundary_point(self):
-        [s] = gc.region_sample(1, 1.0, [2.0], [2.0])
-        assert s.margin == 0.0 and s.in_region
+        assert gc.region_sample(1, 1.0, [2.0], [2.0]).margin.tolist() == [[0.0]]
 
     def test_figure1_outside_point(self):
-        [s] = gc.region_sample(1, 1.0, [1.0], [1.0])
-        assert s.margin == -0.5 and not s.in_region
+        assert gc.region_sample(1, 1.0, [1.0], [1.0]).margin.tolist() == [[-0.5]]
 
     def test_figure2_boundary_point(self):
-        [s] = gc.region_sample(2, 1.0, [1.0], [1.0], theta=2.0)
-        assert s.margin == 0.0 and s.in_region
+        grid = gc.region_sample(2, 1.0, [1.0], [1.0], theta=2.0)
+        assert grid.margin.tolist() == [[0.0]]
 
     def test_margin_flag_coherent(self):
-        samples = gc.region_sample(1, 0.8, np.linspace(0.2, 4, 17), np.linspace(0.2, 4, 17))
-        for s in samples:
-            assert s.in_region == (s.margin >= 0)
+        grid = gc.region_sample(1, 0.8, np.linspace(0.2, 4, 17), np.linspace(0.2, 4, 17))
+        lines = gc.region_csv(grid).splitlines()[1:]
+        assert [line.endswith(",true") for line in lines] == (grid.margin >= 0).ravel().tolist()
 
     def test_figure1_monotone_in_w(self):
         grid = list(np.linspace(0.2, 4.0, 25))
         tight = gc.region_sample(1, 1.3, grid, grid)
         loose = gc.region_sample(1, 0.7, grid, grid)
-        for a, b in zip(tight, loose):
-            assert (not a.in_region) or b.in_region
-            assert a.margin < b.margin
+        assert (~(tight.margin >= 0) | (loose.margin >= 0)).all()
+        assert (tight.margin < loose.margin).all()
 
     def test_figure2_monotone_in_theta(self):
         grid = list(np.linspace(0.2, 4.0, 25))
         small = gc.region_sample(2, 1.0, grid, grid, theta=1.0)
         large = gc.region_sample(2, 1.0, grid, grid, theta=2.0)
-        for a, b in zip(small, large):
-            assert (not a.in_region) or b.in_region
+        assert (~(small.margin >= 0) | (large.margin >= 0)).all()
 
     def test_grid_errors(self):
         with pytest.raises(gc.EmptyGrid):
@@ -325,10 +321,11 @@ class TestRegionSample:
         rows = region_rows(figure, fixed, axis1, axis2, theta)
         assert gc.region_csv(grid) == region_rows_csv(rows)
         assert len(grid) == len(rows)
-        for got, want in zip(grid, rows, strict=True):
-            assert (got.axis1, got.axis2, got.in_region) == (want.axis1, want.axis2, want.in_region)
-            assert type(got.in_region) is bool and type(got.margin) is float
-            assert _bits(got.margin) == _bits(want.margin)
+        points = [(a1, a2) for a1 in grid.axis1.tolist() for a2 in grid.axis2.tolist()]
+        assert points == [(r.axis1, r.axis2) for r in rows]
+        assert (grid.margin >= 0).ravel().tolist() == [r.in_region for r in rows]
+        for got, want in zip(grid.margin.ravel().tolist(), rows, strict=True):
+            assert _bits(got) == _bits(want.margin)
 
         # The CLI sweeps evenly spaced axes; theta comes from the spec.
         spec = spec_dir / "spec.json"
