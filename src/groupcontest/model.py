@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 
@@ -89,7 +90,7 @@ class ContestSpec:
         return (self.group1.size, self.group2.size)
 
     def max_abs_valuation(self) -> float:
-        return max(abs(v) for v in self.group1.valuations + self.group2.valuations)
+        return max(map(abs, self.group1.valuations + self.group2.valuations))
 
 
 @dataclass(frozen=True)
@@ -122,13 +123,20 @@ class StrategyProfile:
         zero = Effort(0.0, 0.0)
         return cls(((zero,) * n1, (zero,) * n2))
 
+    def _position(self, player: PlayerId) -> tuple[int, int]:
+        """The player's group and index in ``efforts``, both from 0."""
+        g, k = player.group - 1, player.index - 1
+        if g not in (0, 1) or not 0 <= k < len(self.efforts[g]):
+            raise UnknownPlayer(f"{player} is outside a profile of sizes {self.sizes()}")
+        return g, k
+
     def effort(self, player: PlayerId) -> Effort:
-        return self.efforts[player.group - 1][player.index - 1]
+        g, k = self._position(player)
+        return self.efforts[g][k]
 
     def replace(self, player: PlayerId, x: float, y: float) -> StrategyProfile:
         """Return a copy with one player's efforts swapped out."""
-        g = player.group - 1
-        k = player.index - 1
+        g, k = self._position(player)
         group = tuple(
             Effort(x, y) if j == k else e for j, e in enumerate(self.efforts[g])
         )
@@ -160,11 +168,20 @@ class EffectiveEffort:
         return self.residuals[player.group - 1][player.index - 1]
 
 
+# An entry is as large as its group, so the bound keeps the cache within a
+# few profiles' size; callers mostly repeat one or two group sizes.
+@lru_cache(maxsize=16)
+def _group_ids(group: int, size: int) -> tuple[PlayerId, ...]:
+    """(PlayerId(group, 1), ..., PlayerId(group, size))."""
+    return tuple(PlayerId(group, k) for k in range(1, size + 1))
+
+
 def players(spec: ContestSpec) -> Iterator[PlayerId]:
-    """Iterate players group 1 then group 2, in valuation order."""
+    """Iterate players group 1 then group 2, in valuation order.  The
+    ids are shared immutable values from one bounded cache, so repeated
+    calls on groups of the same size build no new ones."""
     for i in (1, 2):
-        for k in range(1, spec.group(i).size + 1):
-            yield PlayerId(i, k)
+        yield from _group_ids(i, spec.group(i).size)
 
 
 def valuation(spec: ContestSpec, player: PlayerId) -> float:

@@ -45,10 +45,13 @@ All functions are pure.  The search runs a group at a time and reads
 the profile in one place: what depends only on the group (its effort
 columns and gross effort, both effective efforts, the current odds,
 the rounding-band decision) is computed once, by the sums
-``effective_efforts`` takes, and shared by its players.
-``best_deviation`` searches one player, so calls for distinct players
-may run in parallel.  Round-robin dynamics is inherently sequential; it
-keeps nothing beside the profile, which each search reads afresh.
+``effective_efforts`` takes, and shared by its players.  Report rows
+carry the player ids ``players`` yields: shared immutable values from
+one bounded cache in ``model``, so a search builds no ids once groups
+of its sizes have been seen.  ``best_deviation`` searches one player,
+so calls for distinct players may run in parallel.  Round-robin
+dynamics is inherently sequential; it keeps nothing beside the
+profile, which each search reads afresh.
 
 A group's search takes one of two paths.  Outside the rounding band, a
 search of ``ARRAY_MIN_PLAYERS`` or more players scores all their
@@ -57,8 +60,9 @@ the same IEEE operations and the same tie rule, so every report is the
 scalar loop's bit for bit, and no case is handed back to the loop.  All
 other searches run the scalar loop, which is faster there: the array
 path pays about 60 numpy calls per group, so in-process it takes about
-5x the loop's time at 3 players per group, breaks even at 40 to 50 and
-takes 0.6x at 200.
+5x the loop's time at 3 players per group, breaks even at 35 to 45
+(earlier on closed-form profiles, later on mixed ones) and takes 0.4x
+at 200.
 """
 
 from __future__ import annotations
@@ -78,6 +82,7 @@ from .model import (
     PlayerId,
     StrategyProfile,
     _check_shape,
+    _group_ids,
     players,
     valuation,
 )
@@ -316,10 +321,10 @@ def _search_group(
     efforts, others = profile.efforts[group - 1], profile.efforts[2 - group]
     columns = xs, ys = [e.x for e in efforts], [e.y for e in efforts]
     z = sum(xs) - theta * sum(ys)
-    z_other = sum(e.x for e in others) - theta * sum(e.y for e in others)
+    z_other = sum([e.x for e in others]) - theta * sum([e.y for e in others])
     # The gross effort and the number of nonzero efforts bound the
     # rounding in z.
-    own_gross = sum(x + theta * y for x, y in zip(xs, ys))
+    own_gross = sum([x + theta * y for x, y in zip(xs, ys)])
     terms = 2 * len(xs) - xs.count(0.0) - ys.count(0.0)
     p_now = win_probability_short(z, z_other)
     exact = abs(z_other) > ROUNDING_BAND * (terms + 4) * math.ulp(own_gross)
@@ -373,13 +378,14 @@ def _search_group(
 
     # A pick's gain is exact, from the group sum with the move swapped in;
     # a player whose pick gains nothing stays put.
-    deviations = [Deviation(PlayerId(group, k), xs[k - 1], ys[k - 1], 0.0) for k in indices]
+    ids = _group_ids(group, len(xs))
+    deviations = [Deviation(ids[k - 1], xs[k - 1], ys[k - 1], 0.0) for k in indices]
     for i, x, y in picks:
         k = indices[i]
         moved = _moved_z(theta, columns, k, x, y)
         gain = payoff(k, x, y, moved) - payoff(k, xs[k - 1], ys[k - 1], z)
         if gain > 0.0:
-            deviations[i] = Deviation(PlayerId(group, k), x, y, gain)
+            deviations[i] = Deviation(ids[k - 1], x, y, gain)
     return deviations, count
 
 
@@ -431,20 +437,20 @@ def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
 
 
-def _positive_players(spec: ContestSpec, group: int) -> list[int]:
-    return [
-        k
-        for k, v in enumerate(spec.group(group).valuations, start=1)
-        if v > 0
-    ]
+def _draw(rng: np.random.Generator, items):
+    """One of ``items``, uniformly: the draw ``rng.choice`` makes, from the
+    same stream, without turning ``items`` into an array."""
+    return items[int(rng.integers(len(items)))]
 
 
-def _negative_players(spec: ContestSpec, group: int) -> list[int]:
-    return [
-        k
-        for k, v in enumerate(spec.group(group).valuations, start=1)
-        if v < 0
-    ]
+def _positive_players(spec: ContestSpec, group: int) -> list[PlayerId]:
+    vals = spec.group(group).valuations
+    return [p for p, v in zip(_group_ids(group, len(vals)), vals) if v > 0]
+
+
+def _negative_players(spec: ContestSpec, group: int) -> list[PlayerId]:
+    vals = spec.group(group).valuations
+    return [p for p, v in zip(_group_ids(group, len(vals)), vals) if v < 0]
 
 
 def _generate_forbidden(
@@ -456,12 +462,13 @@ def _generate_forbidden(
     lo, hi = s / 8.0, s / 2.0
     profile = StrategyProfile.zeros(spec)
     theta = spec.theta
+    ids = {g: _group_ids(g, spec.group(g).size) for g in (1, 2)}
 
     if forbidden is ForbiddenClass.OPPOSITE_SIGNS:
         i = int(rng.integers(1, 3))
         j = 3 - i
-        builder = PlayerId(i, int(rng.choice(_positive_players(spec, i))))
-        saboteur = PlayerId(j, int(rng.choice(_negative_players(spec, j))))
+        builder = _draw(rng, _positive_players(spec, i))
+        saboteur = _draw(rng, _negative_players(spec, j))
         profile = profile.replace(builder, _log_uniform(rng, lo, hi), 0.0)
         profile = profile.replace(saboteur, 0.0, _log_uniform(rng, lo, hi))
         return profile, [builder, saboteur]
@@ -474,51 +481,47 @@ def _generate_forbidden(
             # Zero by offset rather than idleness: top player builds,
             # bottom player sabotages it away exactly.
             t = _log_uniform(rng, lo, hi)
-            profile = profile.replace(PlayerId(i, 1), theta * t, 0.0)
-            profile = profile.replace(PlayerId(i, spec.group(i).size), 0.0, t)
-        sign = rng.choice(["positive", "zero", "negative"])
+            profile = profile.replace(ids[i][0], theta * t, 0.0)
+            profile = profile.replace(ids[i][-1], 0.0, t)
+        sign = _draw(rng, ("positive", "zero", "negative"))
         if sign == "positive":
-            active = PlayerId(j, 1)
+            active = ids[j][0]
             profile = profile.replace(active, _log_uniform(rng, lo, hi), 0.0)
             suspects = [active]
         elif sign == "negative":
-            active = PlayerId(j, spec.group(j).size)
+            active = ids[j][-1]
             profile = profile.replace(active, 0.0, _log_uniform(rng, lo, hi))
             suspects = [active]
         return profile, suspects
 
     if forbidden is ForbiddenClass.STRADDLE_OR_WRONG_SIGN:
         i = int(rng.integers(1, 3))
-        kind = rng.choice(["sabotaging_winner", "building_loser", "straddler"])
+        kind = _draw(rng, ("sabotaging_winner", "building_loser", "straddler"))
         if kind == "sabotaging_winner":
-            culprit = PlayerId(i, int(rng.choice(_positive_players(spec, i))))
+            culprit = _draw(rng, _positive_players(spec, i))
             profile = profile.replace(culprit, 0.0, _log_uniform(rng, lo, hi))
         elif kind == "building_loser":
-            culprit = PlayerId(i, int(rng.choice(_negative_players(spec, i))))
+            culprit = _draw(rng, _negative_players(spec, i))
             profile = profile.replace(culprit, _log_uniform(rng, lo, hi), 0.0)
         else:
-            culprit = PlayerId(i, int(rng.choice(_positive_players(spec, i))))
+            culprit = _draw(rng, _positive_players(spec, i))
             profile = profile.replace(
                 culprit, _log_uniform(rng, lo, hi), _log_uniform(rng, lo, hi)
             )
         # Background activity in the other group keeps the sample generic.
         j = 3 - i
         if rng.random() < 0.5:
-            profile = profile.replace(PlayerId(j, 1), _log_uniform(rng, lo, hi), 0.0)
+            profile = profile.replace(ids[j][0], _log_uniform(rng, lo, hi), 0.0)
         return profile, [culprit]
 
     # FreeRiderViolation: a non-extreme player is active and her own
     # first-order condition holds exactly, so the group's extreme player
     # strictly gains by joining in - the free-riding argument's target.
-    builder_violators = []  # non-top positive players, (group, index)
+    builder_violators = []  # non-top positive players
     saboteur_violators = []  # non-bottom negative players
     for g in (1, 2):
-        pos = _positive_players(spec, g)
-        neg = _negative_players(spec, g)
-        if len(pos) >= 2:
-            builder_violators.extend((g, k) for k in pos[1:])
-        if len(neg) >= 2:
-            saboteur_violators.extend((g, k) for k in neg[:-1])
+        builder_violators.extend(_positive_players(spec, g)[1:])
+        saboteur_violators.extend(_negative_players(spec, g)[:-1])
     if not builder_violators and not saboteur_violators:
         raise ClassUnsatisfiable(
             "free riding needs a group with two players of the same sign"
@@ -526,25 +529,23 @@ def _generate_forbidden(
     use_builders = bool(builder_violators) and (
         not saboteur_violators or rng.random() < 0.5
     )
-    pool = builder_violators if use_builders else saboteur_violators
-    g, k = pool[int(rng.integers(len(pool)))]
+    violator = _draw(rng, builder_violators if use_builders else saboteur_violators)
+    g = violator.group
     j = 3 - g
-    vals = spec.group(g).valuations
     if use_builders:
-        vk = vals[k - 1]
+        vk = valuation(spec, violator)
         z_rival = rng.uniform(0.15, 0.5) * vk
         z_own = math.sqrt(vk * z_rival) - z_rival  # violator's stationary point
-        profile = profile.replace(PlayerId(g, k), z_own, 0.0)
-        profile = profile.replace(PlayerId(j, 1), z_rival, 0.0)
-        target = PlayerId(g, 1)
+        profile = profile.replace(violator, z_own, 0.0)
+        profile = profile.replace(ids[j][0], z_rival, 0.0)
+        target = ids[g][0]
     else:
-        vh = abs(vals[k - 1])
+        vh = abs(valuation(spec, violator))
         z_rival = rng.uniform(0.15, 0.5) * theta * vh
-        rival = PlayerId(j, spec.group(j).size)
-        profile = profile.replace(rival, 0.0, z_rival / theta)
+        profile = profile.replace(ids[j][-1], 0.0, z_rival / theta)
         y_own = (math.sqrt(theta * vh * z_rival) - z_rival) / theta
-        profile = profile.replace(PlayerId(g, k), 0.0, y_own)
-        target = PlayerId(g, spec.group(g).size)
+        profile = profile.replace(violator, 0.0, y_own)
+        target = ids[g][-1]
     return profile, [target]
 
 

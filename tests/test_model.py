@@ -139,6 +139,33 @@ class TestEffectiveEfforts:
         assert eff_scaled.z2 == pytest.approx(lam * eff.z2, rel=1e-9, abs=1e-12)
 
 
+class TestProfileAccess:
+    """``effort`` and ``replace`` refuse ids outside the profile instead of
+    wrapping a negative index or ignoring the write."""
+
+    README_SPEC = make_spec([4, 1, -1], [4, 2, -1], 0.5)
+
+    @pytest.mark.parametrize(
+        "group, index",
+        [(0, 1), (3, 1), (1, 0), (1, 4), (1, 99)],
+        ids=["group_0", "group_3", "index_0", "index_past_end", "index_99"],
+    )
+    def test_unknown_player_is_refused(self, group, index):
+        profile = _profile(self.README_SPEC, {(1, 3): (0, 1), (2, 1): (2, 0)})
+        player = gc.PlayerId(group, index)
+        with pytest.raises(gc.UnknownPlayer):
+            profile.effort(player)
+        with pytest.raises(gc.UnknownPlayer):
+            profile.replace(player, 5.0, 0.0)
+
+    def test_known_players_read_and_write_their_own_slot(self):
+        profile = gc.StrategyProfile.zeros(self.README_SPEC)
+        for p in gc.players(self.README_SPEC):
+            moved = profile.replace(p, float(p.group), float(p.index))
+            assert moved.effort(p) == gc.Effort(float(p.group), float(p.index))
+            assert sum(e != gc.Effort(0.0, 0.0) for g in moved.efforts for e in g) == 1
+
+
 class TestDocuments:
     def test_spec_round_trip(self):
         spec = make_spec([4, 1, -1], [4, 2, -1], 0.5)

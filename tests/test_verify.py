@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import groupcontest as gc
-from groupcontest import verify
+from groupcontest import model, verify
 from helpers import (
     corpus_case,
     corpus_group,
@@ -736,6 +736,38 @@ class TestArraySearch:
         report = gc.is_epsilon_nash(spec, profile)
         assert sum(d.improvement > 0 for d in report.deviations) == 796
         assert calls == []
+
+
+class TestPlayerIds:
+    """Report rows take their player ids from ``players``' bounded cache,
+    on both search paths."""
+
+    @pytest.mark.parametrize("n", [verify.ARRAY_MIN_PLAYERS - 1, verify.ARRAY_MIN_PLAYERS])
+    def test_rows_carry_the_players_ids(self, n):
+        spec = _ladder_spec(n)
+        efforts = gc.solve(spec).profile.efforts
+        profile = gc.StrategyProfile(
+            tuple(tuple(gc.Effort(1.5 * e.x, 1.5 * e.y) for e in g) for g in efforts)
+        )
+        with mock.patch.object(verify, "_search_array", wraps=verify._search_array) as spy:
+            report = gc.is_epsilon_nash(spec, profile)
+        assert spy.call_count == (2 if n >= verify.ARRAY_MIN_PLAYERS else 0)
+        assert any(d.improvement > 0 for d in report.deviations)
+        roster = list(gc.players(spec))
+        assert [d.player for d in report.deviations] == roster
+        # Shared, not rebuilt: the rows hold the very ids ``players`` yields.
+        assert all(d.player is p for d, p in zip(report.deviations, roster))
+        for p in roster:
+            assert gc.best_deviation(spec, profile, p).player == p
+
+    def test_id_cache_is_bounded(self):
+        cache = model._group_ids
+        maxsize = cache.cache_parameters()["maxsize"]
+        # Two groups per spec: more distinct (group, size) keys than maxsize.
+        for n in range(2, maxsize // 2 + 4):
+            spec = _ladder_spec(n)
+            gc.is_epsilon_nash(spec, gc.StrategyProfile.zeros(spec))
+        assert cache.cache_info().currsize <= maxsize
 
 
 class TestIsEpsilonNash:
