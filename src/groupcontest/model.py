@@ -158,14 +158,20 @@ class EffectiveEffort:
     z2: float
     residuals: tuple[tuple[float, ...], tuple[float, ...]]
 
+    def _position(self, group: int, index: int = 1) -> int:
+        sizes = tuple(map(len, self.residuals))
+        if group not in (1, 2) or not 1 <= index <= sizes[group - 1]:
+            raise UnknownPlayer(f"group {group}, index {index} is outside sizes {sizes}")
+        return group - 1
+
     def z(self, group: int) -> float:
-        return self.z1 if group == 1 else self.z2
+        return (self.z1, self.z2)[self._position(group)]
 
     def z_other(self, group: int) -> float:
-        return self.z2 if group == 1 else self.z1
+        return (self.z2, self.z1)[self._position(group)]
 
     def z_minus(self, player: PlayerId) -> float:
-        return self.residuals[player.group - 1][player.index - 1]
+        return self.residuals[self._position(player.group, player.index)][player.index - 1]
 
 
 # An entry is as large as its group, so the bound keeps the cache within a

@@ -48,8 +48,11 @@ the rounding-band decision) is computed once, by the sums
 ``effective_efforts`` takes, and shared by its players.  Report rows
 carry the player ids ``players`` yields: shared immutable values from
 one bounded cache in ``model``, so a search builds no ids once groups
-of its sizes have been seen.  ``best_deviation`` searches one player,
-so calls for distinct players may run in parallel.  Round-robin
+of its sizes have been seen.  Idle players' rows, staying at
+(+0.0, +0.0), are shared too, checked against those ids on each use: a
+search builds a row only for a busy player (any other effort, -0.0
+included) and for an improving one.  ``best_deviation`` searches one
+player, so calls for distinct players may run in parallel.  Round-robin
 dynamics is inherently sequential; it keeps nothing beside the
 profile, which each search reads afresh.
 
@@ -70,6 +73,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -120,7 +124,8 @@ class Deviation:
     """Best unilateral move for one player: the exact maximizer, or the
     limit point just past the kink where the supremum is not attained.
     ``improvement`` is the exact payoff gain, recomputed through the
-    payoff function, and 0.0 when staying put is best."""
+    payoff function, and 0.0 when staying put is best.  Rows of idle
+    players, staying at (+0.0, +0.0), are shared immutable values."""
 
     player: PlayerId
     new_x: float
@@ -246,14 +251,23 @@ def _edge(theta, columns, k, v, z_minus, e):
     return float(np.int64(lo).view(np.float64))
 
 
+# Rows of players staying at (+0.0, +0.0), shared like their ids.  ``_group_ids``
+# may evict and rebuild a size's ids while its rows stay here, so each use checks.
+@lru_cache(maxsize=16)
+def _idle_rows(group: int, size: int) -> tuple[Deviation, ...]:
+    return tuple(Deviation(p, 0.0, 0.0, 0.0) for p in _group_ids(group, size))
+
+
 def _search_array(theta, indices, valuations, columns, z, z_other, p_now, own_gross):
     """The exact-mode search of the listed players on float64 arrays:
     per player the same candidates in the same order (0, the kink, the
     stationary point), cut back by ``_edge`` where their group sums may
     leave the float range and scored by the same IEEE operations with
     the same strict ``>``, so every pick is the scalar loop's.  Returns
-    the (position, x, y) of each listed player whose pick differs from
-    the current effort, and the number of points scored."""
+    the positions of the busy listed players (an effort other than
+    +0.0, -0.0 included), the (position, x, y) of each listed player
+    whose pick differs from the current effort, and the number of points
+    scored."""
     idx = np.fromiter(indices, np.intp, len(indices)) - 1
     v, cx, cy = np.array((valuations, *columns))[:, idx]
     m = z - (cx - theta * cy)  # the residuals, as ``_search_group`` takes them
@@ -303,7 +317,9 @@ def _search_array(theta, indices, valuations, columns, z, z_other, p_now, own_gr
     by = np.where(took, np.where(pos, 0.0, pick), cy)
     movers = np.flatnonzero((bx != cx) | (by != cy))
     count = len(v) + int(np.count_nonzero(ok))
-    return list(zip(movers.tolist(), bx[movers].tolist(), by[movers].tolist())), count
+    # +0.0 is the only float whose bits are all zero.
+    busy = np.flatnonzero(cx.view(np.int64) | cy.view(np.int64)).tolist()
+    return busy, list(zip(movers.tolist(), bx[movers].tolist(), by[movers].tolist())), count
 
 
 def _search_group(
@@ -314,8 +330,8 @@ def _search_group(
     profile here, by the sums ``effective_efforts`` takes, so they are
     its values bit for bit.  Outside the rounding band,
     ``ARRAY_MIN_PLAYERS`` or more listed players are searched by
-    ``_search_array``, fewer by the scalar loop; both pick only the
-    moves, whose exact gains are taken here."""
+    ``_search_array``, fewer by the scalar loop; both report the busy
+    players and pick only the moves, whose exact gains are taken here."""
     theta = spec.theta
     valuations = spec.group(group).valuations
     efforts, others = profile.efforts[group - 1], profile.efforts[2 - group]
@@ -330,11 +346,11 @@ def _search_group(
     exact = abs(z_other) > ROUNDING_BAND * (terms + 4) * math.ulp(own_gross)
 
     if exact and len(indices) >= ARRAY_MIN_PLAYERS:
-        picks, count = _search_array(
+        busy, picks, count = _search_array(
             theta, indices, valuations, columns, z, z_other, p_now, own_gross
         )
     else:
-        picks, count = [], 0
+        busy, picks, count = [], [], 0
         for i, k in enumerate(indices):
             v, z_minus = valuations[k - 1], z - (xs[k - 1] - theta * ys[k - 1])
             axis = (lambda e: (e, 0.0)) if v > 0 else (lambda e: (0.0, e))
@@ -363,8 +379,10 @@ def _search_group(
                 scored = [(e, _moved_z(theta, columns, k, *axis(e))) for e in moves]
             count += 1 + len(scored)
             # The current effort is scored first, so ties keep the player put.
-            current = best = xs[k - 1], ys[k - 1]
-            best_value = v * p_now - xs[k - 1] - ys[k - 1]
+            current = best = x, y = xs[k - 1], ys[k - 1]
+            if x or y or math.copysign(1.0, x) < 0 or math.copysign(1.0, y) < 0:
+                busy.append(i)
+            best_value = v * p_now - x - y
             for e, z_e in scored:
                 value = v * win_probability_short(z_e, z_other) - e
                 if value > best_value:
@@ -376,10 +394,17 @@ def _search_group(
         z1, z2 = (z_own, z_other) if group == 1 else (z_other, z_own)
         return _payoff_at(valuations[k - 1], group, z1, z2, x, y)
 
+    # Idle players take the shared rows, busy ones a row at their effort.
     # A pick's gain is exact, from the group sum with the move swapped in;
     # a player whose pick gains nothing stays put.
-    ids = _group_ids(group, len(xs))
-    deviations = [Deviation(ids[k - 1], xs[k - 1], ys[k - 1], 0.0) for k in indices]
+    ids, idle = _group_ids(group, len(xs)), _idle_rows(group, len(xs))
+    if idle[0].player is not ids[0]:  # ``_group_ids`` rebuilt this size's ids
+        _idle_rows.cache_clear()
+        idle = _idle_rows(group, len(xs))
+    deviations = [idle[k - 1] for k in indices]
+    for i in busy:
+        k = indices[i]
+        deviations[i] = Deviation(ids[k - 1], xs[k - 1], ys[k - 1], 0.0)
     for i, x, y in picks:
         k = indices[i]
         moved = _moved_z(theta, columns, k, x, y)

@@ -152,6 +152,21 @@ class TestVerifyCommand:
         assert top["best_improvement"] == 1e308
         assert top["deviation"] == {"x": 0.0, "y": 0.0}
 
+    def test_negative_zero_efforts_keep_their_sign(self, capsys, write):
+        # Idle players at -0.0 report -0.0.  The digest was computed before
+        # idle players' rows were shared.
+        profile = {"efforts": [[{"x": 1.0, "y": 0}, {"x": -0.0, "y": 0}, {"x": 0, "y": -0.0}],
+                               [{"x": 0.75, "y": 0}, {"x": 0, "y": 0}, {"x": -0.0, "y": -0.0}]]}
+        code, out, _ = invoke(
+            capsys, "verify", "--spec", write("s.json", NO_SABOTAGE),
+            "--profile", write("p.json", profile),
+        )
+        assert code == 0
+        assert '"x": -0.0' in out and '"y": -0.0' in out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "17078b12412649284d9818a59616c02807dc4b3985c6fba3496971c00451bcca"
+        )
+
     def test_profile_required(self, capsys, write):
         code, _, _ = invoke(capsys, "verify", "--spec", write("s.json", SABOTAGE))
         assert code == 2

@@ -166,6 +166,36 @@ class TestProfileAccess:
             assert sum(e != gc.Effort(0.0, 0.0) for g in moved.efforts for e in g) == 1
 
 
+class TestEffectiveEffortAccess:
+    """``z``, ``z_other`` and ``z_minus`` refuse groups and ids outside the
+    contest instead of wrapping an index or reading the other group."""
+
+    README_SPEC = make_spec([4, 1, -1], [4, 2, -1], 0.5)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda eff: eff.z_minus(gc.PlayerId(1, 0)),
+            lambda eff: eff.z_minus(gc.PlayerId(0, 1)),
+            lambda eff: eff.z(0),
+            lambda eff: eff.z_other(7),
+        ],
+        ids=["z_minus_index_0", "z_minus_group_0", "z_group_0", "z_other_group_7"],
+    )
+    def test_unknown_group_or_player_is_refused(self, read):
+        profile = _profile(self.README_SPEC, {(1, 3): (0, 1), (2, 1): (2, 0)})
+        eff = gc.effective_efforts(self.README_SPEC, profile)
+        with pytest.raises(gc.UnknownPlayer):
+            read(eff)
+
+    def test_known_groups_and_players_read_their_own_values(self):
+        profile = _profile(self.README_SPEC, {(1, 3): (0, 1), (2, 1): (2, 0)})
+        eff = gc.effective_efforts(self.README_SPEC, profile)
+        assert (eff.z(1), eff.z(2), eff.z_other(1), eff.z_other(2)) == (-0.5, 2.0, 2.0, -0.5)
+        residuals = [eff.z_minus(p) for p in gc.players(self.README_SPEC)]
+        assert residuals == [-0.5, -0.5, 0.0, 0.0, 2.0, 2.0]
+
+
 class TestDocuments:
     def test_spec_round_trip(self):
         spec = make_spec([4, 1, -1], [4, 2, -1], 0.5)

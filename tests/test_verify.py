@@ -770,6 +770,72 @@ class TestPlayerIds:
         assert cache.cache_info().currsize <= maxsize
 
 
+def _scaled_closed_form(spec, scale):
+    efforts = gc.solve(spec).profile.efforts
+    return gc.StrategyProfile(
+        tuple(tuple(gc.Effort(scale * e.x, scale * e.y) for e in g) for g in efforts)
+    )
+
+
+class TestSharedRows:
+    """Idle players, at (+0.0, +0.0) and staying put, share one row each;
+    only busy players and movers get a row of their own."""
+
+    def test_rows_keep_the_players_ids_after_eviction(self):
+        spec = _ladder_spec(60)
+        profile = _scaled_closed_form(spec, 1.0)
+        gc.is_epsilon_nash(spec, profile)
+        maxsize = model._group_ids.cache_parameters()["maxsize"]
+        # Churn more (group, size) keys than maxsize through ``players`` alone.
+        for n in range(61, 61 + maxsize // 2 + 4):
+            list(gc.players(_ladder_spec(n)))
+        report = gc.is_epsilon_nash(spec, profile)
+        roster = list(gc.players(spec))
+        assert len(report.deviations) == len(roster)
+        assert all(d.player is p for d, p in zip(report.deviations, roster))
+
+    def test_shared_rows_are_bounded(self):
+        cache = verify._idle_rows
+        maxsize = cache.cache_parameters()["maxsize"]
+        for n in range(2, maxsize // 2 + 4):
+            spec = _ladder_spec(n)
+            gc.is_epsilon_nash(spec, gc.StrategyProfile.zeros(spec))
+        assert cache.cache_info().currsize <= maxsize
+
+    @pytest.mark.parametrize("n", [3, verify.ARRAY_MIN_PLAYERS])
+    def test_negative_zero_efforts_keep_their_sign(self, n):
+        spec = _ladder_spec(n)
+        signed = [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0)]
+        profile = gc.StrategyProfile(
+            tuple(
+                # The top player builds; the idle ones take every signed zero.
+                (g[0], *(gc.Effort(*signed[(k + 2 * i) % 4]) for k in range(1, n)))
+                for i, g in enumerate(gc.solve(spec).profile.efforts)
+            )
+        )
+        with mock.patch.object(verify, "_search_array", wraps=verify._search_array) as spy:
+            report = gc.is_epsilon_nash(spec, profile)
+        assert spy.call_count == (2 if n >= verify.ARRAY_MIN_PLAYERS else 0)
+        rows = [(d.new_x.hex(), d.new_y.hex()) for d in report.deviations]
+        assert rows == [(e.x.hex(), e.y.hex()) for g in profile.efforts for e in g]
+        assert [deviation_hex(d) for d in report.deviations] == [
+            deviation_hex(gc.best_deviation(spec, profile, p)) for p in gc.players(spec)
+        ]
+
+    def test_only_busy_players_and_movers_build_rows(self):
+        spec = _ladder_spec(200)
+        closed, scaled = _scaled_closed_form(spec, 1.0), _scaled_closed_form(spec, 1.5)
+        gc.is_epsilon_nash(spec, closed)
+        with mock.patch.object(verify, "Deviation", wraps=verify.Deviation) as spy:
+            gc.is_epsilon_nash(spec, closed)
+        assert spy.call_count == 2  # one per group's top player
+        with mock.patch.object(verify, "Deviation", wraps=verify.Deviation) as spy:
+            report = gc.is_epsilon_nash(spec, scaled)
+        movers = sum(d.improvement > 0 for d in report.deviations)
+        assert movers > 0
+        assert spy.call_count <= 2 + movers
+
+
 class TestIsEpsilonNash:
     def test_certifies_sabotage_equilibrium(self, sabotage_spec):
         profile = gc.solve(sabotage_spec).profile
