@@ -10,6 +10,7 @@ exploratory: nothing is claimed about what players "really" do there.
 """
 
 import argparse
+from itertools import chain
 
 import numpy as np
 
@@ -51,11 +52,10 @@ def main() -> None:
             print(f"{theta:8.4f} {regime.value:>24} {seed:5d} "
                   f"{result.status.value:>10} {result.iterations:6d} {period:>7}")
             if result.status is DynamicsStatus.CONVERGED:
-                target = solve(spec).profile
+                final, target = result.profile, solve(spec).profile
                 drift = max(
-                    max(abs(ea.x - eb.x), abs(ea.y - eb.y))
-                    for ga, gb in zip(result.profile.efforts, target.efforts)
-                    for ea, eb in zip(ga, gb)
+                    abs(a - b)
+                    for a, b in zip(chain(*final.xs, *final.ys), chain(*target.xs, *target.ys))
                 )
                 assert drift < 1e-6, "converged away from the closed form"
 

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,6 @@ from .equilibrium import RegionGrid, classify, region_csv, region_sample, solve,
 from .model import (
     ContestError,
     ContestSpec,
-    Effort,
     StrategyProfile,
     profile_from_dict,
     profile_to_dict,
@@ -278,10 +278,10 @@ def _cmd_region(args, spec: ContestSpec) -> int:
 def _jittered_initial(spec: ContestSpec, seed: int) -> StrategyProfile:
     """x then y of each player, in player order, uniform in [0, 1e-3 * max |v|]."""
     scale = 1e-3 * spec.max_abs_valuation()
-    draws = iter(np.random.default_rng(seed).uniform(0, scale, 2 * sum(spec.sizes())).tolist())
-    return StrategyProfile(tuple(
-        tuple(Effort(next(draws), next(draws)) for _ in range(n)) for n in spec.sizes()
-    ))
+    n1 = spec.group1.size
+    draws = np.random.default_rng(seed).uniform(0, scale, 2 * sum(spec.sizes())).tolist()
+    xs, ys = ((tuple(c[:n1]), tuple(c[n1:])) for c in (draws[0::2], draws[1::2]))
+    return StrategyProfile._from_columns(xs, ys)
 
 
 def _cmd_dynamics(args, spec: ContestSpec) -> int:
@@ -298,9 +298,7 @@ def _cmd_dynamics(args, spec: ContestSpec) -> int:
     if len(result.trajectory) >= 2:
         a, b = result.trajectory[-2], result.trajectory[-1]
         last_delta = max(
-            max(abs(ea.x - eb.x), abs(ea.y - eb.y))
-            for ga, gb in zip(a.efforts, b.efforts)
-            for ea, eb in zip(ga, gb)
+            abs(ea - eb) for ea, eb in zip(chain(*a.xs, *a.ys), chain(*b.xs, *b.ys))
         )
     _emit({
         "status": result.status.value,

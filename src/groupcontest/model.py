@@ -6,8 +6,10 @@ Each player chooses a constructive effort x >= 0 and a sabotage effort
 y >= 0; a group's effective effort is the sum of its constructive
 efforts minus theta times the sum of its sabotage efforts.
 
-All types here are immutable values and all functions are pure, so
-everything is safe to share freely across threads.
+A strategy profile holds float columns, x and y per group, as the
+deviation search and the dynamics read them.  All types here are
+immutable values and all functions are pure, so everything is safe to
+share freely across threads.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator
 
 
@@ -110,42 +113,58 @@ class Effort:
     y: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StrategyProfile:
-    """Endogenous data of the game: an Effort for every player,
-    organized as one tuple per group."""
+    """Endogenous data of the game: one tuple of x and one of y per
+    group, in player order, compared and hashed as such.  Built from an
+    ``Effort`` per player, one tuple per group, which ``efforts`` and
+    ``effort`` build back on demand."""
 
-    efforts: tuple[tuple[Effort, ...], tuple[Effort, ...]]
+    xs: tuple[tuple[float, ...], tuple[float, ...]]
+    ys: tuple[tuple[float, ...], tuple[float, ...]]
+
+    def __init__(self, efforts: tuple[tuple[Effort, ...], tuple[Effort, ...]]):
+        object.__setattr__(self, "xs", tuple(tuple(e.x for e in g) for g in efforts))
+        object.__setattr__(self, "ys", tuple(tuple(e.y for e in g) for g in efforts))
+
+    @classmethod
+    def _from_columns(cls, xs, ys) -> StrategyProfile:
+        """A profile holding these columns as they are."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "xs", xs)
+        object.__setattr__(profile, "ys", ys)
+        return profile
 
     @classmethod
     def zeros(cls, spec: ContestSpec) -> StrategyProfile:
-        n1, n2 = spec.sizes()
-        zero = Effort(0.0, 0.0)
-        return cls(((zero,) * n1, (zero,) * n2))
+        columns = tuple((0.0,) * n for n in spec.sizes())
+        return cls._from_columns(columns, columns)
+
+    @property
+    def efforts(self) -> tuple[tuple[Effort, ...], tuple[Effort, ...]]:
+        return tuple(tuple(map(Effort, gx, gy)) for gx, gy in zip(self.xs, self.ys))
 
     def _position(self, player: PlayerId) -> tuple[int, int]:
-        """The player's group and index in ``efforts``, both from 0."""
+        """The player's group and index in the columns, both from 0."""
         g, k = player.group - 1, player.index - 1
-        if g not in (0, 1) or not 0 <= k < len(self.efforts[g]):
+        if g not in (0, 1) or not 0 <= k < len(self.xs[g]):
             raise UnknownPlayer(f"{player} is outside a profile of sizes {self.sizes()}")
         return g, k
 
     def effort(self, player: PlayerId) -> Effort:
         g, k = self._position(player)
-        return self.efforts[g][k]
+        return Effort(self.xs[g][k], self.ys[g][k])
 
     def replace(self, player: PlayerId, x: float, y: float) -> StrategyProfile:
         """Return a copy with one player's efforts swapped out."""
         g, k = self._position(player)
-        group = tuple(
-            Effort(x, y) if j == k else e for j, e in enumerate(self.efforts[g])
-        )
-        if g == 0:
-            return StrategyProfile((group, self.efforts[1]))
-        return StrategyProfile((self.efforts[0], group))
+        xs, ys = list(self.xs), list(self.ys)
+        xs[g] = xs[g][:k] + (x,) + xs[g][k + 1:]
+        ys[g] = ys[g][:k] + (y,) + ys[g][k + 1:]
+        return StrategyProfile._from_columns(tuple(xs), tuple(ys))
 
     def sizes(self) -> tuple[int, int]:
-        return (len(self.efforts[0]), len(self.efforts[1]))
+        return (len(self.xs[0]), len(self.xs[1]))
 
 
 @dataclass(frozen=True)
@@ -252,12 +271,10 @@ def effective_efforts(spec: ContestSpec, profile: StrategyProfile) -> EffectiveE
     _check_shape(spec, profile)
     zs = []
     residuals = []
-    for group in profile.efforts:
-        x_total = sum(e.x for e in group)
-        y_total = sum(e.y for e in group)
-        z = x_total - spec.theta * y_total
+    for xs, ys in zip(profile.xs, profile.ys):
+        z = sum(xs) - spec.theta * sum(ys)
         zs.append(z)
-        residuals.append(tuple(z - (e.x - spec.theta * e.y) for e in group))
+        residuals.append(tuple(z - (x - spec.theta * y) for x, y in zip(xs, ys)))
     return EffectiveEffort(zs[0], zs[1], (residuals[0], residuals[1]))
 
 
@@ -311,26 +328,23 @@ def profile_from_dict(obj: dict) -> StrategyProfile:
         groups = obj["efforts"]
         if len(groups) != 2:
             raise ValidationError(f"expected efforts for exactly 2 groups, got {len(groups)}")
-        efforts = tuple(
-            tuple(
-                Effort(_number(e["x"], "effort x"), _number(e["y"], "effort y"))
-                for e in group
-            )
+        pairs = [
+            [(_number(e["x"], "effort x"), _number(e["y"], "effort y")) for e in group]
             for group in groups
-        )
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed profile document: {exc}") from exc
-    profile = StrategyProfile(efforts)  # type: ignore[arg-type]
-    for group in profile.efforts:
-        for e in group:
-            if e.x < 0 or e.y < 0 or not (math.isfinite(e.x) and math.isfinite(e.y)):
-                raise ValidationError(f"efforts must be finite and nonnegative, got {e}")
-    return profile
+    xs = tuple(tuple(x for x, _ in group) for group in pairs)
+    ys = tuple(tuple(y for _, y in group) for group in pairs)
+    for x, y in zip(chain(*xs), chain(*ys)):
+        if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):  # also refuses nan
+            raise ValidationError(f"efforts must be finite and nonnegative, got {Effort(x, y)}")
+    return StrategyProfile._from_columns(xs, ys)
 
 
 def profile_to_dict(profile: StrategyProfile) -> dict:
     return {
         "efforts": [
-            [{"x": e.x, "y": e.y} for e in group] for group in profile.efforts
+            [{"x": x, "y": y} for x, y in zip(xs, ys)] for xs, ys in zip(profile.xs, profile.ys)
         ]
     }

@@ -42,10 +42,11 @@ profile, reporting convergence, cycling, or exhaustion; it is an
 empirical probe of the no-equilibrium gap, not a solver.
 
 All functions are pure.  The search runs a group at a time and reads
-the profile in one place: what depends only on the group (its effort
-columns and gross effort, both effective efforts, the current odds,
-the rounding-band decision) is computed once, by the sums
-``effective_efforts`` takes, and shared by its players.  Report rows
+the profile in one place: it takes the group's x and y columns as the
+profile holds them, and what depends only on the group (its gross
+effort, both effective efforts, the current odds, the rounding-band
+decision) is computed once, by the builtin sums ``effective_efforts``
+takes over the same columns, and shared by its players.  Report rows
 carry the player ids ``players`` yields: shared immutable values from
 one bounded cache in ``model``, so a search builds no ids once groups
 of its sizes have been seen.  Idle players' rows, staying at
@@ -53,8 +54,9 @@ of its sizes have been seen.  Idle players' rows, staying at
 search builds a row only for a busy player (any other effort, -0.0
 included) and for an improving one.  ``best_deviation`` searches one
 player, so calls for distinct players may run in parallel.  Round-robin
-dynamics is inherently sequential; it keeps nothing beside the
-profile, which each search reads afresh.
+dynamics is inherently sequential: each search reads the columns
+afresh, a move swaps one entry of two columns, and the convergence and
+cycle checks read the profiles as rows of one growing float64 array.
 
 A group's search takes one of two paths.  Outside the rounding band, a
 search of ``ARRAY_MIN_PLAYERS`` or more players scores all their
@@ -78,7 +80,6 @@ from itertools import chain
 
 import numpy as np
 
-from . import best_response as br
 from .csf import _payoff_at, p1_values, win_probability_short
 from .model import (
     ContestError,
@@ -212,14 +213,20 @@ def _stationary(v: float, theta: float, z_minus: float, z_other: float) -> float
         if v > 0:
             return max(0.0, root - z_other - z_minus)
         return max(0.0, (math.sqrt(theta) * root - abs(z_other) + z_minus) / theta)
+    # ``br_positive_x`` and ``br_negative_y``, expression for expression.
     if v > 0:
-        effort = br.br_positive_x(v1, m1, o1).effort
+        effort = max(0.0, math.sqrt(v1 * o1) - o1 - m1)
     else:
-        effort = br.br_negative_y(theta, v1, m1, o1).effort
+        effort = max(0.0, (math.sqrt(theta * abs(v1) * abs(o1)) - abs(o1) + m1) / theta)
     try:
         return math.ldexp(effort, e)
     except OverflowError:  # beyond the float range: cut back by ``_edge``
         return math.inf
+
+
+def _on_axis(v: float, e: float) -> tuple[float, float]:
+    """(x, y) of effort e on the axis of a player valued v: x if v > 0, else y."""
+    return (e, 0.0) if v > 0 else (0.0, e)
 
 
 def _moved_z(theta: float, columns, k: int, x: float, y: float) -> float:
@@ -238,7 +245,7 @@ def _edge(theta, columns, k, v, z_minus, e):
     Efforts are nonnegative, so both sums are monotone in the effort and
     finite at 0: a bisection over the floats' bit patterns finds it."""
     def finite(f):
-        x, y = (f, 0.0) if v > 0 else (0.0, f)
+        x, y = _on_axis(v, f)
         z, moved = z_minus + x - theta * y, _moved_z(theta, columns, k, x, y)
         return math.isfinite(z) and math.isfinite(moved)
 
@@ -334,10 +341,9 @@ def _search_group(
     players and pick only the moves, whose exact gains are taken here."""
     theta = spec.theta
     valuations = spec.group(group).valuations
-    efforts, others = profile.efforts[group - 1], profile.efforts[2 - group]
-    columns = xs, ys = [e.x for e in efforts], [e.y for e in efforts]
+    columns = xs, ys = profile.xs[group - 1], profile.ys[group - 1]
     z = sum(xs) - theta * sum(ys)
-    z_other = sum([e.x for e in others]) - theta * sum([e.y for e in others])
+    z_other = sum(profile.xs[2 - group]) - theta * sum(profile.ys[2 - group])
     # The gross effort and the number of nonzero efforts bound the
     # rounding in z.
     own_gross = sum([x + theta * y for x, y in zip(xs, ys)])
@@ -352,9 +358,9 @@ def _search_group(
     else:
         busy, picks, count = [], [], 0
         for i, k in enumerate(indices):
-            v, z_minus = valuations[k - 1], z - (xs[k - 1] - theta * ys[k - 1])
-            axis = (lambda e: (e, 0.0)) if v > 0 else (lambda e: (0.0, e))
-            # Candidate efforts on the valuation's axis, each with its own-group z.
+            v, x, y = valuations[k - 1], xs[k - 1], ys[k - 1]
+            z_minus = z - (x - theta * y)
+            # Candidate efforts on the valuation's axis.
             kink = max(0.0, -z_minus) if v > 0 else max(0.0, z_minus / theta)
             moves = [0.0]
             for e in (kink, _stationary(v, theta, z_minus, z_other)):
@@ -365,7 +371,7 @@ def _search_group(
                 # sum is past 0, unless the kink is out of the float range.
                 d = math.ulp(max(abs(v), kink))
                 while math.isfinite(kink + d):
-                    past = _moved_z(theta, columns, k, *axis(kink + d))
+                    past = _moved_z(theta, columns, k, *_on_axis(v, kink + d))
                     if (past > 0) if v > 0 else (past < 0):
                         moves.append(kink + d)
                         break
@@ -373,22 +379,21 @@ def _search_group(
             for j, e in enumerate(moves):
                 if not own_gross + (e if v > 0 else theta * e) <= SUM_EDGE:
                     moves[j] = _edge(theta, columns, k, v, z_minus, e)
-            if exact:
-                scored = [(e, z_minus + e if v > 0 else z_minus - theta * e) for e in moves]
-            else:
-                scored = [(e, _moved_z(theta, columns, k, *axis(e))) for e in moves]
-            count += 1 + len(scored)
-            # The current effort is scored first, so ties keep the player put.
-            current = best = x, y = xs[k - 1], ys[k - 1]
+            count += 1 + len(moves)
             if x or y or math.copysign(1.0, x) < 0 or math.copysign(1.0, y) < 0:
                 busy.append(i)
-            best_value = v * p_now - x - y
-            for e, z_e in scored:
+            # The current effort is scored first, so ties keep the player put.
+            best, best_value = None, v * p_now - x - y
+            for e in moves:
+                if exact:
+                    z_e = z_minus + e if v > 0 else z_minus - theta * e
+                else:
+                    z_e = _moved_z(theta, columns, k, *_on_axis(v, e))
                 value = v * win_probability_short(z_e, z_other) - e
                 if value > best_value:
-                    best, best_value = axis(e), value
-            if best != current:
-                picks.append((i, *best))
+                    best, best_value = e, value
+            if best is not None and (pick := _on_axis(v, best)) != (x, y):
+                picks.append((i, *pick))
 
     def payoff(k, x, y, z_own):
         z1, z2 = (z_own, z_other) if group == 1 else (z_other, z_own)
@@ -402,15 +407,16 @@ def _search_group(
         _idle_rows.cache_clear()
         idle = _idle_rows(group, len(xs))
     deviations = [idle[k - 1] for k in indices]
-    for i in busy:
-        k = indices[i]
-        deviations[i] = Deviation(ids[k - 1], xs[k - 1], ys[k - 1], 0.0)
     for i, x, y in picks:
         k = indices[i]
         moved = _moved_z(theta, columns, k, x, y)
         gain = payoff(k, x, y, moved) - payoff(k, xs[k - 1], ys[k - 1], z)
         if gain > 0.0:
             deviations[i] = Deviation(ids[k - 1], x, y, gain)
+    for i in busy:
+        k = indices[i]
+        if deviations[i] is idle[k - 1]:  # not moved by a gaining pick
+            deviations[i] = Deviation(ids[k - 1], xs[k - 1], ys[k - 1], 0.0)
     return deviations, count
 
 
@@ -608,12 +614,6 @@ def refute_class(
 # --- best-response dynamics ----------------------------------------------
 
 
-def _flatten(profile: StrategyProfile) -> np.ndarray:
-    return np.array(
-        [value for group in profile.efforts for e in group for value in (e.x, e.y)]
-    )
-
-
 def best_response_dynamics(
     spec: ContestSpec,
     initial: StrategyProfile,
@@ -642,7 +642,8 @@ def best_response_dynamics(
     roster = list(players(spec))
     current = initial
     trajectory = [initial]
-    history = [_flatten(initial)]
+    # Row t holds profile t's columns; the buffer doubles when it is full.
+    history = np.concatenate(initial.xs + initial.ys)[np.newaxis]
 
     for iteration in range(1, max_iters + 1):
         gain = 0.0
@@ -660,23 +661,23 @@ def best_response_dynamics(
                     if d.improvement > 0.0:
                         current = current.replace(d.player, d.new_x, d.new_y)
 
-        vec = _flatten(current)
-        delta = float(np.max(np.abs(vec - history[-1])))
         trajectory.append(current)
-        history.append(vec)
+        if iteration == len(history):
+            history = np.concatenate((history, np.empty_like(history)))
+        vec = np.concatenate(current.xs + current.ys, out=history[iteration])
+        delta = float(np.max(np.abs(vec - history[iteration - 1])))
         if gain <= FIXED_POINT_TOL and delta <= CONVERGENCE_TOL:
             return DynamicsResult(
                 DynamicsStatus.CONVERGED, current, iteration, None, tuple(trajectory)
             )
-        if len(history) >= 3:
-            past = np.stack(history[:-2])
-            gaps = np.max(np.abs(past - vec), axis=1)
-            hits = np.nonzero(gaps <= CYCLE_TOL)[0]
-            if hits.size:
-                period = len(history) - 1 - int(hits[-1])
-                return DynamicsResult(
-                    DynamicsStatus.CYCLING, current, iteration, period, tuple(trajectory)
-                )
+        # Compare with every profile but the previous one.
+        gaps = np.max(np.abs(history[: iteration - 1] - vec), axis=1)
+        hits = np.nonzero(gaps <= CYCLE_TOL)[0]
+        if hits.size:
+            period = iteration - int(hits[-1])
+            return DynamicsResult(
+                DynamicsStatus.CYCLING, current, iteration, period, tuple(trajectory)
+            )
     return DynamicsResult(
         DynamicsStatus.MAX_ITERS, current, max_iters, None, tuple(trajectory)
     )

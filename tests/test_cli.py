@@ -495,6 +495,28 @@ class TestDynamicsCommand:
         assert (code, out) == (2, "")
         assert "--seed" in err and "Traceback" not in err
 
+    # The README spec below, inside and above the gap (cutoffs 2 and 8).
+    # The digests were computed while profiles still held one ``Effort`` a
+    # player.
+    @pytest.mark.parametrize("theta, order, seed, digest", [
+        (0.5, "round-robin", 1,
+         "d802feb89f69b64e616ff321df8cc1a436a33aa86cf761f3a398eaa6fc4aa6b9"),
+        (4.0, "round-robin", 0,
+         "fa123588162d181eeaa93105819d2c9157adac9559dec51008f26313ce80b0f1"),
+        (4.0, "simultaneous", 2,
+         "f7db12ffad45701b4af1c2bf9a22160eaf952b0f1441469cce37f43ad5385e5f"),
+        (16.0, "round-robin", 3,
+         "a18e0a7ca8339256a771eee0833327451dec26a16453a4f613f978c1b95642d4"),
+    ])
+    def test_golden_output(self, capsys, write, theta, order, seed, digest):
+        spec = dict(NO_SABOTAGE, theta=theta)
+        code, out, _ = invoke(
+            capsys, "dynamics", "--spec", write("s.json", spec), "--seed", str(seed),
+            "--order", order, "--max-iters", "200",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     # SHA-256 of the float.hex of every jittered effort, players in order:
     # the seeded draws and their order fix the default dynamics start.
     def test_jittered_initial_golden_digest(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -166,6 +167,78 @@ class TestProfileAccess:
             assert sum(e != gc.Effort(0.0, 0.0) for g in moved.efforts for e in g) == 1
 
 
+signed_efforts = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1e300))
+
+
+@st.composite
+def effort_rows(draw):
+    """Efforts of a 2-to-5 by 2-to-5 profile, -0.0 included."""
+    return tuple(
+        tuple(gc.Effort(draw(signed_efforts), draw(signed_efforts)) for _ in range(n))
+        for n in draw(st.tuples(st.integers(2, 5), st.integers(2, 5)))
+    )
+
+
+def _bits(profile):
+    return [[v.hex() for v in column] for column in (*profile.xs, *profile.ys)]
+
+
+class TestProfileColumns:
+    """A profile is its x and y columns: however it was built, equal
+    columns make equal profiles with equal hashes, and every float keeps
+    its bits."""
+
+    README_SPEC = make_spec([4, 1, -1], [4, 2, -1], 0.5)
+
+    @given(effort_rows())
+    def test_every_construction_holds_the_same_columns(self, rows):
+        built = gc.StrategyProfile(rows)
+        doc = {"efforts": [[{"x": e.x, "y": e.y} for e in g] for g in rows]}
+        spec = make_spec(*([1.0] + [0.5] * (len(g) - 2) + [-1.0] for g in rows), 1.0)
+        replaced = gc.StrategyProfile.zeros(spec)
+        for p, e in zip(gc.players(spec), (e for g in rows for e in g)):
+            replaced = replaced.replace(p, e.x, e.y)
+        for other in (gc.profile_from_dict(doc), replaced):
+            assert other == built and hash(other) == hash(built)
+            assert _bits(other) == _bits(built)
+        assert built.xs == tuple(tuple(e.x for e in g) for g in rows)
+        assert built.ys == tuple(tuple(e.y for e in g) for g in rows)
+        assert built.efforts == rows
+        assert all(type(e) is gc.Effort for g in built.efforts for e in g)
+        assert built.sizes() == tuple(map(len, rows))
+
+    def test_zeros_equal_every_other_all_zero_profile(self):
+        zeros = gc.StrategyProfile.zeros(self.README_SPEC)
+        rows = ((gc.Effort(0.0, 0.0),) * 3,) * 2
+        doc = {"efforts": [[{"x": 0, "y": 0}] * 3] * 2}
+        moved_back = zeros.replace(gc.PlayerId(2, 2), 1.0, 2.0).replace(gc.PlayerId(2, 2), 0.0, 0.0)
+        for other in (gc.StrategyProfile(rows), gc.profile_from_dict(doc), moved_back):
+            assert other == zeros and hash(other) == hash(zeros)
+            assert _bits(other) == _bits(zeros)
+        assert zeros != zeros.replace(gc.PlayerId(1, 3), 0.0, 1.0)
+
+    @pytest.mark.parametrize("name", ["xs", "ys", "efforts", "other"])
+    def test_attributes_cannot_be_assigned(self, name):
+        profile = gc.StrategyProfile.zeros(self.README_SPEC)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(profile, name, ((), ()))
+
+    def test_replace_leaves_the_original_untouched(self):
+        profile = _profile(self.README_SPEC, {(1, 1): (1.5, 0.0), (2, 3): (0.0, 2.25)})
+        before = _bits(profile)
+        moved = profile.replace(gc.PlayerId(1, 1), 0.5, 0.0)
+        assert _bits(profile) == before
+        assert profile.effort(gc.PlayerId(1, 1)) == gc.Effort(1.5, 0.0)
+        assert moved.effort(gc.PlayerId(1, 1)) == gc.Effort(0.5, 0.0)
+
+    def test_negative_zero_keeps_its_bits(self):
+        profile = gc.StrategyProfile.zeros(self.README_SPEC).replace(gc.PlayerId(2, 2), -0.0, -0.0)
+        assert profile.xs[1][1].hex() == profile.ys[1][1].hex() == "-0x0.0p+0"
+        row = gc.profile_to_dict(profile)["efforts"][1][1]
+        assert (row["x"].hex(), row["y"].hex()) == ("-0x0.0p+0", "-0x0.0p+0")
+        assert _bits(gc.profile_from_dict(gc.profile_to_dict(profile))) == _bits(profile)
+
+
 class TestEffectiveEffortAccess:
     """``z``, ``z_other`` and ``z_minus`` refuse groups and ids outside the
     contest instead of wrapping an index or reading the other group."""
@@ -221,6 +294,13 @@ class TestDocuments:
     def test_profile_document_rejects_negative_effort(self):
         with pytest.raises(gc.ValidationError):
             gc.profile_from_dict({"efforts": [[{"x": -1, "y": 0}], [{"x": 0, "y": 0}]]})
+
+    @pytest.mark.parametrize("bad", [-1e-300, -math.inf, math.inf, math.nan])
+    def test_profile_document_names_the_first_bad_effort(self, bad):
+        ok = {"x": 1.0, "y": -0.0}
+        doc = {"efforts": [[ok, ok], [ok, {"x": 2.0, "y": bad}, {"x": bad, "y": 0.0}]]}
+        with pytest.raises(gc.ValidationError, match=rf"got Effort\(x=2.0, y={bad}\)$"):
+            gc.profile_from_dict(doc)
 
     @pytest.mark.parametrize(
         "theta, valuations",

@@ -1026,6 +1026,33 @@ class TestDynamics:
         if result.status is gc.DynamicsStatus.CYCLING:
             assert result.period >= 2
 
+    # Ladder specs at 20, 45 and 60 players a group, theta at half the lower
+    # cutoff, inside the gap and at twice the upper cutoff, from seeded
+    # jitter and from all zeros, in both orders, 48 iterations at most.
+    # Gap runs go past 32 iterations, and one ends MaxIters at 48.  The
+    # digest was computed while profiles still held one ``Effort`` a player
+    # and dynamics still stacked its whole history on every iteration.
+    def test_ladder_golden_digest(self):
+        h = hashlib.sha256()
+        with mock.patch.object(verify, "_search_array", wraps=verify._search_array) as spy:
+            for n in (20, 45, 60):
+                base = _ladder_spec(n)
+                cut = gc.thresholds(base)
+                low, high = cut.theta_no_sabotage, cut.theta_sabotage
+                for theta in (low / 2, math.sqrt(low * high), 2 * high):
+                    spec = make_spec(base.group1.valuations, base.group2.valuations, theta)
+                    starts = (self._jitter(spec, n), gc.StrategyProfile.zeros(spec))
+                    for order in ("round_robin", "simultaneous"):
+                        for initial in starts:
+                            r = gc.best_response_dynamics(spec, initial, 48, order)
+                            h.update(f"{r.status.value}:{r.iterations}:{r.period}\n".encode())
+                            for profile in r.trajectory:
+                                h.update(f"{_profile_hex(profile)}\n".encode())
+        assert spy.call_count > 0  # simultaneous play at 45 and 60 reaches the arrays
+        assert h.hexdigest() == (
+            "50032cdaa7516aa01454577210dd71e8c1bd431e97f76517d591037a7c7c09f3"
+        )
+
     def test_input_validation(self, gap_spec):
         with pytest.raises(gc.ContestError):
             gc.best_response_dynamics(gap_spec, gc.StrategyProfile.zeros(gap_spec), 0)
