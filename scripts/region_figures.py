@@ -9,6 +9,7 @@ stake t.  One CSV per parameter value, suitable for contour plotting.
 """
 
 import argparse
+import math
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,10 @@ def main() -> None:
     parser.add_argument("--lo", type=float, default=0.05)
     parser.add_argument("--hi", type=float, default=5.0)
     args = parser.parse_args()
+    if args.points < 1:
+        parser.error(f"--points must be at least 1, got {args.points}")
+    if not (0 < args.lo < math.inf and 0 < args.hi < math.inf):
+        parser.error(f"--lo and --hi must be finite and positive, got {args.lo} and {args.hi}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

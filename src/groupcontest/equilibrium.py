@@ -9,8 +9,12 @@ strictly between them no pure equilibrium exists at all.
 
 ``region_sample`` evaluates one existence condition over a product of
 two parameter grids as a single numpy broadcast and returns the margins
-as a read-only array, so a plot can draw the boundary curve directly;
-``region_csv`` renders them row by row.
+as a read-only array, so a plot can draw the boundary curve directly.
+``region_csv`` renders them in blocks of at most 2**15 points, each
+spelt as numpy byte planes whose text is that of ``'%.9g'``; the few
+margins the planes cannot decide exactly (nan, inf, zeros, exponents
+far from 0, values whose scaled digits land on a half) are formatted
+by ``'%.9g'`` itself.
 """
 
 from __future__ import annotations
@@ -214,7 +218,111 @@ def region_sample(
     return RegionGrid(a1, a2, margin)
 
 
-_FLAGS = np.array(["false", "true"], dtype=object)  # in_region, indexed by margin >= 0
+# --- CSV rendering ------------------------------------------------------------
+#
+# ``'%.9g' % v`` costs ~370 ns a float in CPython, most of the time of a
+# 300x300 sweep's CSV, so margins are spelt by numpy instead.
+
+# Slots: sign, the "0.000" that starts 1e-4 <= |v| < 1, nine digits each
+# followed by a dot slot (but the last), and "e+dd".  Any '%.9g' spelling
+# fits.
+_G9_SLOTS = 27
+_POW10 = np.concatenate(([1.0], np.cumprod(np.full(22, 10.0))))  # 10**0..10**22, exact
+_CHUNK = np.arange(1000)
+_CHUNK_DIGIT = [(_CHUNK // 10 ** (2 - i) % 10 + ord("0")).astype(np.uint8) for i in range(3)]
+_CHUNK_ZEROS = ((_CHUNK % 10 == 0).astype(np.int8) + (_CHUNK % 100 == 0) + (_CHUNK % 1000 == 0))
+_CSV_BLOCK = 1 << 15  # points rendered at once; bounds the planes' memory
+_IN_REGION = np.array([b",false\n", b",true\n"])
+
+
+def _g9_planes(values: np.ndarray) -> np.ndarray:
+    """``'%.9g' % v`` for each float64 ``v`` as uint8 byte planes of shape
+    (_G9_SLOTS, n): column j read top to bottom, NULs dropped, spells
+    values[j].
+
+    With e = floor(log10|v|), y = |v| * 10**(8-e) is one correctly
+    rounded multiply or divide by an exact power of ten when |8-e| <= 22.
+    Rounding is monotone and the half-integers below 2**52 are floats, so
+    where y is not a half-integer the exact product lies strictly between
+    the same two half-integers as y: it rounds to d = rint(y), without a
+    tie.  Where d also has nine digits, d and e are the digits and
+    exponent '%.9g' prints.  Every other value (nan, +-inf, +-0,
+    |8-e| > 22, y a half-integer, and an exponent estimate that was off
+    or rounded up to 10**9) is formatted by '%.9g' itself.
+    """
+    mag = np.abs(values)
+    fast = np.isfinite(mag) & (mag != 0)
+    mag = np.where(fast, mag, 1.0)
+    e = np.floor(np.log10(mag)).astype(np.intp)
+    fast &= np.abs(8 - e) <= 22
+    y = mag * _POW10.take(8 - e, mode="clip") / _POW10.take(e - 8, mode="clip")
+    d = np.rint(y)
+    fast &= (np.abs(y - d) < 0.5) & (d >= 1e8) & (d < 1e9)
+    digits = np.where(fast, d, 1e8).astype(np.intp)
+    thousands = digits // 1000
+    top = thousands // 1000
+    chunks = (top, thousands - 1000 * top, digits - 1000 * thousands)  # 3 digits each
+    zeros = _CHUNK_ZEROS[chunks[2]]  # trailing zeros of d, a chunk at a time
+    zeros = np.where(zeros == 3, 3 + _CHUNK_ZEROS[chunks[1]], zeros)
+    significant = 9 - np.where(zeros == 6, 6 + _CHUNK_ZEROS[top], zeros)
+
+    # Layout as format(v, '.9g'): fixed notation for -4 <= e < 9, else
+    # d.ddde+XX; trailing zeros and a bare '.' are dropped.
+    e = np.where(fast, e, 0).astype(np.int8)
+    fixed = (e >= -4) & (e < 9)
+    small = fixed & (e < 0)
+    sci = ~fixed
+    whole = np.where(fixed & ~small, e + 1, 0)  # digits before the dot
+    shown = np.maximum(significant, whole)
+    dot = np.where(sci, 1, whole)  # the dot follows this digit, if a digit does
+    planes = np.empty((_G9_SLOTS, values.size), dtype=np.uint8)
+    np.multiply(np.signbit(values), np.uint8(ord("-")), out=planes[0])
+    np.multiply(small, np.uint8(ord("0")), out=planes[1])
+    np.multiply(small, np.uint8(ord(".")), out=planes[2])
+    for j in range(3):
+        np.multiply(small & (e < -1 - j), np.uint8(ord("0")), out=planes[3 + j])
+    for i in range(9):
+        digit = _CHUNK_DIGIT[i % 3][chunks[i // 3]]
+        np.multiply(shown > i, digit, out=planes[6 + 2 * i])
+        if i < 8:
+            np.multiply((dot == i + 1) & (significant > i + 1), np.uint8(ord(".")),
+                        out=planes[7 + 2 * i])
+    exponent = np.abs(e).astype(np.uint8)
+    np.multiply(sci, np.uint8(ord("e")), out=planes[23])
+    np.multiply(sci, np.where(e < 0, np.uint8(ord("-")), np.uint8(ord("+"))), out=planes[24])
+    np.multiply(sci, exponent // 10 + np.uint8(ord("0")), out=planes[25])
+    np.multiply(sci, exponent % 10 + np.uint8(ord("0")), out=planes[26])
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = np.array(["%.9g" % v for v in values[slow].tolist()], dtype=f"S{_G9_SLOTS}")
+        planes[:, slow] = text.view(np.uint8).reshape(slow.size, _G9_SLOTS).T
+    return planes
+
+
+def _axis_fields(axis: np.ndarray) -> np.ndarray:
+    """Each axis value as ``'%.9g,'`` bytes, NUL-padded to one width."""
+    return np.array([f"{v:.9g}," for v in axis.tolist()], dtype="S")
+
+
+def _csv_records(first: np.ndarray, second: np.ndarray, margin: np.ndarray,
+                 start: int) -> np.ndarray:
+    """The CSV lines of the grid points ``start, start + 1, ...`` in
+    row-major order, whose margins are ``margin``, as NUL-padded uint8
+    records of one width, one row per point: the two axis fields, the
+    margin's column of its ``_g9_planes`` and the in_region flag."""
+    row = np.arange(start, start + margin.size) // second.size
+    col = np.arange(start, start + margin.size) - row * second.size
+    token = _g9_planes(margin)
+    token = token[token.any(axis=1)]  # drop the slots no margin uses
+    w1, w2 = first.itemsize, second.itemsize
+    flag = _IN_REGION.itemsize
+    records = np.empty((margin.size, w1 + w2 + len(token) + flag), dtype=np.uint8)
+    records[:, :w1].view(first.dtype)[:, 0] = first[row]
+    records[:, w1:w1 + w2].view(second.dtype)[:, 0] = second[col]
+    records[:, w1 + w2:-flag] = token.T
+    records[:, -flag:].view(_IN_REGION.dtype)[:, 0] = _IN_REGION[(margin >= 0).view(np.int8)]
+    return records
 
 
 def region_csv(grid: RegionGrid) -> str:
@@ -222,17 +330,17 @@ def region_csv(grid: RegionGrid) -> str:
     the grid's row-major order.  Floats carry 9 significant digits
     (``.9g``), in_region prints as true/false.
 
-    Each axis value is formatted once; a row is one ``%`` operation on
-    a template that holds its axis strings and takes its margins and
-    flags.
+    Each axis value is formatted once.  The points are rendered in
+    blocks of at most ``_CSV_BLOCK``, so the working set stays one
+    block: a block's margins are spelt by ``_g9_planes`` (``'%.9g'``
+    as numpy byte planes), each point becomes one NUL-padded record,
+    and deleting the NULs leaves the block's text.
     """
-    cells = [f"{a2:.9g},%.9g,%s\n" for a2 in grid.axis2.tolist()]
-    flags = _FLAGS[(grid.margin >= 0).astype(np.intp)].tolist()
-    lines = ["axis1,axis2,margin,in_region\n"]
-    for a1, margins, row_flags in zip(grid.axis1.tolist(), grid.margin.tolist(), flags):
-        prefix = f"{a1:.9g},"
-        values = [None] * (2 * len(margins))
-        values[0::2] = margins
-        values[1::2] = row_flags
-        lines.append((prefix + prefix.join(cells)) % tuple(values))
-    return "".join(lines)
+    first, second = _axis_fields(grid.axis1), _axis_fields(grid.axis2)
+    margin = grid.margin.reshape(-1)
+    parts = ["axis1,axis2,margin,in_region\n"]
+    for start in range(0, margin.size, _CSV_BLOCK):
+        records = _csv_records(first, second, margin[start:start + _CSV_BLOCK], start)
+        parts.append(records.tobytes().translate(None, b"\0").decode("ascii"))
+        del records  # not held through the next block or the join
+    return "".join(parts)

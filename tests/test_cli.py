@@ -374,6 +374,12 @@ class TestRegionCommand:
          "7c96d0080103dae19ec9ff2362c2d7923f7ca864858a8ef710b964292ddaff81"),
         (SABOTAGE, "2", "1e-300", "1:7:9", "1e-10:1e10:11", "json",
          "519375d2a7154663ddf8bc03c58d6391e2959c123d22687e08c83d407d6e4473"),
+        # Larger than one block of rendered points; the second has
+        # 3-digit exponents and, at theta 1e10, margins that overflow.
+        (NO_SABOTAGE, "1", "1", "0.1:5:300", "0.1:5:300", "csv",
+         "c890b7e357d62dd64104d307c94baf59c1a23fdfb3653ce4b653b3f82b316df3"),
+        (dict(SABOTAGE, theta=1e10), "2", "1", "1e-300:1e300:257", "1e-5:1e5:301", "csv",
+         "b80b67c098c2c1a26a76dcc99a554f40431dd07f232de23fcfc3507dd0ee0b97"),
     ])
     def test_golden_output(self, capsys, write, spec, figure, fixed, axis1, axis2, fmt, digest):
         code, out, _ = invoke(
@@ -398,6 +404,22 @@ class TestRegionCommand:
         assert code == 0
         # No per-point objects: the peak is a small multiple of the text.
         assert peak < 6 * len(out.getvalue())
+
+    def test_csv_memory_is_linear_in_output(self, write):
+        argv = ["region", "--spec", write("s.json", NO_SABOTAGE), "--figure", "1",
+                "--fixed", "1", "--axis1", "0.1:5:300", "--axis2", "0.1:5:300"]
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = run(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # Blocks bound the rendering's working set: the peak is the text
+        # twice (the blocks and their join) plus one block.
+        assert peak < 3 * len(out.getvalue())
 
     @pytest.mark.parametrize("axis1, axis2, fixed", [
         ("nan:1:3", "1:inf:2", "1"),
@@ -550,3 +572,22 @@ class TestUsageErrors:
         )
         assert code == 2
         assert "region" in err
+
+
+class TestRegionFiguresScript:
+    @pytest.mark.parametrize("flags", [
+        ["--points", "0"], ["--points", "-2"], ["--lo", "0"], ["--hi", "inf"], ["--lo", "nan"],
+    ])
+    def test_bad_arguments_are_usage_errors(self, tmp_path, flags):
+        script = os.path.join(os.path.dirname(__file__), "..", "scripts", "region_figures.py")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")]
+        )
+        child = subprocess.run(
+            [sys.executable, script, "--out", str(tmp_path / "out"), *flags],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert child.returncode == 2 and child.stdout == ""
+        assert "error:" in child.stderr and "Traceback" not in child.stderr
+        assert not (tmp_path / "out").exists()

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import groupcontest as gc
 from groupcontest import cli
-from helpers import make_spec, random_spec, region_rows, region_rows_csv, specs
+from helpers import RegionRow, make_spec, random_spec, region_rows, region_rows_csv, specs
 
 # Positive finite axis points from ordinary sizes out to 1e-300 and 1e300,
 # where ``.9g`` prints exponents and products leave the float range.
@@ -346,3 +347,65 @@ class TestRegionSample:
                 for r in rows
             ])
         assert _cli_output([*argv, "--format", "json"]) == expected.getvalue()
+
+
+def _one_row_csv(margins: list[float]) -> tuple[str, str]:
+    """``region_csv`` of a one-row grid holding ``margins`` (axis points
+    all 1), and the oracle's CSV of the same rows."""
+    margin = np.array([margins], dtype=np.float64)
+    grid = gc.RegionGrid(np.ones(1), np.ones(margin.shape[1]), margin)
+    rows = [RegionRow(1.0, 1.0, m >= 0, m) for m in margins]
+    return gc.region_csv(grid), region_rows_csv(rows)
+
+
+# Exact 9-digit half-way ties, which '%.9g' rounds half to even, the same
+# ties in other binary scales, and the floats nearest to decimal ties,
+# whose scaled products often round onto the tie.
+_TIES = [123456788.5, 123456789.5, 1234567885.0, 1234567895.0]
+_SPELLING_CORPUS = (
+    _TIES
+    + [math.ldexp(t, k) for t in _TIES for k in range(-60, 61)]
+    + [float(f"{d}5e{k}") for d in (100000000, 324305772, 500000001, 999999999)
+       for k in range(-40, 30)]
+    + [math.nextafter(10.0**k, to) for k in range(-30, 31) for to in (math.inf, -math.inf)]
+    + [10.0**k for k in range(-30, 31)]
+    + [999999999.5, 999999999.49999994, 9.999999995, 0.00099999999949999996, 1e-4, 1e-5]
+)
+
+
+class TestRegionCsv:
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_margin_spelling_matches_format(self, margins):
+        got, want = _one_row_csv(margins)
+        assert got == want
+
+    def test_margin_spelling_corpus(self):
+        margins = _SPELLING_CORPUS + [-m for m in _SPELLING_CORPUS]
+        got, want = _one_row_csv(margins)
+        assert got == want
+
+    def test_no_runtime_warning_on_special_margins(self):
+        margins = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0,
+                   5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = _one_row_csv(margins)
+        assert got == want
+
+    # Block edges fall inside rows: one row longer than a block, rows that
+    # do not divide a block, one column, and one point.
+    @pytest.mark.parametrize("figure, n1, n2", [
+        (2, 1, 40000), (1, 250, 300), (1, 40000, 1), (1, 1, 1),
+    ])
+    def test_blocks_match_oracle(self, figure, n1, n2):
+        if figure == 2:  # exponent forms, and margins that overflow to inf
+            axis1 = np.geomspace(1e290, 1e300, n1).tolist()
+            axis2 = np.geomspace(1e-300, 1e300, n2).tolist()
+            theta = 1e10
+        else:
+            axis1 = np.geomspace(1e-3, 1e3, n1).tolist()
+            axis2 = np.linspace(0.1, 5.0, n2).tolist()
+            theta = None
+        grid = gc.region_sample(figure, 0.8, axis1, axis2, theta=theta)
+        assert gc.region_csv(grid) == region_rows_csv(region_rows(figure, 0.8, axis1, axis2, theta))
