@@ -10,6 +10,7 @@ exploratory: nothing is claimed about what players "really" do there.
 """
 
 import argparse
+import math
 from itertools import chain
 
 import numpy as np
@@ -33,6 +34,12 @@ def main() -> None:
     parser.add_argument("--seeds", type=int, default=3)
     parser.add_argument("--max-iters", type=int, default=1000)
     args = parser.parse_args()
+    if not 0 < args.c < math.inf:
+        parser.error(f"--c must be finite and positive, got {args.c}")
+    if args.seeds < 1:
+        parser.error(f"--seeds must be at least 1, got {args.seeds}")
+    if args.max_iters < 1:
+        parser.error(f"--max-iters must be at least 1, got {args.max_iters}")
 
     c = args.c
     base = validate_spec(ContestSpec(GroupSpec((c, -c)), GroupSpec((c, -c)), 1.0))
@@ -57,7 +64,7 @@ def main() -> None:
                     abs(a - b)
                     for a, b in zip(chain(*final.xs, *final.ys), chain(*target.xs, *target.ys))
                 )
-                assert drift < 1e-6, "converged away from the closed form"
+                assert drift < 1e-6 * c, "converged away from the closed form"
 
 
 if __name__ == "__main__":

@@ -46,17 +46,27 @@ the profile in one place: it takes the group's x and y columns as the
 profile holds them, and what depends only on the group (its gross
 effort, both effective efforts, the current odds, the rounding-band
 decision) is computed once, by the builtin sums ``effective_efforts``
-takes over the same columns, and shared by its players.  Report rows
-carry the player ids ``players`` yields: shared immutable values from
-one bounded cache in ``model``, so a search builds no ids once groups
-of its sizes have been seen.  Idle players' rows, staying at
-(+0.0, +0.0), are shared too, checked against those ids on each use: a
-search builds a row only for a busy player (any other effort, -0.0
-included) and for an improving one.  ``best_deviation`` searches one
-player, so calls for distinct players may run in parallel.  Round-robin
-dynamics is inherently sequential: each search reads the columns
-afresh, a move swaps one entry of two columns, and the convergence and
-cycle checks read the profiles as rows of one growing float64 array.
+takes over the same columns, and shared by its players.  It has two
+layers.  The pick layer, ``_search_moves``, returns each gaining
+player's move and exact gain as plain floats.  The row layer,
+``_search_group``, builds the report rows that ``best_deviation``,
+``is_epsilon_nash`` and ``refute_class`` return.  Rows carry the player
+ids ``players`` yields: shared immutable values from one bounded cache
+in ``model``, so a search builds no ids once groups of its sizes have
+been seen.  Idle players' rows, staying at (+0.0, +0.0), are shared
+too, checked against those ids on each use: a search builds a row only
+for a busy player (any other effort, -0.0 included) and for an
+improving one.  ``best_deviation`` searches one player, so calls for
+distinct players may run in parallel.
+
+``best_response_dynamics`` reads the pick layer alone and builds no
+rows.  Round-robin play is inherently sequential: each search reads the
+columns afresh, and each move is one ``replace``, which swaps one entry
+of two columns.  After an iteration the profile becomes one row of a
+float64 array that doubles when full, and one broadcast against the
+earlier rows gives the largest change from each of them: the last is
+the step just taken, for the convergence check, and the others feed
+the cycle check.
 
 A group's search takes one of two paths.  Outside the rounding band, a
 search of ``ARRAY_MIN_PLAYERS`` or more players scores all their
@@ -184,6 +194,19 @@ class DynamicsStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class DynamicsResult:
+    """Outcome of ``best_response_dynamics``.
+
+    ``status``: Converged, Cycling or MaxIters.
+    ``profile``: the last profile reached, ``trajectory[-1]``.
+    ``iterations``: the iterations run, each updating every player once.
+    ``period``: for Cycling only, the number of iterations since the
+    earlier profile that the last one recurred to (at least 2); None
+    otherwise.
+    ``trajectory``: ``iterations + 1`` profiles, the initial profile at
+    ``trajectory[0]`` and the profile after iteration t at
+    ``trajectory[t]``.
+    """
+
     status: DynamicsStatus
     profile: StrategyProfile
     iterations: int
@@ -277,7 +300,7 @@ def _search_array(theta, indices, valuations, columns, z, z_other, p_now, own_gr
     scored."""
     idx = np.fromiter(indices, np.intp, len(indices)) - 1
     v, cx, cy = np.array((valuations, *columns))[:, idx]
-    m = z - (cx - theta * cy)  # the residuals, as ``_search_group`` takes them
+    m = z - (cx - theta * cy)  # the residuals, as ``_search_moves`` takes them
     pos = v > 0
     with np.errstate(all="ignore"):
         kink = np.where(pos, np.maximum(0.0, -m), np.maximum(0.0, m / theta))
@@ -329,16 +352,16 @@ def _search_array(theta, indices, valuations, columns, z, z_other, p_now, own_gr
     return busy, list(zip(movers.tolist(), bx[movers].tolist(), by[movers].tolist())), count
 
 
-def _search_group(
-    spec: ContestSpec, profile: StrategyProfile, group: int, indices
-) -> tuple[list[Deviation], int]:
-    """Exact best deviations of the listed players of one group, and the
-    number of points scored.  The group's values are read from the
-    profile here, by the sums ``effective_efforts`` takes, so they are
-    its values bit for bit.  Outside the rounding band,
-    ``ARRAY_MIN_PLAYERS`` or more listed players are searched by
-    ``_search_array``, fewer by the scalar loop; both report the busy
-    players and pick only the moves, whose exact gains are taken here."""
+def _search_moves(spec: ContestSpec, profile: StrategyProfile, group: int, indices):
+    """The pick layer of the search of the listed players of one group:
+    the (position, x, y, gain) of each listed player whose best move
+    gains, the positions of the busy listed players (an effort other
+    than +0.0, -0.0 included) and the number of points scored.  The
+    group's values are read from the profile here, by the sums
+    ``effective_efforts`` takes, so they are its values bit for bit.
+    Outside the rounding band, ``ARRAY_MIN_PLAYERS`` or more listed
+    players are searched by ``_search_array``, fewer by the scalar loop;
+    both pick only the moves, whose exact gains are taken here."""
     theta = spec.theta
     valuations = spec.group(group).valuations
     columns = xs, ys = profile.xs[group - 1], profile.ys[group - 1]
@@ -395,24 +418,39 @@ def _search_group(
             if best is not None and (pick := _on_axis(v, best)) != (x, y):
                 picks.append((i, *pick))
 
-    def payoff(k, x, y, z_own):
-        z1, z2 = (z_own, z_other) if group == 1 else (z_other, z_own)
-        return _payoff_at(valuations[k - 1], group, z1, z2, x, y)
+    # A pick's gain is exact: the payoff as ``_payoff_at`` takes it, from the
+    # group sum with the move swapped in, less the current payoff at the
+    # group's odds (the p1 that ``_payoff_at`` computes at (z1, z2)).  A
+    # player whose pick gains nothing stays put.
+    gains = []
+    if picks:
+        p_own = p_now if group == 1 else 1.0 - win_probability_short(z_other, z)
+        for i, x, y in picks:
+            k = indices[i]
+            v, moved = valuations[k - 1], _moved_z(theta, columns, k, x, y)
+            z1, z2 = (moved, z_other) if group == 1 else (z_other, moved)
+            gain = _payoff_at(v, group, z1, z2, x, y) - (v * p_own - xs[k - 1] - ys[k - 1])
+            if gain > 0.0:
+                gains.append((i, x, y, gain))
+    return gains, busy, count
 
-    # Idle players take the shared rows, busy ones a row at their effort.
-    # A pick's gain is exact, from the group sum with the move swapped in;
-    # a player whose pick gains nothing stays put.
+
+def _search_group(
+    spec: ContestSpec, profile: StrategyProfile, group: int, indices
+) -> tuple[list[Deviation], int]:
+    """The row layer over ``_search_moves``: exact best deviations of the
+    listed players of one group, and the number of points scored.  Idle
+    players take the shared rows, busy ones a row at their effort, and
+    each gaining player a row at its move."""
+    gains, busy, count = _search_moves(spec, profile, group, indices)
+    xs, ys = profile.xs[group - 1], profile.ys[group - 1]
     ids, idle = _group_ids(group, len(xs)), _idle_rows(group, len(xs))
     if idle[0].player is not ids[0]:  # ``_group_ids`` rebuilt this size's ids
         _idle_rows.cache_clear()
         idle = _idle_rows(group, len(xs))
     deviations = [idle[k - 1] for k in indices]
-    for i, x, y in picks:
-        k = indices[i]
-        moved = _moved_z(theta, columns, k, x, y)
-        gain = payoff(k, x, y, moved) - payoff(k, xs[k - 1], ys[k - 1], z)
-        if gain > 0.0:
-            deviations[i] = Deviation(ids[k - 1], x, y, gain)
+    for i, x, y, gain in gains:
+        deviations[i] = Deviation(ids[indices[i] - 1], x, y, gain)
     for i in busy:
         k = indices[i]
         if deviations[i] is idle[k - 1]:  # not moved by a gaining pick
@@ -640,6 +678,7 @@ def best_response_dynamics(
         raise ContestError(f"order must be round_robin or simultaneous, got {order!r}")
     _check_shape(spec, initial)
     roster = list(players(spec))
+    groups = [(g, _group_ids(g, n), range(1, n + 1)) for g, n in enumerate(spec.sizes(), 1)]
     current = initial
     trajectory = [initial]
     # Row t holds profile t's columns; the buffer doubles when it is full.
@@ -649,30 +688,33 @@ def best_response_dynamics(
         gain = 0.0
         if order == "round_robin":
             for p in roster:
-                (d,), _ = _search_group(spec, current, p.group, (p.index,))
-                gain = max(gain, d.improvement)
-                if d.improvement > 0.0:
-                    current = current.replace(p, d.new_x, d.new_y)
+                for _, x, y, d in _search_moves(spec, current, p.group, (p.index,))[0]:
+                    gain = max(gain, d)
+                    current = current.replace(p, x, y)
         else:
-            moves, _ = _search_all(spec, current)
-            gain = max(d.improvement for d in moves)
+            moves = [
+                (ids[i], x, y, d)
+                for group, ids, indices in groups
+                for i, x, y, d in _search_moves(spec, current, group, indices)[0]
+            ]
+            gain = max((d for *_, d in moves), default=0.0)
             if gain > FIXED_POINT_TOL:
-                for d in moves:
-                    if d.improvement > 0.0:
-                        current = current.replace(d.player, d.new_x, d.new_y)
+                for p, x, y, _ in moves:
+                    current = current.replace(p, x, y)
 
         trajectory.append(current)
         if iteration == len(history):
             history = np.concatenate((history, np.empty_like(history)))
-        vec = np.concatenate(current.xs + current.ys, out=history[iteration])
-        delta = float(np.max(np.abs(vec - history[iteration - 1])))
-        if gain <= FIXED_POINT_TOL and delta <= CONVERGENCE_TOL:
+        xs, ys = current.xs, current.ys
+        history[iteration] = xs[0] + xs[1] + ys[0] + ys[1]
+        # The largest change from each earlier profile: the last is the step
+        # just taken, the others are checked for a recurrence.
+        gaps = abs(history[:iteration] - history[iteration]).max(axis=1)
+        if gain <= FIXED_POINT_TOL and gaps[-1] <= CONVERGENCE_TOL:
             return DynamicsResult(
                 DynamicsStatus.CONVERGED, current, iteration, None, tuple(trajectory)
             )
-        # Compare with every profile but the previous one.
-        gaps = np.max(np.abs(history[: iteration - 1] - vec), axis=1)
-        hits = np.nonzero(gaps <= CYCLE_TOL)[0]
+        hits = (gaps[:-1] <= CYCLE_TOL).nonzero()[0]
         if hits.size:
             period = iteration - int(hits[-1])
             return DynamicsResult(

@@ -3,8 +3,9 @@ hypothesis strategies, the five-case contest success function that the
 one-line form must match bit for bit, independent grid-search oracles
 for the single-axis best-response rules and for a player's best
 deviation, the player-by-player deviation search that the group-at-once
-one must match bit for bit, and the point-by-point region sweep that
-the array-backed one must match.
+one must match bit for bit, the row-by-row dynamics loop that the
+move-by-move one must match bit for bit, and the point-by-point region
+sweep that the array-backed one must match.
 
 The grid oracles maximize the exact payoff of each regime by brute force
 on a dense effort grid (augmented with the exact piece endpoints, where
@@ -24,7 +25,16 @@ import groupcontest as gc
 from groupcontest import best_response as br
 from groupcontest.csf import payoff, win_probability_short
 from groupcontest.model import effective_efforts, valuation
-from groupcontest.verify import ROUNDING_BAND, Deviation
+from groupcontest.verify import (
+    CONVERGENCE_TOL,
+    CYCLE_TOL,
+    FIXED_POINT_TOL,
+    ROUNDING_BAND,
+    Deviation,
+    DynamicsResult,
+    DynamicsStatus,
+    _search_all,
+)
 
 
 def make_spec(vals1, vals2, theta) -> gc.ContestSpec:
@@ -447,6 +457,56 @@ def deviation_hex(d) -> str:
     return (
         f"{d.player.group}:{d.player.index}:{d.new_x.hex()}:{d.new_y.hex()}"
         f":{d.improvement.hex()}"
+    )
+
+
+# --- row-by-row dynamics oracle ---------------------------------------------
+
+
+def reference_dynamics(spec, initial, max_iters: int, order: str) -> DynamicsResult:
+    """``best_response_dynamics`` as it was before it read moves from the
+    search's pick layer: every search builds its report rows (one
+    ``best_deviation`` a player in round-robin play, ``_search_all`` in
+    simultaneous play) and the checks go through ``np.max``."""
+    roster = list(gc.players(spec))
+    current = initial
+    trajectory = [initial]
+    history = np.concatenate(initial.xs + initial.ys)[np.newaxis]
+
+    for iteration in range(1, max_iters + 1):
+        gain = 0.0
+        if order == "round_robin":
+            for p in roster:
+                d = gc.best_deviation(spec, current, p)
+                gain = max(gain, d.improvement)
+                if d.improvement > 0.0:
+                    current = current.replace(p, d.new_x, d.new_y)
+        else:
+            moves, _ = _search_all(spec, current)
+            gain = max(d.improvement for d in moves)
+            if gain > FIXED_POINT_TOL:
+                for d in moves:
+                    if d.improvement > 0.0:
+                        current = current.replace(d.player, d.new_x, d.new_y)
+
+        trajectory.append(current)
+        if iteration == len(history):
+            history = np.concatenate((history, np.empty_like(history)))
+        vec = np.concatenate(current.xs + current.ys, out=history[iteration])
+        delta = float(np.max(np.abs(vec - history[iteration - 1])))
+        if gain <= FIXED_POINT_TOL and delta <= CONVERGENCE_TOL:
+            return DynamicsResult(
+                DynamicsStatus.CONVERGED, current, iteration, None, tuple(trajectory)
+            )
+        gaps = np.max(np.abs(history[: iteration - 1] - vec), axis=1)
+        hits = np.nonzero(gaps <= CYCLE_TOL)[0]
+        if hits.size:
+            period = iteration - int(hits[-1])
+            return DynamicsResult(
+                DynamicsStatus.CYCLING, current, iteration, period, tuple(trajectory)
+            )
+    return DynamicsResult(
+        DynamicsStatus.MAX_ITERS, current, max_iters, None, tuple(trajectory)
     )
 
 

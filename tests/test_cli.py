@@ -574,20 +574,43 @@ class TestUsageErrors:
         assert "region" in err
 
 
+def _run_script(name: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run ``scripts/<name>`` as a child process on this checkout's ``src``."""
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(root, "src"), env.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", name), *flags],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def _assert_usage_error(child: subprocess.CompletedProcess) -> None:
+    assert child.returncode == 2 and child.stdout == ""
+    assert "error:" in child.stderr and "Traceback" not in child.stderr
+
+
 class TestRegionFiguresScript:
     @pytest.mark.parametrize("flags", [
         ["--points", "0"], ["--points", "-2"], ["--lo", "0"], ["--hi", "inf"], ["--lo", "nan"],
     ])
     def test_bad_arguments_are_usage_errors(self, tmp_path, flags):
-        script = os.path.join(os.path.dirname(__file__), "..", "scripts", "region_figures.py")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")]
-        )
-        child = subprocess.run(
-            [sys.executable, script, "--out", str(tmp_path / "out"), *flags],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert child.returncode == 2 and child.stdout == ""
-        assert "error:" in child.stderr and "Traceback" not in child.stderr
+        _assert_usage_error(_run_script("region_figures.py", "--out", str(tmp_path / "out"), *flags))
         assert not (tmp_path / "out").exists()
+
+
+class TestGapDynamicsScript:
+    @pytest.mark.parametrize("flags", [
+        ["--max-iters", "0"], ["--max-iters", "-3"], ["--c", "0"], ["--c", "nan"],
+        ["--c", "inf"], ["--c", "-1"], ["--seeds", "0"], ["--seeds", "-1"],
+    ])
+    def test_bad_arguments_are_usage_errors(self, flags):
+        _assert_usage_error(_run_script("gap_dynamics.py", *flags))
+
+    # Computed before dynamics took its moves from the pick layer of the search.
+    def test_golden_output(self):
+        child = _run_script("gap_dynamics.py", "--seeds", "2", "--max-iters", "200")
+        assert child.returncode == 0 and child.stderr == ""
+        assert hashlib.sha256(child.stdout.encode()).hexdigest() == (
+            "07d2471144ee9443c4f9cbfc32948fe598074c9176e640f61e3d74151bfe4188"
+        )

@@ -21,6 +21,7 @@ from helpers import (
     profile_distance,
     random_profile,
     random_spec,
+    reference_dynamics,
     scalar_search,
     specs,
 )
@@ -1025,6 +1026,36 @@ class TestDynamics:
         assert result.trajectory[-1] == result.profile
         if result.status is gc.DynamicsStatus.CYCLING:
             assert result.period >= 2
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(-600, 600),
+        st.integers(2, 6),
+        st.integers(2, 6),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from(["round_robin", "simultaneous"]),
+        st.integers(1, 40),
+    )
+    def test_matches_row_by_row_reference(self, k, n1, n2, seed, jitter, order, max_iters):
+        rng = np.random.default_rng(seed)
+        s = math.ldexp(1.0, k)
+        theta = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
+        spec = make_spec(corpus_group(rng, n1, s), corpus_group(rng, n2, s), theta)
+        initial = (
+            random_profile(rng, spec, scale=1e-3 * s) if jitter
+            else gc.StrategyProfile.zeros(spec)
+        )
+        got = gc.best_response_dynamics(spec, initial, max_iters, order)
+        want = reference_dynamics(spec, initial, max_iters, order)
+        assert (got.status, got.iterations, got.period) == (
+            want.status, want.iterations, want.period
+        )
+        assert len(got.trajectory) == got.iterations + 1
+        assert got.profile is got.trajectory[-1]
+        assert [_profile_hex(q) for q in got.trajectory] == [
+            _profile_hex(q) for q in want.trajectory
+        ]
 
     # Ladder specs at 20, 45 and 60 players a group, theta at half the lower
     # cutoff, inside the gap and at twice the upper cutoff, from seeded
