@@ -22,6 +22,11 @@ Callers own the regime bookkeeping: these functions do not check that
 the resulting group effort actually lands in the assumed sign regime.
 z_other = 0 is rejected because the interior conditions are singular
 there (and that situation never arises at an equilibrium).
+
+The rules hold at any unit scale: both interior solutions come from
+``_stationary`` (shared with ``verify``'s search and sampler), which
+scales its arguments by a power of two, and an effort beyond the float
+range comes back as inf.
 """
 
 from __future__ import annotations
@@ -45,6 +50,34 @@ class AxisBestResponse:
     tie: bool = False
 
 
+def _stationary(v: float, theta: float, z_minus: float, z_other: float) -> float:
+    """The concave piece's peak on the player's axis, or 0 if there is
+    none: ``br_positive_x`` for v > 0 (theta unused), ``br_negative_y``
+    for v < 0.  The peak is homogeneous of degree 1 in (v, z_minus,
+    z_other), so it runs on arguments scaled by a power of two to at
+    most 1, where v*z_other cannot overflow or underflow, and scales
+    back exactly.  Where
+    that scaling underflows v or z_other to 0, the square root of their
+    product is taken as a product of square roots in the original units."""
+    if not (z_other > 0 if v > 0 else z_other < 0):
+        return 0.0
+    e = math.frexp(max(abs(v), abs(z_minus), abs(z_other)))[1]
+    v1, m1, o1 = math.ldexp(v, -e), math.ldexp(z_minus, -e), math.ldexp(z_other, -e)
+    if v1 == 0 or o1 == 0:
+        root = math.sqrt(abs(v)) * math.sqrt(abs(z_other))
+        if v > 0:
+            return max(0.0, root - z_other - z_minus)
+        return max(0.0, (math.sqrt(theta) * root - abs(z_other) + z_minus) / theta)
+    if v > 0:
+        effort = max(0.0, math.sqrt(v1 * o1) - o1 - m1)
+    else:
+        effort = max(0.0, (math.sqrt(theta * abs(v1) * abs(o1)) - abs(o1) + m1) / theta)
+    try:
+        return math.ldexp(effort, e)
+    except OverflowError:  # beyond the float range
+        return math.inf
+
+
 def br_positive_x(v: float, z_minus: float, z_other: float) -> AxisBestResponse:
     """Best constructive effort of a positive-valuation player when the
     rival group's effective effort is positive.
@@ -55,8 +88,7 @@ def br_positive_x(v: float, z_minus: float, z_other: float) -> AxisBestResponse:
     """
     if v <= 0 or z_other <= 0:
         raise DomainError(f"need v > 0 and z_other > 0, got v={v}, z_other={z_other}")
-    effort = max(0.0, math.sqrt(v * z_other) - z_other - z_minus)
-    return AxisBestResponse(effort)
+    return AxisBestResponse(_stationary(v, 1.0, z_minus, z_other))
 
 
 def br_positive_y(theta: float, v: float, z_minus: float, z_other: float) -> AxisBestResponse:
@@ -67,7 +99,9 @@ def br_positive_y(theta: float, v: float, z_minus: float, z_other: float) -> Axi
     endpoints matter: y = 0 yields v*z_minus/(z_minus + z_other), while
     y = z_minus/theta (own group neutralized) yields -z_minus/theta.
     Sabotage pays exactly when theta*|v| > z_minus + z_other; at
-    equality both endpoints tie and the quiet one is returned.
+    equality both endpoints tie and the quiet one is returned.  Where
+    both sides overflow, their halves are compared: halving is exact
+    there.
     """
     if theta <= 0 or v >= 0 or z_minus <= 0 or z_other <= 0:
         raise DomainError(
@@ -76,6 +110,8 @@ def br_positive_y(theta: float, v: float, z_minus: float, z_other: float) -> Axi
         )
     stake = theta * abs(v)
     hurdle = z_minus + z_other
+    if stake == hurdle == math.inf:
+        stake, hurdle = theta * (0.5 * abs(v)), 0.5 * z_minus + 0.5 * z_other
     if stake < hurdle:
         return AxisBestResponse(0.0)
     if stake > hurdle:
@@ -95,8 +131,7 @@ def br_negative_y(theta: float, v: float, z_minus: float, z_other: float) -> Axi
         raise DomainError(
             f"need theta > 0, v < 0, z_other < 0; got theta={theta}, v={v}, z_other={z_other}"
         )
-    effort = (math.sqrt(theta * abs(v) * abs(z_other)) - abs(z_other) + z_minus) / theta
-    return AxisBestResponse(max(0.0, effort))
+    return AxisBestResponse(_stationary(v, theta, z_minus, z_other))
 
 
 def br_negative_x(v: float, z_minus: float, z_other: float) -> AxisBestResponse:

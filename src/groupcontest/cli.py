@@ -250,6 +250,8 @@ def _cmd_br(args, spec: ContestSpec) -> int:
         raise br.DomainError(
             f"no best-response rule applies to v={v}, z_other={z_other}"
         )
+    if response.effort == math.inf:
+        raise ContestError(f"{name} effort is beyond the float range")
     _emit({"operation": name, "effort": response.effort, "tie": response.tie})
     return 0
 

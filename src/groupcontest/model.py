@@ -169,28 +169,10 @@ class StrategyProfile:
 
 @dataclass(frozen=True)
 class EffectiveEffort:
-    """Group-level effective efforts z_i = X_i - theta*Y_i plus, for
-    every player, the residual contributed by the rest of her group:
-    z_minus(i, k) = z_i - (x_ik - theta*y_ik)."""
+    """Group-level effective efforts z_i = X_i - theta*Y_i."""
 
     z1: float
     z2: float
-    residuals: tuple[tuple[float, ...], tuple[float, ...]]
-
-    def _position(self, group: int, index: int = 1) -> int:
-        sizes = tuple(map(len, self.residuals))
-        if group not in (1, 2) or not 1 <= index <= sizes[group - 1]:
-            raise UnknownPlayer(f"group {group}, index {index} is outside sizes {sizes}")
-        return group - 1
-
-    def z(self, group: int) -> float:
-        return (self.z1, self.z2)[self._position(group)]
-
-    def z_other(self, group: int) -> float:
-        return (self.z2, self.z1)[self._position(group)]
-
-    def z_minus(self, player: PlayerId) -> float:
-        return self.residuals[self._position(player.group, player.index)][player.index - 1]
 
 
 # An entry is as large as its group, so the bound keeps the cache within a
@@ -267,15 +249,11 @@ def _check_shape(spec: ContestSpec, profile: StrategyProfile) -> None:
 
 
 def effective_efforts(spec: ContestSpec, profile: StrategyProfile) -> EffectiveEffort:
-    """Compute both groups' effective efforts and per-player residuals."""
+    """Compute both groups' effective efforts, each by the builtin sums
+    over its x and y columns."""
     _check_shape(spec, profile)
-    zs = []
-    residuals = []
-    for xs, ys in zip(profile.xs, profile.ys):
-        z = sum(xs) - spec.theta * sum(ys)
-        zs.append(z)
-        residuals.append(tuple(z - (x - spec.theta * y) for x, y in zip(xs, ys)))
-    return EffectiveEffort(zs[0], zs[1], (residuals[0], residuals[1]))
+    (x1, x2), (y1, y2), theta = profile.xs, profile.ys, spec.theta
+    return EffectiveEffort(sum(x1) - theta * sum(y1), sum(x2) - theta * sum(y2))
 
 
 # --- canonical JSON documents -------------------------------------------

@@ -90,6 +90,7 @@ from itertools import chain
 
 import numpy as np
 
+from .best_response import _stationary
 from .csf import _payoff_at, p1_values, win_probability_short
 from .model import (
     ContestError,
@@ -218,33 +219,6 @@ def default_epsilon(spec: ContestSpec) -> float:
     """Scale-aware certification slack: payoffs are linear in the
     valuations, so the tolerance follows their magnitude."""
     return 1e-6 * spec.max_abs_valuation()
-
-
-def _stationary(v: float, theta: float, z_minus: float, z_other: float) -> float:
-    """The concave piece's peak on the player's axis, or 0 if there is
-    none.  The rules are homogeneous of degree 1 in (v, z_minus, z_other),
-    so they run on arguments scaled by a power of two to at most 1, where
-    v*z_other cannot overflow or underflow, and scale back exactly.  Where
-    that scaling underflows v or z_other to 0, the square root of their
-    product is taken as a product of square roots in the original units."""
-    if not (z_other > 0 if v > 0 else z_other < 0):
-        return 0.0
-    e = math.frexp(max(abs(v), abs(z_minus), abs(z_other)))[1]
-    v1, m1, o1 = math.ldexp(v, -e), math.ldexp(z_minus, -e), math.ldexp(z_other, -e)
-    if v1 == 0 or o1 == 0:
-        root = math.sqrt(abs(v)) * math.sqrt(abs(z_other))
-        if v > 0:
-            return max(0.0, root - z_other - z_minus)
-        return max(0.0, (math.sqrt(theta) * root - abs(z_other) + z_minus) / theta)
-    # ``br_positive_x`` and ``br_negative_y``, expression for expression.
-    if v > 0:
-        effort = max(0.0, math.sqrt(v1 * o1) - o1 - m1)
-    else:
-        effort = max(0.0, (math.sqrt(theta * abs(v1) * abs(o1)) - abs(o1) + m1) / theta)
-    try:
-        return math.ldexp(effort, e)
-    except OverflowError:  # beyond the float range: cut back by ``_edge``
-        return math.inf
 
 
 def _on_axis(v: float, e: float) -> tuple[float, float]:
@@ -601,18 +575,17 @@ def _generate_forbidden(
     violator = _draw(rng, builder_violators if use_builders else saboteur_violators)
     g = violator.group
     j = 3 - g
+    v = valuation(spec, violator)
     if use_builders:
-        vk = valuation(spec, violator)
-        z_rival = rng.uniform(0.15, 0.5) * vk
-        z_own = math.sqrt(vk * z_rival) - z_rival  # violator's stationary point
+        z_rival = rng.uniform(0.15, 0.5) * v
+        z_own = _stationary(v, theta, 0.0, z_rival)  # violator's stationary point
         profile = profile.replace(violator, z_own, 0.0)
         profile = profile.replace(ids[j][0], z_rival, 0.0)
         target = ids[g][0]
     else:
-        vh = abs(valuation(spec, violator))
-        z_rival = rng.uniform(0.15, 0.5) * theta * vh
+        z_rival = rng.uniform(0.15, 0.5) * theta * abs(v)
         profile = profile.replace(ids[j][-1], 0.0, z_rival / theta)
-        y_own = (math.sqrt(theta * vh * z_rival) - z_rival) / theta
+        y_own = _stationary(v, theta, 0.0, -z_rival)
         profile = profile.replace(violator, 0.0, y_own)
         target = ids[g][-1]
     return profile, [target]

@@ -1,7 +1,9 @@
 """Shared test utilities: spec builders, seeded random spec generation,
-hypothesis strategies, the five-case contest success function that the
-one-line form must match bit for bit, independent grid-search oracles
-for the single-axis best-response rules and for a player's best
+hypothesis strategies, a per-player residual oracle (the library's
+``EffectiveEffort`` holds only the two group sums), the five-case
+contest success function that the one-line form must match bit for
+bit, independent grid-search oracles for the single-axis best-response
+rules and for a player's best
 deviation, the player-by-player deviation search that the group-at-once
 one must match bit for bit, the row-by-row dynamics loop that the
 move-by-move one must match bit for bit, and the point-by-point region
@@ -90,6 +92,27 @@ def profile_distance(a: gc.StrategyProfile, b: gc.StrategyProfile) -> float:
         for ga, gb in zip(a.efforts, b.efforts)
         for ea, eb in zip(ga, gb)
     )
+
+
+# --- residual oracle ---------------------------------------------------------
+
+
+class Residual(NamedTuple):
+    """One player's view of the group sums: her group's effective effort
+    ``z``, the rest of her group's ``z_minus`` = z - (x - theta*y), and
+    the rival group's ``z_other``."""
+
+    z: float
+    z_minus: float
+    z_other: float
+
+
+def residual(spec, profile, player) -> Residual:
+    """The player's ``Residual``, from the sums ``effective_efforts`` takes."""
+    eff = effective_efforts(spec, profile)
+    z, z_other = (eff.z1, eff.z2) if player.group == 1 else (eff.z2, eff.z1)
+    e = profile.effort(player)
+    return Residual(z, z - (e.x - spec.theta * e.y), z_other)
 
 
 # --- five-case contest success function ----------------------------------
@@ -312,9 +335,7 @@ def grid_deviation(spec, profile, player) -> tuple[float, float, float]:
     current effort."""
     v = gc.valuation(spec, player)
     theta = spec.theta
-    eff = gc.effective_efforts(spec, profile)
-    z_minus = eff.z_minus(player)
-    z_other = eff.z_other(player.group)
+    _, z_minus, z_other = residual(spec, profile, player)
     current = profile.effort(player)
     reach = 4.0 * (spec.max_abs_valuation() + abs(z_minus) + abs(z_other))
 
@@ -368,7 +389,7 @@ def _stationary(v: float, theta: float, z_minus: float, z_other: float) -> float
 
 def _own_z(spec, profile, player, x, y) -> float:
     """Own-group effective effort after a move, rounded as in ``payoff``."""
-    return effective_efforts(spec, profile.replace(player, x, y)).z(player.group)
+    return residual(spec, profile.replace(player, x, y), player).z
 
 
 def _largest_where(holds, e: float) -> float:
@@ -396,13 +417,12 @@ def scalar_search(spec, profile, player):
     # The group's gross effort and nonzero efforts bound the rounding in z.
     own_gross = sum(e.x + theta * e.y for e in group)
     terms = sum((e.x != 0) + (e.y != 0) for e in group)
-    z_minus = eff.z_minus(player)
-    z_other = eff.z_other(player.group)
+    z, z_minus, z_other = residual(spec, profile, player)
     current = profile.effort(player)
 
     # The current effort is scored first, so ties keep the player put.
     best_x, best_y = current.x, current.y
-    best_value = v * win_probability_short(eff.z(player.group), z_other) - best_x - best_y
+    best_value = v * win_probability_short(z, z_other) - best_x - best_y
 
     move = (lambda e: (e, 0.0)) if v > 0 else (lambda e: (0.0, e))
     kink = max(0.0, -z_minus) if v > 0 else max(0.0, z_minus / theta)

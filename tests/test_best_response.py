@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import groupcontest as gc
 from helpers import (
@@ -65,6 +69,16 @@ class TestPositiveY:
         with pytest.raises(gc.DomainError):
             gc.br_positive_y(theta, v, z_minus, z_other)
 
+    @pytest.mark.parametrize(
+        "z_minus,z_other,effort,tie",
+        [(1e308, 9e307, 5e307, False), (1e308, 1.5e308, 0.0, False), (1e308, 1e308, 0.0, True)],
+    )
+    def test_overflowing_sides_compare_halved(self, z_minus, z_other, effort, tie):
+        # theta*|v| = 2e308 and z_minus + z_other both overflow to inf;
+        # their halves, 1e308 against (z_minus + z_other)/2, decide.
+        r = gc.br_positive_y(2.0, -1e308, z_minus, z_other)
+        assert (r.effort, r.tie) == (effort, tie)
+
 
 class TestNegativeY:
     def test_interior_solution(self):
@@ -102,6 +116,42 @@ class TestNegativeX:
     def test_domain(self, v, z_minus, z_other):
         with pytest.raises(gc.DomainError):
             gc.br_negative_x(v, z_minus, z_other)
+
+
+# Magnitudes within 2**+-8 of 1: scaled by 2**k with |k| <= 1000 they stay
+# normal floats, so (lam*v, lam*z_minus, lam*z_other) is exact.
+_magnitude = st.floats(2.0**-8, 2.0**8)
+_signed = st.one_of(st.just(0.0), _magnitude, _magnitude.map(lambda m: -m))
+
+
+class TestScale:
+    """The interior rules are homogeneous of degree 1 in (v, z_minus,
+    z_other): at lam = 2**k the effort is lam times the effort at
+    ordinary scale, bit for bit, for every k the float range allows."""
+
+    @given(_magnitude, _signed, _magnitude, st.integers(-1000, 1000))
+    def test_positive_x_is_scale_linear(self, v, z_minus, z_other, k):
+        lam = math.ldexp(1.0, k)
+        scaled = gc.br_positive_x(lam * v, lam * z_minus, lam * z_other)
+        assert scaled.effort == math.ldexp(gc.br_positive_x(v, z_minus, z_other).effort, k)
+
+    @given(st.floats(1 / 16, 16.0), _magnitude, _signed, _magnitude, st.integers(-1000, 1000))
+    def test_negative_y_is_scale_linear(self, theta, v, z_minus, z_other, k):
+        lam = math.ldexp(1.0, k)
+        scaled = gc.br_negative_y(theta, -lam * v, lam * z_minus, -lam * z_other)
+        ordinary = gc.br_negative_y(theta, -v, z_minus, -z_other)
+        assert scaled.effort == math.ldexp(ordinary.effort, k)
+
+    def test_product_overflow(self):
+        # v * z_other = 1e400 overflows; the peak sqrt(1e400) - 1e200 is 0.
+        assert gc.br_positive_x(1e200, 0.0, 1e200).effort == 0.0
+        assert gc.br_negative_y(1.0, -1e200, 0.0, -1e200).effort == 0.0
+
+    def test_product_underflow(self):
+        # v * z_other = 4e-400 underflows; the peak is 2e-200 - 1e-200.
+        assert math.isclose(gc.br_positive_x(4e-200, 0.0, 1e-200).effort, 1e-200, rel_tol=1e-15)
+        effort = gc.br_negative_y(1.0, -4e-200, 0.0, -1e-200).effort
+        assert math.isclose(effort, 1e-200, rel_tol=1e-15)
 
 
 class TestGroupBestEffectiveEffort:

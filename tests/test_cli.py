@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcontest import cli
 from groupcontest.cli import run
@@ -36,6 +39,17 @@ def write(tmp_path):
         return str(path)
 
     return _write
+
+
+@pytest.fixture(scope="module")
+def br_spec(tmp_path_factory):
+    path = tmp_path_factory.mktemp("br") / "spec.json"
+    path.write_text(json.dumps(NO_SABOTAGE))
+    return str(path)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"stdout holds the non-JSON constant {name}")
 
 
 def invoke(capsys, *argv):
@@ -313,6 +327,90 @@ class TestBrCommand:
         )
         assert code == 1
         assert "DomainError" in err
+
+    # The digests were computed before ``br_positive_x`` and ``br_negative_y``
+    # moved onto the power-of-two-scaled peak: at ordinary scale every rule,
+    # tie and clamp prints the same bytes.
+    @pytest.mark.parametrize("flags, digest", [
+        ("--v 4 --z-minus 0 --z-other 1",
+         "c748483a4fa88b443ad2150ec2933c585a1c962f1c8caf03eb06e9ebb9ff0aa1"),
+        ("--v 10 --z-minus 0.5 --z-other 2",
+         "3d655775b4d720ada7566627cd7a92410938ae245f7ae536dd3b081234dee78b"),
+        ("--v 3 --z-minus -0.7 --z-other 0.3",
+         "5f69045ac061d213e67be3a409602e91bb9e16f62c39842ff816f03ccdfb515f"),
+        ("--v 1 --z-minus 2 --z-other 1",
+         "f2784d177027e321122320476377b1876f01e42a7b1db32a71473035f4265dba"),
+        ("--v 2.5e-3 --z-minus 1e-4 --z-other 7e-4",
+         "3534d4b89c7e21241bc7ba130a33824bbd9250ac188bc8edfe95faff06c9fed4"),
+        ("--v 1e10 --z-minus=-3e9 --z-other 2e9",
+         "e2ae2e1b6c60fdccb686ddcd835584bf61e724f01e78c8357a63c1a35c28635e"),
+        ("--v 3e100 --z-minus 1e99 --z-other 2e100",
+         "b896e930c13b7ab07caca1ee8aa2ba71b1e8f795b259bd2484b0b23e27607c28"),
+        ("--v -3 --theta 0.7 --z-minus -0.1 --z-other=-1.3",
+         "e308b9583994bb88f3db03d015cd603f717bb8ebfb437c5f2d0196264a056ccd"),
+        ("--v -10 --theta 2 --z-minus 4 --z-other 3",
+         "a450b16bc5026748e04aa0c7119a417628ba9b03a4f87175e11de7ddecdf6345"),
+        ("--v -1 --theta 2 --z-minus 4 --z-other 3",
+         "0c7817962f52b23e6014c5c1f7d6cd651df0f1969ae7fe758bc90956f8e1a54a"),
+        ("--v -7 --theta 1 --z-minus 4 --z-other 3",
+         "0622a74fa6768a9a9c25ae7e254137508e0327e4b4353e421d88664438a52e0b"),
+        ("--v -4 --theta 1 --z-minus 0 --z-other=-1",
+         "6c62e6e8c9008192d7d20fdcd319b7edadb710a576c8e8245d0a9f9248009d01"),
+        ("--v -3 --theta 0.7 --z-minus 0.4 --z-other=-1.3",
+         "c036bb3558b48f64cf6249531216617f387eca87abfe9bbb593a519639d5084b"),
+        ("--v -3 --theta 0.7 --z-minus -0.4 --z-other=-1.3",
+         "ee941819582febcd9e840ffc5c5aea13e575413f1537c5780a027e987e3be10e"),
+        ("--v -0.1 --theta 1 --z-minus -5 --z-other=-2",
+         "ee941819582febcd9e840ffc5c5aea13e575413f1537c5780a027e987e3be10e"),
+        ("--v 10 --z-minus -4 --z-other=-3",
+         "3e4192a1ae97464f70bbc5b8e6ca3ed9690539ada224f0ac2cb28d7b1d01310c"),
+        ("--v 1 --z-minus -4 --z-other=-3",
+         "a2d2d84ca1c0d22fb1064a48ad816bd3c4e7bf202432f72627577ddb55b58dd1"),
+        ("--v 7 --z-minus -4 --z-other=-3",
+         "3ee6adde6d4d00985e491cc6b435d78fb88a0975e3515efb0e69ec71cd02e182"),
+    ])
+    def test_golden_output(self, capsys, write, flags, digest):
+        code, out, _ = invoke(capsys, "br", "--spec", write("s.json", NO_SABOTAGE), *flags.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("flags, effort", [
+        ("--v 1e200 --z-minus 0 --z-other 1e200", 0.0),  # v * z_other overflows
+        ("--v 4e-200 --z-minus 0 --z-other 1e-200", 1e-200),  # v * z_other underflows
+    ])
+    def test_any_scale(self, capsys, write, flags, effort):
+        code, out, _ = invoke(capsys, "br", "--spec", write("s.json", NO_SABOTAGE), *flags.split())
+        assert code == 0
+        assert json.loads(out)["effort"] == effort
+
+    def test_effort_beyond_the_float_range_is_refused(self, capsys, write):
+        # sqrt(v * z_other) - z_other - z_minus is about 2.1e308.
+        code, out, err = invoke(
+            capsys, "br", "--spec", write("s.json", NO_SABOTAGE),
+            "--v", "1.7e308", "--z-minus=-1.7e308", "--z-other", "4e307",
+        )
+        assert (code, out) == (1, "")
+        assert "beyond the float range" in err
+
+    @settings(max_examples=200)
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_finite_flags_never_print_a_non_finite_effort(self, br_spec, v, z_minus, z_other, theta):
+        argv = ["br", "--spec", br_spec, f"--v={v!r}", f"--z-minus={z_minus!r}",
+                f"--z-other={z_other!r}", f"--theta={theta!r}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1)
+        if code == 0:
+            effort = json.loads(out.getvalue(), parse_constant=_refuse_constant)["effort"]
+            assert 0.0 <= effort < math.inf
+        else:
+            assert out.getvalue() == ""
 
 
 class TestRegionCommand:

@@ -6,7 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import groupcontest as gc
-from helpers import dyadic_efforts, dyadic_thetas, make_spec, specs, specs_with_profiles
+from groupcontest.verify import _moved_z
+from helpers import (
+    dyadic_efforts,
+    dyadic_thetas,
+    make_spec,
+    residual,
+    specs,
+    specs_with_profiles,
+)
 
 
 class TestValidateSpec:
@@ -82,7 +90,10 @@ class TestEffectiveEfforts:
         profile = _profile(spec, {(1, 1): (0, 4)})
         eff = gc.effective_efforts(spec, profile)
         assert eff.z1 == -2.0
-        assert eff.z_minus(gc.PlayerId(1, 1)) == 0.0
+        assert residual(spec, profile, gc.PlayerId(1, 1)).z_minus == 0.0
+
+    def test_holds_only_the_two_group_sums(self):
+        assert [f.name for f in dataclasses.fields(gc.EffectiveEffort)] == ["z1", "z2"]
 
     def test_shape_mismatch(self):
         spec = make_spec([4, 1, -1], [4, 2, -1], 0.5)
@@ -90,30 +101,23 @@ class TestEffectiveEfforts:
         with pytest.raises(gc.ShapeMismatch):
             gc.effective_efforts(spec, gc.StrategyProfile.zeros(other))
 
-    @given(specs_with_profiles())
-    def test_residual_definition(self, pair):
-        spec, profile = pair
-        eff = gc.effective_efforts(spec, profile)
-        for p in gc.players(spec):
-            e = profile.effort(p)
-            z = eff.z(p.group)
-            assert eff.z_minus(p) == z - (e.x - spec.theta * e.y)
-
     @given(
         theta=dyadic_thetas,
         efforts=st.lists(st.tuples(dyadic_efforts, dyadic_efforts), min_size=2, max_size=4),
     )
     def test_decomposition_exact_on_dyadics(self, theta, efforts):
         # Dyadic inputs make every intermediate exactly representable,
-        # so the residual identity holds with no rounding at all.
+        # so the residual identity holds with no rounding at all: the
+        # group's sum with player k idle, plus her own contribution, is z.
         n = len(efforts)
         spec = make_spec([2] + [1] * (n - 2) + [-1], [1, -1], theta)
         profile = gc.StrategyProfile.zeros(spec)
         for k, (x, y) in enumerate(efforts, start=1):
             profile = profile.replace(gc.PlayerId(1, k), x, y)
         eff = gc.effective_efforts(spec, profile)
+        columns = (profile.xs[0], profile.ys[0])
         for k, (x, y) in enumerate(efforts, start=1):
-            assert eff.z_minus(gc.PlayerId(1, k)) + (x - theta * y) == eff.z1
+            assert _moved_z(theta, columns, k, 0.0, 0.0) + (x - theta * y) == eff.z1
 
     @given(specs_with_profiles(), st.integers(-8, 8))
     def test_group_scaling_exact_for_powers_of_two(self, pair, exponent):
@@ -237,36 +241,6 @@ class TestProfileColumns:
         row = gc.profile_to_dict(profile)["efforts"][1][1]
         assert (row["x"].hex(), row["y"].hex()) == ("-0x0.0p+0", "-0x0.0p+0")
         assert _bits(gc.profile_from_dict(gc.profile_to_dict(profile))) == _bits(profile)
-
-
-class TestEffectiveEffortAccess:
-    """``z``, ``z_other`` and ``z_minus`` refuse groups and ids outside the
-    contest instead of wrapping an index or reading the other group."""
-
-    README_SPEC = make_spec([4, 1, -1], [4, 2, -1], 0.5)
-
-    @pytest.mark.parametrize(
-        "read",
-        [
-            lambda eff: eff.z_minus(gc.PlayerId(1, 0)),
-            lambda eff: eff.z_minus(gc.PlayerId(0, 1)),
-            lambda eff: eff.z(0),
-            lambda eff: eff.z_other(7),
-        ],
-        ids=["z_minus_index_0", "z_minus_group_0", "z_group_0", "z_other_group_7"],
-    )
-    def test_unknown_group_or_player_is_refused(self, read):
-        profile = _profile(self.README_SPEC, {(1, 3): (0, 1), (2, 1): (2, 0)})
-        eff = gc.effective_efforts(self.README_SPEC, profile)
-        with pytest.raises(gc.UnknownPlayer):
-            read(eff)
-
-    def test_known_groups_and_players_read_their_own_values(self):
-        profile = _profile(self.README_SPEC, {(1, 3): (0, 1), (2, 1): (2, 0)})
-        eff = gc.effective_efforts(self.README_SPEC, profile)
-        assert (eff.z(1), eff.z(2), eff.z_other(1), eff.z_other(2)) == (-0.5, 2.0, 2.0, -0.5)
-        residuals = [eff.z_minus(p) for p in gc.players(self.README_SPEC)]
-        assert residuals == [-0.5, -0.5, 0.0, 0.0, 2.0, 2.0]
 
 
 class TestDocuments:

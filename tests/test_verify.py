@@ -22,6 +22,7 @@ from helpers import (
     random_profile,
     random_spec,
     reference_dynamics,
+    residual,
     scalar_search,
     specs,
 )
@@ -96,11 +97,9 @@ class TestBestDeviation:
         rng = np.random.default_rng(13)
         for _ in range(5):
             profile = random_profile(rng, spec, scale=3.0)
-            eff = gc.effective_efforts(spec, profile)
             for p in gc.players(spec):
                 v = gc.valuation(spec, p)
-                z_minus = eff.z_minus(p)
-                z_other = eff.z_other(p.group)
+                _, z_minus, z_other = residual(spec, profile, p)
                 e = profile.effort(p)
                 reach = 4.0 * (spec.max_abs_valuation() + abs(z_minus) + abs(z_other))
                 grid = np.linspace(0.0, reach, 200_001)
@@ -246,8 +245,7 @@ class TestExactSearch:
         for d in gc.is_epsilon_nash(spec, profile).deviations:
             v = gc.valuation(spec, d.player)
             assert d.improvement == pytest.approx(abs(v) / 2, rel=1e-12)
-            z = gc.effective_efforts(spec, profile.replace(d.player, d.new_x, d.new_y))
-            assert z.z(d.player.group) * v > 0
+            assert residual(spec, profile.replace(d.player, d.new_x, d.new_y), d.player).z * v > 0
             assert (d.new_y == 0.0) if v > 0 else (d.new_x == 0.0)
 
     @pytest.mark.parametrize("z_other", [0.0, 1e-200, -1e-200])
@@ -943,6 +941,38 @@ class TestRefuteClass:
                 1,
                 no_sabotage_spec.group(r.deviation.player.group).size,
             )
+
+    @pytest.mark.parametrize("k", [-990, 990])
+    @pytest.mark.parametrize("forbidden", list(gc.ForbiddenClass))
+    def test_extreme_scale(self, forbidden, k):
+        # Both groups hold free-rider candidates: group 1 two non-top
+        # builders, group 2 a non-bottom saboteur.
+        s = math.ldexp(1.0, k)
+        spec = make_spec([4 * s, 2 * s, 1 * s, -1 * s], [4 * s, 2 * s, -1 * s, -2 * s], 0.7)
+        tol = 1e-9 * spec.max_abs_valuation()
+        records = gc.refute_class(spec, forbidden, 20, seed=990)
+        assert len(records) == 20
+        for r in records:
+            assert r.deviation.improvement > tol
+            efforts = [e for column in r.profile.xs + r.profile.ys for e in column]
+            assert all(0.0 <= e < math.inf for e in efforts)
+            if forbidden is not gc.ForbiddenClass.FREE_RIDER_VIOLATION:
+                continue
+            # The violator is the one active player inside her group's ends.
+            (violator,) = (
+                p for p in gc.players(spec)
+                if r.profile.effort(p) != gc.Effort(0.0, 0.0)
+                and p.index not in (1, spec.group(p.group).size)
+            )
+            v = gc.valuation(spec, violator)
+            _, z_minus, z_other = residual(spec, r.profile, violator)
+            e = r.profile.effort(violator)
+            if v > 0:
+                effort, peak = e.x, gc.br_positive_x(v, z_minus, z_other).effort
+            else:
+                effort, peak = e.y, gc.br_negative_y(spec.theta, v, z_minus, z_other).effort
+            assert effort > 0.0
+            assert math.isclose(effort, peak, rel_tol=1e-12)
 
     def test_refutation_golden_digest(self):
         assert _refutation_digest(6, 2028) == (
