@@ -65,22 +65,26 @@ def p1_values(z1, z2) -> np.ndarray:
     """Vectorized ``win_probability_short``, bit for bit, overflow rule
     included.
 
-    Accepts scalars or arrays (broadcast together).  The deviation
+    Accepts scalars or arrays (broadcast together), and raises
+    ``NonFiniteInput`` if any element is NaN or infinite.  The deviation
     search scores a large group's candidates with it in one call.
     """
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
     with np.errstate(over="ignore"):
         scale = np.abs(z1) + np.abs(z2)
-    big = np.isinf(scale)
-    if big.any():
-        half = np.where(big, 0.5, 1.0)
+    finite = np.isfinite(scale)
+    if not finite.all():
+        # Non-finite inputs make the scale non-finite, as overflow does.
+        if not (np.isfinite(z1).all() and np.isfinite(z2).all()):
+            raise NonFiniteInput("effective efforts must be finite")
+        half = np.where(finite, 1.0, 0.5)
         z1, z2 = half * z1, half * z2
         scale = np.abs(z1) + np.abs(z2)
     # np.maximum keeps its second argument on ties, max its first: both
     # map z1 = -0.0 to +0.0.
     num = np.maximum(z1, 0.0) - np.minimum(0.0, z2)
-    out = np.full(np.broadcast(z1, z2).shape, 0.5)
+    out = np.full(scale.shape, 0.5)
     np.divide(num, scale, out=out, where=scale > 0)
     return out
 

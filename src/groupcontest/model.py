@@ -93,7 +93,9 @@ class ContestSpec:
         return (self.group1.size, self.group2.size)
 
     def max_abs_valuation(self) -> float:
-        return max(map(abs, self.group1.valuations + self.group2.valuations))
+        """The largest |valuation| of a validated spec (top > 0 > bottom)."""
+        g1, g2 = self.group1.valuations, self.group2.valuations
+        return max(g1[0], -g1[-1], g2[0], -g2[-1])
 
 
 @dataclass(frozen=True)

@@ -69,15 +69,14 @@ the step just taken, for the convergence check, and the others feed
 the cycle check.
 
 A group's search takes one of two paths.  Outside the rounding band, a
-search of ``ARRAY_MIN_PLAYERS`` or more players scores all their
-candidates as float64 arrays: the same candidates in the same order,
-the same IEEE operations and the same tie rule, so every report is the
-scalar loop's bit for bit, and no case is handed back to the loop.  All
-other searches run the scalar loop, which is faster there: the array
-path pays about 60 numpy calls per group, so in-process it takes about
-5x the loop's time at 3 players per group, breaks even at 35 to 45
-(earlier on closed-form profiles, later on mixed ones) and takes 0.4x
-at 200.
+whole group of ``ARRAY_MIN_PLAYERS`` or more players is scored as one
+float64 matrix, with the scalar loop's candidates, IEEE operations and
+tie rule, so every report is the loop's bit for bit and no case is
+handed back to it.  Other searches, one player's among them, run the
+loop, which is faster there: in-process on a shared 2-vCPU VM the matrix
+costs about 65 us per group at 10 players, 2x the loop's time, breaks
+even at 25 to 35 players (closed-form profiles first, mixed ones later)
+and takes 0.3x at 200.
 """
 
 from __future__ import annotations
@@ -112,10 +111,10 @@ CYCLE_TOL = 1e-6
 # where |z_other| exceeds that by ROUNDING_BAND, keeping their error below
 # about |v| * 2**-44.
 ROUNDING_BAND = 2.0**44
-# Searches of at least this many players of a group outside the rounding
-# band run on arrays; the scalar loop is faster below it (the measured
+# Whole groups of at least this many players outside the rounding band are
+# searched on arrays; the scalar loop is faster below it (inside the measured
 # crossover, see the module docstring).
-ARRAY_MIN_PLAYERS = 45
+ARRAY_MIN_PLAYERS = 30
 # Below this, the group's gross effort plus a move (theta times it for y)
 # keeps every sum the search takes finite; above it ``_edge`` checks them.
 SUM_EDGE = 2.0**1023
@@ -262,22 +261,19 @@ def _idle_rows(group: int, size: int) -> tuple[Deviation, ...]:
     return tuple(Deviation(p, 0.0, 0.0, 0.0) for p in _group_ids(group, size))
 
 
-def _search_array(theta, indices, valuations, columns, z, z_other, p_now, own_gross):
-    """The exact-mode search of the listed players on float64 arrays:
-    per player the same candidates in the same order (0, the kink, the
-    stationary point), cut back by ``_edge`` where their group sums may
-    leave the float range and scored by the same IEEE operations with
-    the same strict ``>``, so every pick is the scalar loop's.  Returns
-    the positions of the busy listed players (an effort other than
-    +0.0, -0.0 included), the (position, x, y) of each listed player
-    whose pick differs from the current effort, and the number of points
-    scored."""
-    idx = np.fromiter(indices, np.intp, len(indices)) - 1
-    v, cx, cy = np.array((valuations, *columns))[:, idx]
-    m = z - (cx - theta * cy)  # the residuals, as ``_search_moves`` takes them
+def _search_array(theta, valuations, columns, z, z_other, p_now, own_gross):
+    """The scalar loop's exact-mode search of a whole group, on float64
+    arrays with the same candidates, cut-backs and IEEE operations: the
+    positions of the busy players, the (position, effort) of each player
+    whose best candidate beats its current effort, and the number of
+    points scored."""
+    v, cx, cy = np.array((valuations, *columns), dtype=float)
+    m = z - (cx - theta * cy)  # the residuals, as the scalar loop takes them
     pos = v > 0
+    moves = np.zeros((3, len(v)))  # rows: the candidates 0, the kink, the stationary point
+    kink, stat = moves[1], moves[2]
     with np.errstate(all="ignore"):
-        kink = np.where(pos, np.maximum(0.0, -m), np.maximum(0.0, m / theta))
+        np.maximum(0.0, np.where(pos, -m, m / theta), out=kink)
         # z_other != 0 outside the rounding band, so exactly one sign class
         # has a concave piece: builders against a building rival, saboteurs
         # against a sabotaging one.  Scaled as in ``_stationary``.
@@ -290,51 +286,45 @@ def _search_array(theta, indices, valuations, columns, z, z_other, p_now, own_gr
         else:
             root = np.sqrt(theta * np.abs(v1) * np.abs(o1))
             peak = np.maximum(0.0, (root - np.abs(o1) + m1) / theta)
-        stat = np.zeros_like(v)
         stat[has] = np.ldexp(peak, e)
         if not (v1.all() and o1.all()):  # the common scaling underflows
             for i in np.flatnonzero(has)[(v1 == 0) | (o1 == 0)].tolist():
                 stat[i] = _stationary(float(v[i]), theta, float(m[i]), z_other)
-        kink_ok = kink > 0
-        stat_ok = (stat > 0) & ~(kink_ok & (stat == kink))
-        moves = np.stack(
-            [np.zeros_like(v), np.where(kink_ok, kink, 0.0), np.where(stat_ok, stat, 0.0)]
-        )
-        ok = np.stack([np.ones_like(pos), kink_ok, stat_ok])
+        stat[stat == kink] = 0.0  # a stationary point at the kink is scored once
+        ok = moves[1:] > 0  # the kinks and stationary points that are candidates
         if not own_gross + max(1.0, theta) * moves.max() <= SUM_EDGE:
-            far = (moves > 0) & ~(own_gross + np.where(pos, 1.0, theta) * moves <= SUM_EDGE)
+            far = ok & ~(own_gross + np.where(pos, 1.0, theta) * moves[1:] <= SUM_EDGE)
             for r, i in np.argwhere(far).tolist():
-                e = float(moves[r, i])
-                moves[r, i] = _edge(theta, columns, indices[i], float(v[i]), float(m[i]), e)
+                e = float(moves[r + 1, i])
+                moves[r + 1, i] = _edge(theta, columns, i + 1, float(v[i]), float(m[i]), e)
+        # Row 0 scores the current effort, rows 1-3 the candidates.
+        score = np.empty((4, len(v)))
+        score[0] = v * p_now - cx - cy
         z_moved = m + np.where(pos, 1.0, -theta) * moves
-        values = v * p1_values(z_moved, z_other) - moves
-    # The current effort is scored first, so ties keep the player put.
-    best = v * p_now - cx - cy
-    took = np.zeros(len(v), dtype=bool)
-    pick = np.zeros_like(v)
-    for move, value, valid in zip(moves, values, ok):
-        better = valid & (value > best)
-        best = np.where(better, value, best)
-        pick = np.where(better, move, pick)
-        took |= better
-    bx = np.where(took, np.where(pos, pick, 0.0), cx)
-    by = np.where(took, np.where(pos, 0.0, pick), cy)
-    movers = np.flatnonzero((bx != cx) | (by != cy))
-    count = len(v) + int(np.count_nonzero(ok))
+        np.subtract(v * p1_values(z_moved, z_other), moves, out=score[1:])
+    np.copyto(score[2:], -np.inf, where=~ok)
+    # No score is nan: the efforts and, once ``_edge`` has run, the moved
+    # group sums are finite, so each score is finite or -inf.  argmax then
+    # takes the first maximum, which is the scalar loop's strict ``>`` in
+    # scoring order: ties keep the player at its current effort.
+    best = score.argmax(axis=0)
+    took = np.flatnonzero(best)
+    picks = list(zip(took.tolist(), moves[best[took] - 1, took].tolist()))
     # +0.0 is the only float whose bits are all zero.
     busy = np.flatnonzero(cx.view(np.int64) | cy.view(np.int64)).tolist()
-    return busy, list(zip(movers.tolist(), bx[movers].tolist(), by[movers].tolist())), count
+    return busy, picks, 2 * len(v) + int(np.count_nonzero(ok))
 
 
 def _search_moves(spec: ContestSpec, profile: StrategyProfile, group: int, indices):
-    """The pick layer of the search of the listed players of one group:
-    the (position, x, y, gain) of each listed player whose best move
-    gains, the positions of the busy listed players (an effort other
-    than +0.0, -0.0 included) and the number of points scored.  The
-    group's values are read from the profile here, by the sums
-    ``effective_efforts`` takes, so they are its values bit for bit.
-    Outside the rounding band, ``ARRAY_MIN_PLAYERS`` or more listed
-    players are searched by ``_search_array``, fewer by the scalar loop;
+    """The pick layer of the search of the listed players of one group,
+    the whole group (``range(1, n + 1)``) or one player: the (position,
+    x, y, gain) of each listed player whose best move gains, the
+    positions of the busy listed players (an effort other than +0.0,
+    -0.0 included) and the number of points scored.  The group's values
+    are read from the profile here, by the sums ``effective_efforts``
+    takes, so they are its values bit for bit.  Outside the rounding
+    band, a whole group of ``ARRAY_MIN_PLAYERS`` or more players is
+    searched by ``_search_array``, other searches by the scalar loop;
     both pick only the moves, whose exact gains are taken here."""
     theta = spec.theta
     valuations = spec.group(group).valuations
@@ -350,7 +340,7 @@ def _search_moves(spec: ContestSpec, profile: StrategyProfile, group: int, indic
 
     if exact and len(indices) >= ARRAY_MIN_PLAYERS:
         busy, picks, count = _search_array(
-            theta, indices, valuations, columns, z, z_other, p_now, own_gross
+            theta, valuations, columns, z, z_other, p_now, own_gross
         )
     else:
         busy, picks, count = [], [], 0
@@ -389,23 +379,26 @@ def _search_moves(spec: ContestSpec, profile: StrategyProfile, group: int, indic
                 value = v * win_probability_short(z_e, z_other) - e
                 if value > best_value:
                     best, best_value = e, value
-            if best is not None and (pick := _on_axis(v, best)) != (x, y):
-                picks.append((i, *pick))
+            if best is not None:
+                picks.append((i, best))
 
     # A pick's gain is exact: the payoff as ``_payoff_at`` takes it, from the
     # group sum with the move swapped in, less the current payoff at the
     # group's odds (the p1 that ``_payoff_at`` computes at (z1, z2)).  A
-    # player whose pick gains nothing stays put.
+    # player whose pick is its current effort, or gains nothing, stays put.
     gains = []
     if picks:
         p_own = p_now if group == 1 else 1.0 - win_probability_short(z_other, z)
-        for i, x, y in picks:
+        for i, e in picks:
             k = indices[i]
-            v, moved = valuations[k - 1], _moved_z(theta, columns, k, x, y)
+            v, x, y = valuations[k - 1], xs[k - 1], ys[k - 1]
+            if (pick := _on_axis(v, e)) == (x, y):
+                continue
+            moved = _moved_z(theta, columns, k, *pick)
             z1, z2 = (moved, z_other) if group == 1 else (z_other, moved)
-            gain = _payoff_at(v, group, z1, z2, x, y) - (v * p_own - xs[k - 1] - ys[k - 1])
+            gain = _payoff_at(v, group, z1, z2, *pick) - (v * p_own - x - y)
             if gain > 0.0:
-                gains.append((i, x, y, gain))
+                gains.append((i, *pick, gain))
     return gains, busy, count
 
 
@@ -422,7 +415,7 @@ def _search_group(
     if idle[0].player is not ids[0]:  # ``_group_ids`` rebuilt this size's ids
         _idle_rows.cache_clear()
         idle = _idle_rows(group, len(xs))
-    deviations = [idle[k - 1] for k in indices]
+    deviations = list(idle) if len(indices) == len(idle) else [idle[k - 1] for k in indices]
     for i, x, y, gain in gains:
         deviations[i] = Deviation(ids[indices[i] - 1], x, y, gain)
     for i in busy:

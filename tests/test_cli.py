@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -697,6 +698,69 @@ class TestRegionFiguresScript:
         assert not (tmp_path / "out").exists()
 
 
+def _result_line(ops_per_s: float, p50: float, correct: bool = True) -> str:
+    metrics = {"setup_s": 0.2, "ops_per_s": ops_per_s, "op_p50_ms": p50, "op_p90_ms": 2 * p50,
+               "ok_ratio": 1.0, "peak_rss_mb": 40.0}
+    return json.dumps({"correct": correct, "attempted": 100, "failed": 0 if correct else 3,
+                       "metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()}})
+
+
+class TestAbBenchScript:
+    @pytest.fixture(scope="class")
+    def ab(self):
+        path = os.path.join(os.path.dirname(__file__), "..", "scripts", "ab_bench.py")
+        spec = importlib.util.spec_from_file_location("ab_bench", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.mark.parametrize("override", [
+        {"--workdir": None}, {"--pairs": "0"}, {"--seconds": "0"}, {"--seconds": "nan"},
+        {"--seconds": "inf"}, {"--workload": "no_such"}, {"--parent": "no-such-revision"},
+        {"--workdir": "CHECKOUT"}, {"--workdir": "CHECKOUT/tests"}, {"--workdir": "NOT_EMPTY"},
+    ])
+    def test_bad_arguments_are_usage_errors(self, tmp_path, override):
+        root = os.path.join(os.path.dirname(__file__), "..")
+        (tmp_path / "full").mkdir()
+        (tmp_path / "full" / "x").write_text("")
+        places = {"CHECKOUT": root, "CHECKOUT/tests": os.path.join(root, "tests"),
+                  "NOT_EMPTY": str(tmp_path / "full")}
+        args = {"--parent": "HEAD", "--change": ".", "--workload": "certify_large",
+                "--workdir": str(tmp_path / "work"), **override}
+        argv = [a for k, v in args.items() if v is not None for a in (k, places.get(v, v))]
+        _assert_usage_error(_run_script("ab_bench.py", *argv))
+        assert not (tmp_path / "work").exists()
+
+    def test_summary_of_canned_results(self, ab):
+        names = ["setup_s", "ops_per_s", "op_p50_ms", "op_p90_ms", "ok_ratio", "peak_rss_mb"]
+        canned = [((100.0, 1.0), (130.0, 0.8)), ((110.0, 0.9), (120.0, 0.9)),
+                  ((90.0, 1.1), (80.0, 1.2)), ((100.0, 1.0), (150.0, 0.7))]
+        pairs = [
+            {"parent": ab.parse_result(f"# header\n{_result_line(*p)}\n", names),
+             "change": ab.parse_result(_result_line(*c), names)}
+            for p, c in canned
+        ]
+        metrics = json.loads(
+            open(os.path.join(os.path.dirname(__file__), "..", "BENCHMARK.json")).read()
+        )["end_to_end"]
+        rows = {line.split()[0]: line for line in ab.summary(pairs, metrics).splitlines()[1:]}
+        assert rows.keys() == set(names)
+        # Parent ops/s 90, 100, 100, 110: median 100, inclusive quartiles 97.5 and 102.5.
+        assert "100 [97.5, 102.5]" in rows["ops_per_s"]
+        assert "125 [110, 135]" in rows["ops_per_s"]
+        assert rows["ops_per_s"].endswith(" 3/4")
+        assert rows["op_p50_ms"].endswith(" 2/4")  # lower is better; the tie counts for neither
+        assert rows["setup_s"].endswith(" 0/4")
+
+    @pytest.mark.parametrize("stdout", [
+        "", "not json", '{"correct": true}', _result_line(1.0, 1.0)[:-20],
+        _result_line(1.0, 1.0, correct=False),
+    ])
+    def test_malformed_or_wrong_results_fail(self, ab, stdout):
+        with pytest.raises(ab.RunFailed):
+            ab.parse_result(stdout, ["ops_per_s"])
+
+
 class TestGapDynamicsScript:
     @pytest.mark.parametrize("flags", [
         ["--max-iters", "0"], ["--max-iters", "-3"], ["--c", "0"], ["--c", "nan"],
@@ -704,6 +768,15 @@ class TestGapDynamicsScript:
     ])
     def test_bad_arguments_are_usage_errors(self, flags):
         _assert_usage_error(_run_script("gap_dynamics.py", *flags))
+
+    def test_wrong_convergence_is_reported(self):
+        # At this scale the dynamics' absolute tolerances stop every run at
+        # once, inside the gap too, where no closed form exists.
+        child = _run_script("gap_dynamics.py", "--c", "1e-300", "--seeds", "1")
+        assert child.returncode == 1 and "Traceback" not in child.stderr
+        assert "seed 0: converged, but no pure equilibrium exists" in child.stderr
+        assert "away from the closed form" in child.stderr
+        assert len(child.stdout.splitlines()) == 2 + 9
 
     # Computed before dynamics took its moves from the pick layer of the search.
     def test_golden_output(self):

@@ -44,6 +44,16 @@ class TestWinProbability:
         with pytest.raises(gc.NonFiniteInput):
             gc.win_probability_short(1.0, bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "form", [float, lambda z: np.array([1.0, z, 0.0])], ids=["scalars", "arrays"]
+    )
+    def test_vectorized_non_finite_rejected(self, bad, form):
+        with pytest.raises(gc.NonFiniteInput):
+            gc.p1_values(form(bad), form(1.0))
+        with pytest.raises(gc.NonFiniteInput):
+            gc.p1_values(form(-3.0), form(bad))
+
     @given(finite_z, finite_z)
     def test_normalization(self, z1, z2):
         p1 = gc.win_probability_short(z1, z2)

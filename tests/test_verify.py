@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import groupcontest as gc
@@ -640,6 +640,102 @@ def array_search_cases(draw):
     return spec, gc.StrategyProfile(tuple(tuple(gc.Effort(x, y) for x, y in g) for g in efforts))
 
 
+TIE_KINDS = ("dyadic", "stationary", "at_kink", "idle", "far_kink")
+
+
+def _dyadic_group(draw, n: int, s: float) -> list[float]:
+    """n valid valuations that are multiples of s/4, interior ties allowed."""
+    n_pos = draw(st.integers(1, n - 1))
+    mags = st.integers(1, 32)
+    pos = sorted(draw(st.lists(mags, min_size=n_pos, max_size=n_pos)), reverse=True)
+    neg = sorted(draw(st.lists(mags, min_size=n - n_pos, max_size=n - n_pos)))
+    pos[0] += 1
+    neg[-1] += 1
+    return [s * m / 4 for m in pos] + [-s * m / 4 for m in neg]
+
+
+@st.composite
+def tie_prone_cases(draw):
+    """2 to 12 players per group at valuation scale 2**k and a profile
+    prone to score ties, one of ``TIE_KINDS``: dyadic valuations and
+    efforts, some 2**-60 of the scale so that they vanish beside a
+    payoff; the same with one player moved to its own stationary point;
+    a top player whose stationary point is its kink (the rival's effort
+    equals its valuation, its own group sabotages); one group idle; or
+    builders only under theta = 2**-1000, so every saboteur's kink lies
+    beyond the float range."""
+    kind = draw(st.sampled_from(TIE_KINDS))
+    k = draw(st.integers(100 if kind == "far_kink" else -600, 600))
+    s = math.ldexp(1.0, k)
+    vals = [_dyadic_group(draw, draw(st.integers(2, 12)), s) for _ in "12"]
+    if kind == "far_kink":
+        theta = math.ldexp(1.0, -1000)
+    else:
+        theta = math.ldexp(draw(st.integers(1, 32)), -draw(st.integers(0, 4)))
+    spec = make_spec(*vals, theta)
+    dyadic = st.sampled_from([0.0, 0.0, 2.0**-60, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0])
+    efforts = [[[s * draw(dyadic), s * draw(dyadic)] for _ in g] for g in vals]
+    if kind == "far_kink":
+        efforts = [[[x, 0.0] for x, _ in g] for g in efforts]
+    elif kind == "idle":
+        g = draw(st.integers(0, 1))
+        efforts[g] = [[0.0, 0.0] for _ in vals[g]]
+    elif kind == "at_kink":
+        g = draw(st.integers(0, 1))
+        efforts[g] = [[0.0, 0.0] for _ in vals[g]]
+        efforts[g][-1][1] = s * draw(dyadic.filter(bool))
+        efforts[1 - g] = [[0.0, 0.0] for _ in vals[1 - g]]
+        efforts[1 - g][0][0] = vals[g][0]
+    profile = gc.StrategyProfile(tuple(tuple(gc.Effort(x, y) for x, y in g) for g in efforts))
+    if kind == "stationary":
+        p = draw(st.sampled_from(list(gc.players(spec))))
+        _, z_minus, z_other = residual(spec, profile, p)
+        e = verify._stationary(gc.valuation(spec, p), theta, z_minus, z_other)
+        if math.isfinite(e):
+            profile = profile.replace(p, *verify._on_axis(gc.valuation(spec, p), e))
+    return spec, profile
+
+
+# Player (2, 2) scores the candidates 0 and x = 0.5 equal to the last bit:
+# the search must pick the first of tied scores.
+TIED_SCORES = (
+    make_spec([0.5, -0.25, -0.25, -0.25, -0.25, -0.25, -0.5],
+              [3.25, 3.0, 0.25, -0.25, -0.25, -0.25, -0.5], 1.0),
+    gc.StrategyProfile._from_columns(
+        ((0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0), (0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 1.5)),
+        ((0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 0.0), (0.0, 0.25, 2.0, 0.0, 0.0, 0.5, 0.0)),
+    ),
+)
+
+
+def _certify_large_group(rng: np.random.Generator, half: int) -> list[float]:
+    """``half`` positive then ``half`` negative valuations, descending,
+    the top one 2 to 8 and the bottom one -2 to -8."""
+    top, bottom = rng.uniform(2.0, 8.0), -rng.uniform(2.0, 8.0)
+    pos = np.sort(rng.uniform(0.05, 0.95, half - 1) * top)[::-1]
+    neg = np.sort(rng.uniform(0.05, 0.95, half - 1) * -bottom)
+    return [float(v) for v in (top, *pos, *(-neg), bottom)]
+
+
+def _large_regime_reports(seeds):
+    """``is_epsilon_nash`` at 100 + 100 players per group, theta at half
+    the lower cutoff and at twice the upper one, on the closed-form
+    profile and on every effort of it times 1.5."""
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        vals = [_certify_large_group(rng, 100) for _ in "12"]
+        cut = gc.thresholds(make_spec(*vals, 1.0))
+        for theta in (cut.theta_no_sabotage / 2, 2 * cut.theta_sabotage):
+            spec = make_spec(*vals, theta)
+            solved = gc.solve(spec).profile
+            for factor in (1.0, 1.5):
+                profile = gc.StrategyProfile._from_columns(
+                    tuple(tuple(factor * x for x in g) for g in solved.xs),
+                    tuple(tuple(factor * y for y in g) for g in solved.ys),
+                )
+                yield gc.is_epsilon_nash(spec, profile)
+
+
 VERIFICATION_GOLDEN = "f3458834ebc962aa4d847122dc62dff4118a9fafeac306200bf53732419069ba"
 
 
@@ -664,6 +760,36 @@ class TestArraySearch:
     def test_verification_golden_digest_on_arrays(self, monkeypatch):
         monkeypatch.setattr(verify, "ARRAY_MIN_PLAYERS", 2)
         assert _verification_digest(150, 2026) == VERIFICATION_GOLDEN
+
+    # Computed with the array search that selected by three passes of
+    # np.where, before the score matrix replaced them.
+    def test_large_regime_golden_digest(self):
+        h = hashlib.sha256()
+        with mock.patch.object(verify, "_search_array", wraps=verify._search_array) as spy:
+            for report in _large_regime_reports(range(3)):
+                _hash_report(h, report)
+        assert spy.call_count == 2 * 12
+        assert h.hexdigest() == (
+            "87232047cadd239cc6625614fe884955a6dd05fad310ab5e810ba55f33edd7b9"
+        )
+
+    @settings(max_examples=150)
+    @given(tie_prone_cases())
+    @example(TIED_SCORES)
+    def test_tie_prone_profiles_match_the_scalar_loop(self, case):
+        spec, profile = case
+        with mock.patch.object(verify, "ARRAY_MIN_PLAYERS", 2):
+            arrays = gc.is_epsilon_nash(spec, profile)
+        with mock.patch.object(verify, "ARRAY_MIN_PLAYERS", 10**9):
+            scalar = gc.is_epsilon_nash(spec, profile)
+        assert [deviation_hex(d) for d in arrays.deviations] == [
+            deviation_hex(d) for d in scalar.deviations
+        ]
+        assert arrays.candidate_count == scalar.candidate_count
+        assert arrays.is_epsilon_nash == scalar.is_epsilon_nash
+        assert not any(
+            math.isnan(f) for d in arrays.deviations for f in (d.new_x, d.new_y, d.improvement)
+        )
 
     def test_stationary_point_at_the_kink_is_scored_once(self):
         # Group 1's top player faces z_minus = -1 and z_other = 4 = v, so
