@@ -52,6 +52,10 @@ class MalformedJson(ContestError):
     pass
 
 
+class NonFiniteOutput(ContestError):
+    """A value to print is nan or infinite, which JSON cannot spell."""
+
+
 def _load_json(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -77,13 +81,18 @@ def _round9(obj):
 
 
 def _emit(obj) -> None:
-    print(json.dumps(_round9(obj), indent=2))
+    try:
+        print(json.dumps(_round9(obj), indent=2, allow_nan=False))
+    except ValueError:  # nan or an infinity
+        raise NonFiniteOutput("the output holds a value that JSON cannot spell") from None
 
 
 def _region_json(grid: RegionGrid) -> str:
     """What ``_emit`` prints for the sweep as a list of {axis1, axis2,
     margin, in_region} objects, rendered from the arrays row by row as
     ``region_csv`` renders its rows."""
+    if not np.isfinite(grid.margin).all():
+        raise NonFiniteOutput("a margin overflows to nan or an infinity, which JSON cannot spell")
     cells = [
         f'    "axis2": {json.dumps(_round9(a2))},\n    "margin": %s,\n    "in_region": %s\n  }}'
         for a2 in grid.axis2.tolist()

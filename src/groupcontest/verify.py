@@ -41,21 +41,20 @@ improving deviation for every one of them.
 profile, reporting convergence, cycling, or exhaustion; it is an
 empirical probe of the no-equilibrium gap, not a solver.
 
-All functions are pure.  The search runs a group at a time and reads
-the profile in one place: it takes the group's x and y columns as the
-profile holds them, and what depends only on the group (its gross
-effort, both effective efforts, the current odds, the rounding-band
-decision) is computed once, by the builtin sums ``effective_efforts``
-takes over the same columns, and shared by its players.  It has two
-layers.  The pick layer, ``_search_moves``, returns each gaining
-player's move and exact gain as plain floats.  The row layer,
-``_search_group``, builds the report rows that ``best_deviation``,
-``is_epsilon_nash`` and ``refute_class`` return.  Rows carry the player
-ids ``players`` yields: shared immutable values from one bounded cache
-in ``model``, so a search builds no ids once groups of its sizes have
-been seen.  Idle players' rows, staying at (+0.0, +0.0), are shared
-too, checked against those ids on each use: a search builds a row only
-for a busy player (any other effort, -0.0 included) and for an
+All functions are pure.  The search runs a profile at a time and reads
+it in one place.  The pick layer, ``_search_moves``, takes searches of
+whole groups or of one player, computes both effective efforts once, by
+the builtin sums ``effective_efforts`` takes, and what depends only on a
+searched group (its gross effort, the odds, the rounding-band decision)
+once, and returns each gaining player's move and exact gain as plain
+floats.  The row layer, ``_search_rows``, builds the report rows that
+``best_deviation``, ``is_epsilon_nash`` and ``refute_class`` return;
+``is_epsilon_nash`` takes its verdict from the gains.  Rows carry the
+player ids ``players`` yields: shared immutable values from one bounded
+cache in ``model``, so a search builds no ids once groups of its sizes
+have been seen.  Idle players' rows, staying at (+0.0, +0.0), are
+shared too, checked against those ids on each use: a search builds a
+row only for a busy player (any other effort, -0.0 included) and for an
 improving one.  ``best_deviation`` searches one player, so calls for
 distinct players may run in parallel.
 
@@ -68,24 +67,26 @@ earlier rows gives the largest change from each of them: the last is
 the step just taken, for the convergence check, and the others feed
 the cycle check.
 
-A group's search takes one of two paths.  Outside the rounding band, a
-whole group of ``ARRAY_MIN_PLAYERS`` or more players is scored as one
-float64 matrix, with the scalar loop's candidates, IEEE operations and
-tie rule, so every report is the loop's bit for bit and no case is
-handed back to it.  Other searches, one player's among them, run the
-loop, which is faster there: in-process on a shared 2-vCPU VM the matrix
-costs about 65 us per group at 10 players, 2x the loop's time, breaks
-even at 25 to 35 players (closed-form profiles first, mixed ones later)
-and takes 0.3x at 200.
+A search takes one of two paths.  Outside the rounding band, every
+whole group of ``ARRAY_MIN_PLAYERS`` or more players is scored in one
+float64 matrix, the groups' columns side by side, with the scalar loop's
+candidates, IEEE operations and tie rule, so every report is the loop's
+bit for bit.  Other searches, one player's among them, run the loop,
+which is faster there: ``scripts/crossover.py`` (in-process, shared
+2-vCPU VM) puts both groups of a closed-form profile at 1.7x the loop's
+time at 10 players a group, even at 20 to 25 and 0.19x at 200, and a
+mixed group searched alone even between 40 and 60.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -261,42 +262,46 @@ def _idle_rows(group: int, size: int) -> tuple[Deviation, ...]:
     return tuple(Deviation(p, 0.0, 0.0, 0.0) for p in _group_ids(group, size))
 
 
-def _search_array(theta, valuations, columns, z, z_other, p_now, own_gross):
-    """The scalar loop's exact-mode search of a whole group, on float64
-    arrays with the same candidates, cut-backs and IEEE operations: the
-    positions of the busy players, the (position, effort) of each player
-    whose best candidate beats its current effort, and the number of
-    points scored."""
-    v, cx, cy = np.array((valuations, *columns), dtype=float)
+def _search_array(theta, parts):
+    """The scalar loop's exact-mode search of whole groups, stacked as the
+    columns of float64 arrays, with the same candidates, cut-backs and
+    IEEE operations.  Each part is a group's (valuations, x, y) rows, its
+    columns, z, z_other, p_now, gross effort and the busy and picks lists
+    that the search extends, as the scalar loop does.  Returns the number
+    of points scored."""
+    sizes = [read.shape[1] for read, *_ in parts]
+    starts = [0, *accumulate(sizes)]
+    v, cx, cy = np.concatenate([read for read, *_ in parts], axis=1)
+    z, z_other, p_now, own_gross = np.repeat(np.array([p[2:6] for p in parts]).T, sizes, axis=1)
     m = z - (cx - theta * cy)  # the residuals, as the scalar loop takes them
     pos = v > 0
     moves = np.zeros((3, len(v)))  # rows: the candidates 0, the kink, the stationary point
     kink, stat = moves[1], moves[2]
     with np.errstate(all="ignore"):
         np.maximum(0.0, np.where(pos, -m, m / theta), out=kink)
-        # z_other != 0 outside the rounding band, so exactly one sign class
-        # has a concave piece: builders against a building rival, saboteurs
-        # against a sabotaging one.  Scaled as in ``_stationary``.
-        has = pos if z_other > 0 else ~pos
-        vs, ms = v[has], m[has]
-        e = np.frexp(np.maximum(np.maximum(np.abs(vs), np.abs(ms)), abs(z_other)))[1]
-        v1, m1, o1 = np.ldexp(vs, -e), np.ldexp(ms, -e), np.ldexp(z_other, -e)
-        if z_other > 0:
-            peak = np.maximum(0.0, np.sqrt(v1 * o1) - o1 - m1)
-        else:
-            root = np.sqrt(theta * np.abs(v1) * np.abs(o1))
-            peak = np.maximum(0.0, (root - np.abs(o1) + m1) / theta)
+        # z_other != 0 outside the rounding band, so in each group one sign
+        # class has a concave piece: builders against a building rival,
+        # saboteurs against a sabotaging one.  Scaled as in ``_stationary``,
+        # with c = 1 or theta and s = +-1 by the valuation's sign, it is each
+        # rule's peak bit for bit, since x - (-y) is x + y exactly.
+        has = pos == (z_other > 0)
+        vs, ms, zs = v[has], m[has], z_other[has]
+        e = np.frexp(np.maximum(np.maximum(np.abs(vs), np.abs(ms)), np.abs(zs)))[1]
+        v1, m1, o1 = np.ldexp(vs, -e), np.ldexp(ms, -e), np.ldexp(zs, -e)
+        c, s = np.where(pos[has], 1.0, [[theta], [-1.0]])
+        peak = np.maximum(0.0, (np.sqrt(c * v1 * o1) - s * o1 - s * m1) / c)
         stat[has] = np.ldexp(peak, e)
         if not (v1.all() and o1.all()):  # the common scaling underflows
             for i in np.flatnonzero(has)[(v1 == 0) | (o1 == 0)].tolist():
-                stat[i] = _stationary(float(v[i]), theta, float(m[i]), z_other)
+                stat[i] = _stationary(float(v[i]), theta, float(m[i]), float(z_other[i]))
         stat[stat == kink] = 0.0  # a stationary point at the kink is scored once
         ok = moves[1:] > 0  # the kinks and stationary points that are candidates
-        if not own_gross + max(1.0, theta) * moves.max() <= SUM_EDGE:
+        if not max(p[5] for p in parts) + max(1.0, theta) * moves.max() <= SUM_EDGE:
             far = ok & ~(own_gross + np.where(pos, 1.0, theta) * moves[1:] <= SUM_EDGE)
             for r, i in np.argwhere(far).tolist():
-                e = float(moves[r + 1, i])
-                moves[r + 1, i] = _edge(theta, columns, i + 1, float(v[i]), float(m[i]), e)
+                j = bisect_right(starts, i) - 1  # column i is player i - starts[j] + 1 of part j
+                moves[r + 1, i] = _edge(theta, parts[j][1], i - starts[j] + 1,
+                                        float(v[i]), float(m[i]), float(moves[r + 1, i]))
         # Row 0 scores the current effort, rows 1-3 the candidates.
         score = np.empty((4, len(v)))
         score[0] = v * p_now - cx - cy
@@ -309,41 +314,75 @@ def _search_array(theta, valuations, columns, z, z_other, p_now, own_gross):
     # scoring order: ties keep the player at its current effort.
     best = score.argmax(axis=0)
     took = np.flatnonzero(best)
-    picks = list(zip(took.tolist(), moves[best[took] - 1, took].tolist()))
     # +0.0 is the only float whose bits are all zero.
-    busy = np.flatnonzero(cx.view(np.int64) | cy.view(np.int64)).tolist()
-    return busy, picks, 2 * len(v) + int(np.count_nonzero(ok))
+    busy = np.flatnonzero(cx.view(np.int64) | cy.view(np.int64))
+    t, b = took.searchsorted(starts).tolist(), busy.searchsorted(starts).tolist()
+    picks = list(zip(took.tolist(), moves[best[took] - 1, took].tolist()))
+    busy = busy.tolist()
+    for j, (*_, busy_j, picks_j) in enumerate(parts):  # at each part's own positions
+        busy_j += [i - starts[j] for i in busy[b[j]:b[j + 1]]]
+        picks_j += [(i - starts[j], e) for i, e in picks[t[j]:t[j + 1]]]
+    return 2 * len(v) + int(np.count_nonzero(ok))
 
 
-def _search_moves(spec: ContestSpec, profile: StrategyProfile, group: int, indices):
-    """The pick layer of the search of the listed players of one group,
-    the whole group (``range(1, n + 1)``) or one player: the (position,
-    x, y, gain) of each listed player whose best move gains, the
-    positions of the busy listed players (an effort other than +0.0,
-    -0.0 included) and the number of points scored.  The group's values
-    are read from the profile here, by the sums ``effective_efforts``
-    takes, so they are its values bit for bit.  Outside the rounding
-    band, a whole group of ``ARRAY_MIN_PLAYERS`` or more players is
-    searched by ``_search_array``, other searches by the scalar loop;
-    both pick only the moves, whose exact gains are taken here."""
+def _gains(theta, group, indices, valuations, columns, z, z_other, p_now, picks):
+    """Turn ``picks``, in place, into the (position, x, y, gain) of those
+    that gain: the payoff as ``_payoff_at`` takes it, from the group sum
+    with the move swapped in, less the current payoff at the group's odds.
+    A pick at the current effort, or gaining nothing, is dropped."""
+    xs, ys = columns
+    p_own = p_now if group == 1 else 1.0 - win_probability_short(z_other, z)
+    gains = []
+    for i, e in picks:
+        k = indices[i]
+        v, x, y = valuations[k - 1], xs[k - 1], ys[k - 1]
+        if (pick := _on_axis(v, e)) == (x, y):
+            continue
+        moved = _moved_z(theta, columns, k, *pick)
+        z1, z2 = (moved, z_other) if group == 1 else (z_other, moved)
+        gain = _payoff_at(v, group, z1, z2, *pick) - (v * p_own - x - y)
+        if gain > 0.0:
+            gains.append((i, *pick, gain))
+    picks[:] = gains
+
+
+def _search_moves(spec: ContestSpec, profile: StrategyProfile, searches):
+    """The pick layer of a profile's search.  ``searches`` holds (group,
+    indices) pairs, each a whole group (``range(1, n + 1)``) or one
+    player.  Returns per search the (position, x, y, gain) of each listed
+    player whose best move gains and the positions of the busy listed
+    players (an effort other than +0.0, -0.0 included), and the number of
+    points scored.  Group values come from the sums ``effective_efforts``
+    takes, so they are its values bit for bit.  Every whole group of
+    ``ARRAY_MIN_PLAYERS`` or more outside the rounding band goes into one
+    ``_search_array`` call, other searches to the scalar loop; both pick
+    only the moves, whose exact gains ``_gains`` takes."""
     theta = spec.theta
-    valuations = spec.group(group).valuations
-    columns = xs, ys = profile.xs[group - 1], profile.ys[group - 1]
-    z = sum(xs) - theta * sum(ys)
-    z_other = sum(profile.xs[2 - group]) - theta * sum(profile.ys[2 - group])
-    # The gross effort and the number of nonzero efforts bound the
-    # rounding in z.
-    own_gross = sum([x + theta * y for x, y in zip(xs, ys)])
-    terms = 2 * len(xs) - xs.count(0.0) - ys.count(0.0)
-    p_now = win_probability_short(z, z_other)
-    exact = abs(z_other) > ROUNDING_BAND * (terms + 4) * math.ulp(own_gross)
+    (x1, x2), (y1, y2) = profile.xs, profile.ys
+    sx = sum(x1), sum(x2)
+    zs = sx[0] - theta * sum(y1), sx[1] - theta * sum(y2)
+    found, wide, later, count = [], [], [], 0
+    for group, indices in searches:
+        valuations = spec.group(group).valuations
+        columns = xs, ys = profile.xs[group - 1], profile.ys[group - 1]
+        z, z_other = zs[group - 1], zs[2 - group]
+        # The gross effort and the number of nonzero efforts bound the rounding
+        # in z.  Where every y is +-0.0, each term x + theta * y is x, or +0.0
+        # for x = -0.0, which the sum (from +0.0) adds alike: the gross is sum(xs).
+        n, idle_y = len(xs), ys.count(0.0)
+        own_gross = sx[group - 1] if idle_y == n else sum([x + theta * y for x, y in zip(xs, ys)])
+        terms = 2 * n - xs.count(0.0) - idle_y
+        p_now = win_probability_short(z, z_other)
+        exact = abs(z_other) > ROUNDING_BAND * (terms + 4) * math.ulp(own_gross)
+        busy, picks = [], []
+        found.append((picks, busy))
+        if exact and len(indices) == n >= ARRAY_MIN_PLAYERS:
+            # ``struct.pack`` reads tuples of floats about 3x faster than np.array.
+            rows = np.frombuffer(struct.pack(f"{3 * n}d", *valuations, *xs, *ys)).reshape(3, n)
+            wide.append((rows, columns, z, z_other, p_now, own_gross, busy, picks))
+            later.append((group, indices, valuations, columns, z, z_other, p_now, picks))
+            continue
 
-    if exact and len(indices) >= ARRAY_MIN_PLAYERS:
-        busy, picks, count = _search_array(
-            theta, valuations, columns, z, z_other, p_now, own_gross
-        )
-    else:
-        busy, picks, count = [], [], 0
         for i, k in enumerate(indices):
             v, x, y = valuations[k - 1], xs[k - 1], ys[k - 1]
             z_minus = z - (x - theta * y)
@@ -381,57 +420,36 @@ def _search_moves(spec: ContestSpec, profile: StrategyProfile, group: int, indic
                     best, best_value = e, value
             if best is not None:
                 picks.append((i, best))
+        if picks:
+            _gains(theta, group, indices, valuations, columns, z, z_other, p_now, picks)
+    if wide:
+        count += _search_array(theta, wide)
+        for read in later:
+            _gains(theta, *read)
+    return found, count
 
-    # A pick's gain is exact: the payoff as ``_payoff_at`` takes it, from the
-    # group sum with the move swapped in, less the current payoff at the
-    # group's odds (the p1 that ``_payoff_at`` computes at (z1, z2)).  A
-    # player whose pick is its current effort, or gains nothing, stays put.
-    gains = []
-    if picks:
-        p_own = p_now if group == 1 else 1.0 - win_probability_short(z_other, z)
-        for i, e in picks:
+
+def _search_rows(profile: StrategyProfile, searches, found) -> list[Deviation]:
+    """The row layer over ``_search_moves``' result ``found``: exact best
+    deviations of the players listed in ``searches``.  Idle players take
+    the shared rows, busy ones a row at their effort, gaining ones a row
+    at their move."""
+    rows = []
+    for (group, indices), (gains, busy) in zip(searches, found):
+        xs, ys = profile.xs[group - 1], profile.ys[group - 1]
+        ids, idle = _group_ids(group, len(xs)), _idle_rows(group, len(xs))
+        if idle[0].player is not ids[0]:  # ``_group_ids`` rebuilt this size's ids
+            _idle_rows.cache_clear()
+            idle = _idle_rows(group, len(xs))
+        deviations = list(idle) if len(indices) == len(idle) else [idle[k - 1] for k in indices]
+        for i, x, y, gain in gains:
+            deviations[i] = Deviation(ids[indices[i] - 1], x, y, gain)
+        for i in busy:
             k = indices[i]
-            v, x, y = valuations[k - 1], xs[k - 1], ys[k - 1]
-            if (pick := _on_axis(v, e)) == (x, y):
-                continue
-            moved = _moved_z(theta, columns, k, *pick)
-            z1, z2 = (moved, z_other) if group == 1 else (z_other, moved)
-            gain = _payoff_at(v, group, z1, z2, *pick) - (v * p_own - x - y)
-            if gain > 0.0:
-                gains.append((i, *pick, gain))
-    return gains, busy, count
-
-
-def _search_group(
-    spec: ContestSpec, profile: StrategyProfile, group: int, indices
-) -> tuple[list[Deviation], int]:
-    """The row layer over ``_search_moves``: exact best deviations of the
-    listed players of one group, and the number of points scored.  Idle
-    players take the shared rows, busy ones a row at their effort, and
-    each gaining player a row at its move."""
-    gains, busy, count = _search_moves(spec, profile, group, indices)
-    xs, ys = profile.xs[group - 1], profile.ys[group - 1]
-    ids, idle = _group_ids(group, len(xs)), _idle_rows(group, len(xs))
-    if idle[0].player is not ids[0]:  # ``_group_ids`` rebuilt this size's ids
-        _idle_rows.cache_clear()
-        idle = _idle_rows(group, len(xs))
-    deviations = list(idle) if len(indices) == len(idle) else [idle[k - 1] for k in indices]
-    for i, x, y, gain in gains:
-        deviations[i] = Deviation(ids[indices[i] - 1], x, y, gain)
-    for i in busy:
-        k = indices[i]
-        if deviations[i] is idle[k - 1]:  # not moved by a gaining pick
-            deviations[i] = Deviation(ids[k - 1], xs[k - 1], ys[k - 1], 0.0)
-    return deviations, count
-
-
-def _search_all(spec: ContestSpec, profile: StrategyProfile) -> tuple[list[Deviation], int]:
-    """``_search_group`` over every player, group 1 then group 2."""
-    (found1, n1), (found2, n2) = (
-        _search_group(spec, profile, g, range(1, size + 1))
-        for g, size in enumerate(spec.sizes(), start=1)
-    )
-    return found1 + found2, n1 + n2
+            if deviations[i] is idle[k - 1]:  # not moved by a gaining pick
+                deviations[i] = Deviation(ids[k - 1], xs[k - 1], ys[k - 1], 0.0)
+        rows += deviations
+    return rows
 
 
 def best_deviation(
@@ -440,7 +458,8 @@ def best_deviation(
     """Search one player's deviations, holding all others fixed."""
     _check_shape(spec, profile)
     valuation(spec, player)  # raises UnknownPlayer
-    (deviation,), _ = _search_group(spec, profile, player.group, (player.index,))
+    searches = ((player.group, (player.index,)),)
+    (deviation,) = _search_rows(profile, searches, _search_moves(spec, profile, searches)[0])
     return deviation
 
 
@@ -461,8 +480,11 @@ def is_epsilon_nash(
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ContestError(f"epsilon must be finite and positive, got {epsilon}")
     _check_shape(spec, profile)
-    deviations, count = _search_all(spec, profile)
-    certified = all(d.improvement <= epsilon for d in deviations)
+    searches = tuple((g, range(1, n + 1)) for g, n in enumerate(spec.sizes(), start=1))
+    found, count = _search_moves(spec, profile, searches)
+    # Only a gaining player's row improves on 0.0, and epsilon > 0.
+    certified = all(gain <= epsilon for gains, _ in found for *_, gain in gains)
+    deviations = _search_rows(profile, searches, found)
     return VerificationReport(certified, epsilon, tuple(deviations), count)
 
 
@@ -600,9 +622,8 @@ def refute_class(
     records = []
     for _ in range(samples):
         profile, suspects = _generate_forbidden(spec, forbidden, rng)
-        ordered = suspects + [p for p in players(spec) if p not in suspects]
         refuting = None
-        for p in ordered:
+        for p in chain(suspects, (p for p in players(spec) if p not in suspects)):
             d = best_deviation(spec, profile, p)
             if d.improvement > tol:
                 refuting = d
@@ -643,8 +664,8 @@ def best_response_dynamics(
     if order not in ("round_robin", "simultaneous"):
         raise ContestError(f"order must be round_robin or simultaneous, got {order!r}")
     _check_shape(spec, initial)
-    roster = list(players(spec))
-    groups = [(g, _group_ids(g, n), range(1, n + 1)) for g, n in enumerate(spec.sizes(), 1)]
+    roster = [(p, ((p.group, (p.index,)),)) for p in players(spec)]
+    groups = tuple((g, range(1, n + 1)) for g, n in enumerate(spec.sizes(), start=1))
     current = initial
     trajectory = [initial]
     # Row t holds profile t's columns; the buffer doubles when it is full.
@@ -653,15 +674,17 @@ def best_response_dynamics(
     for iteration in range(1, max_iters + 1):
         gain = 0.0
         if order == "round_robin":
-            for p in roster:
-                for _, x, y, d in _search_moves(spec, current, p.group, (p.index,))[0]:
+            for p, search in roster:
+                ((gains, _),), _ = _search_moves(spec, current, search)
+                for _, x, y, d in gains:
                     gain = max(gain, d)
                     current = current.replace(p, x, y)
         else:
+            found, _ = _search_moves(spec, current, groups)
             moves = [
-                (ids[i], x, y, d)
-                for group, ids, indices in groups
-                for i, x, y, d in _search_moves(spec, current, group, indices)[0]
+                (_group_ids(g, len(indices))[i], x, y, d)
+                for (g, indices), (gains, _) in zip(groups, found)
+                for i, x, y, d in gains
             ]
             gain = max((d for *_, d in moves), default=0.0)
             if gain > FIXED_POINT_TOL:

@@ -35,7 +35,6 @@ from groupcontest.verify import (
     Deviation,
     DynamicsResult,
     DynamicsStatus,
-    _search_all,
 )
 
 
@@ -486,8 +485,8 @@ def deviation_hex(d) -> str:
 def reference_dynamics(spec, initial, max_iters: int, order: str) -> DynamicsResult:
     """``best_response_dynamics`` as it was before it read moves from the
     search's pick layer: every search builds its report rows (one
-    ``best_deviation`` a player in round-robin play, ``_search_all`` in
-    simultaneous play) and the checks go through ``np.max``."""
+    ``best_deviation`` a player in round-robin play, ``is_epsilon_nash``'s
+    rows in simultaneous play) and the checks go through ``np.max``."""
     roster = list(gc.players(spec))
     current = initial
     trajectory = [initial]
@@ -502,7 +501,7 @@ def reference_dynamics(spec, initial, max_iters: int, order: str) -> DynamicsRes
                 if d.improvement > 0.0:
                     current = current.replace(p, d.new_x, d.new_y)
         else:
-            moves, _ = _search_all(spec, current)
+            moves = gc.is_epsilon_nash(spec, current).deviations
             gain = max(d.improvement for d in moves)
             if gain > FIXED_POINT_TOL:
                 for d in moves:

@@ -463,8 +463,8 @@ class TestRegionCommand:
          "a6cf648e5242e1e7582f200a92cfe7a0f04e7fbe46af2f7212bdaccd27dff4df"),
         (NO_SABOTAGE, "2", "0.8", "1e-300:1e308:7", "1e-300:1e300:5", "csv",
          "9a147907e512b039ee154b1edccac58eb99d3a2ca274bc649e7191b092f207d0"),
-        (NO_SABOTAGE, "2", "0.8", "1e-300:1e308:7", "1e-300:1e300:5", "json",
-         "5156fa6ff10e2cbc365d73b278caf24dd62f728a96737d69e555bdbb595cc266"),
+        # JSON cannot spell those nan margins: refused (digest None).
+        (NO_SABOTAGE, "2", "0.8", "1e-300:1e308:7", "1e-300:1e300:5", "json", None),
         (NO_SABOTAGE, "1", "-3", "5:0.1:13", "0.5:3:4", "csv",
          "c59112ac999c45b8dadddad86312cca1b6fa14e1360eca59f10c558875ac9e4b"),
         (SABOTAGE, "2", "1e-300", "1:7:9", "1e-10:1e10:11", "csv",
@@ -481,10 +481,13 @@ class TestRegionCommand:
          "b80b67c098c2c1a26a76dcc99a554f40431dd07f232de23fcfc3507dd0ee0b97"),
     ])
     def test_golden_output(self, capsys, write, spec, figure, fixed, axis1, axis2, fmt, digest):
-        code, out, _ = invoke(
+        code, out, err = invoke(
             capsys, "region", "--spec", write("s.json", spec), "--figure", figure,
             f"--fixed={fixed}", "--axis1", axis1, "--axis2", axis2, "--format", fmt,
         )
+        if digest is None:
+            assert (code, out) == (1, "") and "NonFiniteOutput" in err
+            return
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -656,6 +659,56 @@ class TestDynamicsCommand:
         )
 
 
+class TestNonFiniteOutput:
+    """JSON has no spelling for nan or the infinities, so output that
+    would hold one is refused: exit 1, nothing on stdout."""
+
+    # The sabotage cutoff, about 1e308 / 5e-324, is beyond the float range.
+    TINY_AND_HUGE = {
+        "theta": 1.0,
+        "groups": [{"valuations": [5e-324, -5e-324]}, {"valuations": [1e308, -1e308]}],
+    }
+
+    @pytest.mark.parametrize("command", ["classify", "solve"])
+    def test_infinite_cutoff(self, capsys, write, command):
+        code, out, err = invoke(capsys, command, "--spec", write("s.json", self.TINY_AND_HUGE))
+        assert (code, out) == (1, "")
+        assert "NonFiniteOutput" in err and "Traceback" not in err
+
+    def test_infinite_improvement(self, capsys, write):
+        # The current payoff, 4 - 1e308 - 1e308, overflows to -inf, so the
+        # gain from stopping is infinite.
+        profile = {"efforts": [[{"x": 1e308, "y": 1e308}, {"x": 0, "y": 0}, {"x": 0, "y": 0}],
+                               [{"x": 1, "y": 0}, {"x": 0, "y": 0}, {"x": 0, "y": 0}]]}
+        code, out, err = invoke(
+            capsys, "verify", "--spec", write("s.json", NO_SABOTAGE),
+            "--profile", write("p.json", profile),
+        )
+        assert (code, out) == (1, "")
+        assert "NonFiniteOutput" in err
+
+    def test_infinite_improvement_at_array_size(self, capsys, write):
+        # 32 players a group, so the groups may go to the arrays; the gross
+        # effort overflows with no numpy RuntimeWarning on the way.
+        spec = {"theta": 1.0, "groups": [{"valuations": [*range(16, 0, -1), *range(-1, -17, -1)]}] * 2}
+        rows = [[{"x": 0, "y": 0}] * 32 for _ in range(2)]
+        rows[0][0], rows[1][0] = {"x": 1e308, "y": 1e308}, {"x": 1, "y": 0}
+        code, out, err = invoke(
+            capsys, "verify", "--spec", write("s.json", spec),
+            "--profile", write("p.json", {"efforts": rows}),
+        )
+        assert (code, out) == (1, "")
+        assert "NonFiniteOutput" in err and "RuntimeWarning" not in err
+
+    def test_csv_keeps_printing_nan(self, capsys, write):
+        code, out, _ = invoke(
+            capsys, "region", "--spec", write("s.json", NO_SABOTAGE), "--figure", "2",
+            "--fixed", "0.8", "--axis1", "1e-300:1e308:2", "--axis2", "1e308:1e308:1",
+        )
+        assert code == 0
+        assert ",nan,false" in out
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         code, _, _ = invoke(capsys, "frobnicate", "--spec", "s.json")
@@ -759,6 +812,24 @@ class TestAbBenchScript:
     def test_malformed_or_wrong_results_fail(self, ab, stdout):
         with pytest.raises(ab.RunFailed):
             ab.parse_result(stdout, ["ops_per_s"])
+
+
+class TestCrossoverScript:
+    def test_prints_a_ratio_per_size_and_profile(self):
+        child = _run_script("crossover.py", "--sizes", "2,3", "--repeat", "1")
+        assert child.returncode == 0 and child.stderr == ""
+        header, *rows = child.stdout.splitlines()
+        assert header.split() == ["n", "profile", "arrays_us", "loop_us", "ratio"]
+        assert [row.split()[:2] for row in rows] == [
+            ["2", "closed"], ["2", "mixed"], ["3", "closed"], ["3", "mixed"]
+        ]
+        assert all(float(row.split()[-1]) > 0 for row in rows)
+
+    @pytest.mark.parametrize("flags", [
+        ["--sizes", "1"], ["--sizes", "a,b"], ["--sizes", ""], ["--repeat", "0"],
+    ])
+    def test_bad_arguments_are_usage_errors(self, flags):
+        _assert_usage_error(_run_script("crossover.py", *flags))
 
 
 class TestGapDynamicsScript:

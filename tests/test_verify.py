@@ -768,7 +768,7 @@ class TestArraySearch:
         with mock.patch.object(verify, "_search_array", wraps=verify._search_array) as spy:
             for report in _large_regime_reports(range(3)):
                 _hash_report(h, report)
-        assert spy.call_count == 2 * 12
+        assert spy.call_count == 12  # one per report: both groups in one call
         assert h.hexdigest() == (
             "87232047cadd239cc6625614fe884955a6dd05fad310ab5e810ba55f33edd7b9"
         )
@@ -863,6 +863,164 @@ class TestArraySearch:
         assert calls == []
 
 
+STACKED_KINDS = ("unequal", "one_in_band", "near_edge", "tiny")
+
+
+def _columns(efforts) -> gc.StrategyProfile:
+    """A profile from one list of (x, y) per group."""
+    return gc.StrategyProfile._from_columns(
+        tuple(tuple(x for x, _ in g) for g in efforts),
+        tuple(tuple(y for _, y in g) for g in efforts),
+    )
+
+
+def _stacked_case(kind: str, n1: int, n2: int, seed: int, draw=None):
+    """One profile of ``stacked_cases``; ``draw`` makes the discrete
+    choices, or the seed where it is None."""
+    rng = np.random.default_rng(seed)
+    pick = (lambda options: options[int(rng.integers(len(options)))]) if draw is None else (
+        lambda options: draw(st.sampled_from(options))
+    )
+    if kind == "near_edge":
+        s, theta = math.ldexp(1.0, int(rng.integers(-10, 11))), math.ldexp(1.0, -pick((8, 10, 12)))
+    elif kind == "tiny":
+        s, theta = math.ldexp(1.0, -1000), float(rng.uniform(0.05, 20.0))
+    else:
+        s, theta = math.ldexp(1.0, int(rng.integers(-600, 601))), float(rng.uniform(0.05, 20.0))
+    vals = [corpus_group(rng, n1, s), corpus_group(rng, n2, s)]
+    if kind == "unequal":
+        cut = gc.thresholds(make_spec(*vals, 1.0))
+        theta = pick((cut.theta_no_sabotage / 2, 2 * cut.theta_sabotage))
+        factor = pick((1.0, 1.5))
+        solved = gc.solve(make_spec(*vals, theta)).profile.efforts
+        efforts = [[(factor * e.x, factor * e.y) for e in g] for g in solved]
+    elif kind == "one_in_band":
+        # The mixing group is outside the band, the building one inside.
+        small = pick((0, 1))
+        efforts = [
+            [tuple(s * float(rng.uniform(0, 2)) if rng.random() < 0.6 else 0.0 for _ in "xy")
+             for _ in g]
+            for g in vals
+        ]
+        big = vals[1 - small]
+        efforts[1 - small] = [(s * 2**16 * float(rng.uniform(0.5, 2)), 0.0) for _ in big]
+    elif kind == "near_edge":
+        # Both groups outside the band.  Every saboteur's kink, z_minus /
+        # theta, lies beyond the float range, and group 2's bottom player
+        # sabotages at nearly 2**1023.
+        efforts = [[(0.0, 0.0)] * len(g) for g in vals]
+        efforts[0][0] = (math.ldexp(float(rng.uniform(1, 2)), 1019), 0.0)
+        efforts[1][0] = (math.ldexp(float(rng.uniform(1, 2)), 1021), 0.0)
+        efforts[1][-1] = (0.0, math.ldexp(float(rng.uniform(1, 1.9)), 1023))
+    else:
+        # Everyone builds, about 2**80 a group: both groups are outside the
+        # band, and v * 2**-81 underflows to 0 in the common scaling.
+        efforts = [[(math.ldexp(float(rng.uniform(1, 2)), 80) / len(g), 0.0) for _ in g]
+                   for g in vals]
+    return kind, make_spec(*vals, theta), _columns(efforts)
+
+
+@st.composite
+def stacked_cases(draw):
+    """Both groups of a profile in one ``_search_array`` call, one of
+    ``STACKED_KINDS``: the closed-form equilibrium of two groups of
+    unequal sizes, or every effort of it times 1.5; one group mixing x
+    and y while the other builds 2**16 times harder, so that only the
+    first is outside the rounding band; efforts near 2**1023 under a
+    theta of 2**-8 or less, so that candidates of both groups are cut
+    back by ``_edge``; or valuations at scale 2**-1000 against efforts
+    near 2**80, where the stationary point's common scaling underflows."""
+    kind = draw(st.sampled_from(STACKED_KINDS))
+    top = 12 if kind == "near_edge" else 40
+    n1 = draw(st.integers(2, top))
+    n2 = draw(st.integers(2, top).filter(lambda n: n != n1))
+    return _stacked_case(kind, n1, n2, draw(st.integers(0, 2**32 - 1)), draw)
+
+
+SIGNED_EFFORTS = st.one_of(st.floats(0.0, 1e300), st.just(-0.0))
+
+
+def _report_bits(report):
+    """The verdict, epsilon, count and every row, each float as hex."""
+    return (
+        report.is_epsilon_nash,
+        report.epsilon.hex(),
+        report.candidate_count,
+        [deviation_hex(d) for d in report.deviations],
+    )
+
+
+class TestStackedSearch:
+    """One ``_search_array`` call scores every group of a profile that goes
+    to the arrays, each column carrying its group's values, with the
+    scalar loop's reports bit for bit."""
+
+    @settings(max_examples=60)
+    @given(stacked_cases())
+    @example(_stacked_case("unequal", 31, 7, 0))  # sabotage, every effort times 1.5
+    @example(_stacked_case("unequal", 7, 31, 3))  # no sabotage, closed form
+    @example(_stacked_case("near_edge", 5, 7, 1))
+    @example(_stacked_case("tiny", 9, 4, 2))
+    def test_matches_the_scalar_loop(self, case):
+        kind, spec, profile = case
+        with mock.patch.object(verify, "ARRAY_MIN_PLAYERS", 1), mock.patch.object(
+            verify, "_search_array", wraps=verify._search_array
+        ) as spy:
+            stacked = gc.is_epsilon_nash(spec, profile)
+        with mock.patch.object(verify, "ARRAY_MIN_PLAYERS", 10**9):
+            scalar = gc.is_epsilon_nash(spec, profile)
+        assert _report_bits(stacked) == _report_bits(scalar)
+        assert spy.call_count == 1
+        if kind != "unequal":
+            assert len(spy.call_args.args[1]) == (1 if kind == "one_in_band" else 2)
+
+    def test_edge_cuts_back_a_column_of_group_2(self):
+        _, spec, profile = _stacked_case("near_edge", 5, 7, 1)
+        with mock.patch.object(verify, "ARRAY_MIN_PLAYERS", 1), mock.patch.object(
+            verify, "_edge", wraps=verify._edge
+        ) as spy:
+            gc.is_epsilon_nash(spec, profile)
+        cut = [c.args for c in spy.call_args_list if verify._edge(*c.args) < c.args[5]]
+        assert any(args[1][0] is profile.xs[1] for args in cut)
+        assert any(args[1][0] is profile.xs[0] for args in cut)
+
+    def test_underflow_fallback_takes_each_columns_rival(self):
+        _, spec, profile = _stacked_case("tiny", 9, 4, 2)
+        eff = gc.effective_efforts(spec, profile)
+        with mock.patch.object(verify, "ARRAY_MIN_PLAYERS", 1), mock.patch.object(
+            verify, "_stationary", wraps=verify._stationary
+        ) as spy:
+            gc.is_epsilon_nash(spec, profile)
+        assert {c.args[3] for c in spy.call_args_list} == {eff.z1, eff.z2}
+
+    @given(
+        st.lists(st.tuples(SIGNED_EFFORTS, st.sampled_from([0.0, -0.0])), min_size=1),
+        st.floats(0.01, 100.0),
+    )
+    @example([(-0.0, -0.0)] * 3, 1.0)
+    @example([(0.0, 0.0)] * 3, 1.0)
+    @example([(-0.0, 0.0), (0.0, -0.0)], 2.0)
+    @example([(-0.0, -0.0), (1.5, -0.0)], 0.5)
+    def test_gross_without_y_is_the_sum_of_x(self, pairs, theta):
+        # ``_search_moves`` takes this identity for a group whose ys are all +-0.0.
+        xs = [x for x, _ in pairs]
+        assert sum(xs).hex() == sum([x + theta * y for x, y in pairs]).hex()
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_overflowing_gross_at_array_size(self, theta):
+        # 32 players a group; the gross effort x + theta * y overflows.  The
+        # suite turns numpy's RuntimeWarning into an error, so none is raised.
+        valuations = (*range(16, 0, -1), *range(-1, -17, -1))
+        spec = gc.validate_spec(gc.ContestSpec(gc.GroupSpec(valuations), gc.GroupSpec(valuations), theta))
+        profile = gc.StrategyProfile.zeros(spec).replace(gc.PlayerId(2, 1), 1.0, 0.0)
+        one = profile.replace(gc.PlayerId(1, 1), 1e308, 1e308)
+        report = gc.is_epsilon_nash(spec, one)
+        assert not report.is_epsilon_nash
+        two = one.replace(gc.PlayerId(1, 2), 1e308, 0.0)
+        with pytest.raises(gc.NonFiniteInput):
+            gc.is_epsilon_nash(spec, two)
+
+
 class TestPlayerIds:
     """Report rows take their player ids from ``players``' bounded cache,
     on both search paths."""
@@ -876,7 +1034,7 @@ class TestPlayerIds:
         )
         with mock.patch.object(verify, "_search_array", wraps=verify._search_array) as spy:
             report = gc.is_epsilon_nash(spec, profile)
-        assert spy.call_count == (2 if n >= verify.ARRAY_MIN_PLAYERS else 0)
+        assert spy.call_count == (1 if n >= verify.ARRAY_MIN_PLAYERS else 0)
         assert any(d.improvement > 0 for d in report.deviations)
         roster = list(gc.players(spec))
         assert [d.player for d in report.deviations] == roster
@@ -940,7 +1098,7 @@ class TestSharedRows:
         )
         with mock.patch.object(verify, "_search_array", wraps=verify._search_array) as spy:
             report = gc.is_epsilon_nash(spec, profile)
-        assert spy.call_count == (2 if n >= verify.ARRAY_MIN_PLAYERS else 0)
+        assert spy.call_count == (1 if n >= verify.ARRAY_MIN_PLAYERS else 0)
         rows = [(d.new_x.hex(), d.new_y.hex()) for d in report.deviations]
         assert rows == [(e.x.hex(), e.y.hex()) for g in profile.efforts for e in g]
         assert [deviation_hex(d) for d in report.deviations] == [
