@@ -27,8 +27,9 @@ import time
 
 import numpy as np
 
-from groupcontest import ContestSpec, GroupSpec, solve, thresholds, validate_spec, verify
-from groupcontest.model import StrategyProfile
+from groupcontest import (
+    ContestSpec, GroupSpec, StrategyProfile, solve, thresholds, validate_spec, verify,
+)
 
 MODES = (("arrays", 1), ("loop", 10**9))
 
@@ -52,7 +53,7 @@ def _cases(n: int):
     mixed = [[float(rng.uniform(0, 2)) if rng.random() < 0.6 else 0.0 for _ in range(n)]
              for _ in "xy"]
     big = tuple(float(x) * 2**12 for x in rng.uniform(0.5, 2.0, n))
-    profile = StrategyProfile._from_columns((tuple(mixed[0]), big), (tuple(mixed[1]), (0.0,) * n))
+    profile = StrategyProfile((tuple(mixed[0]), big), (tuple(mixed[1]), (0.0,) * n))
     return [("closed", spec, solve(spec).profile, both), ("mixed", spec, profile, both[:1])]
 
 

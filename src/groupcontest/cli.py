@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -292,7 +291,7 @@ def _jittered_initial(spec: ContestSpec, seed: int) -> StrategyProfile:
     n1 = spec.group1.size
     draws = np.random.default_rng(seed).uniform(0, scale, 2 * sum(spec.sizes())).tolist()
     xs, ys = ((tuple(c[:n1]), tuple(c[n1:])) for c in (draws[0::2], draws[1::2]))
-    return StrategyProfile._from_columns(xs, ys)
+    return StrategyProfile(xs, ys)
 
 
 def _cmd_dynamics(args, spec: ContestSpec) -> int:
@@ -305,17 +304,11 @@ def _cmd_dynamics(args, spec: ContestSpec) -> int:
     result = best_response_dynamics(
         spec, initial, args.max_iters, order=args.order.replace("-", "_")
     )
-    last_delta = 0.0
-    if len(result.trajectory) >= 2:
-        a, b = result.trajectory[-2], result.trajectory[-1]
-        last_delta = max(
-            abs(ea - eb) for ea, eb in zip(chain(*a.xs, *a.ys), chain(*b.xs, *b.ys))
-        )
     _emit({
         "status": result.status.value,
         "iterations": result.iterations,
         "period": result.period,
-        "last_delta": last_delta,
+        "last_delta": result.last_delta,
         "final_profile": profile_to_dict(result.profile),
     })
     return 0

@@ -97,8 +97,8 @@ def payoff(spec: ContestSpec, profile: StrategyProfile, player: PlayerId) -> flo
     """
     eff = effective_efforts(spec, profile)
     v = valuation(spec, player)  # raises UnknownPlayer
-    e = profile.effort(player)
-    return _payoff_at(v, player.group, eff.z1, eff.z2, e.x, e.y)
+    g, k = profile._position(player)
+    return _payoff_at(v, player.group, eff.z1, eff.z2, profile.xs[g][k], profile.ys[g][k])
 
 
 def _payoff_at(v: float, group: int, z1: float, z2: float, x: float, y: float) -> float:

@@ -108,43 +108,17 @@ class PlayerId:
 
 
 @dataclass(frozen=True)
-class Effort:
-    """One player's effort pair: constructive x and sabotage y."""
-
-    x: float
-    y: float
-
-
-@dataclass(frozen=True, init=False)
 class StrategyProfile:
     """Endogenous data of the game: one tuple of x and one of y per
-    group, in player order, compared and hashed as such.  Built from an
-    ``Effort`` per player, one tuple per group, which ``efforts`` and
-    ``effort`` build back on demand."""
+    group, in player order, compared and hashed as such."""
 
     xs: tuple[tuple[float, ...], tuple[float, ...]]
     ys: tuple[tuple[float, ...], tuple[float, ...]]
 
-    def __init__(self, efforts: tuple[tuple[Effort, ...], tuple[Effort, ...]]):
-        object.__setattr__(self, "xs", tuple(tuple(e.x for e in g) for g in efforts))
-        object.__setattr__(self, "ys", tuple(tuple(e.y for e in g) for g in efforts))
-
-    @classmethod
-    def _from_columns(cls, xs, ys) -> StrategyProfile:
-        """A profile holding these columns as they are."""
-        profile = object.__new__(cls)
-        object.__setattr__(profile, "xs", xs)
-        object.__setattr__(profile, "ys", ys)
-        return profile
-
     @classmethod
     def zeros(cls, spec: ContestSpec) -> StrategyProfile:
         columns = tuple((0.0,) * n for n in spec.sizes())
-        return cls._from_columns(columns, columns)
-
-    @property
-    def efforts(self) -> tuple[tuple[Effort, ...], tuple[Effort, ...]]:
-        return tuple(tuple(map(Effort, gx, gy)) for gx, gy in zip(self.xs, self.ys))
+        return cls(columns, columns)
 
     def _position(self, player: PlayerId) -> tuple[int, int]:
         """The player's group and index in the columns, both from 0."""
@@ -153,17 +127,13 @@ class StrategyProfile:
             raise UnknownPlayer(f"{player} is outside a profile of sizes {self.sizes()}")
         return g, k
 
-    def effort(self, player: PlayerId) -> Effort:
-        g, k = self._position(player)
-        return Effort(self.xs[g][k], self.ys[g][k])
-
     def replace(self, player: PlayerId, x: float, y: float) -> StrategyProfile:
         """Return a copy with one player's efforts swapped out."""
         g, k = self._position(player)
         xs, ys = list(self.xs), list(self.ys)
         xs[g] = xs[g][:k] + (x,) + xs[g][k + 1:]
         ys[g] = ys[g][:k] + (y,) + ys[g][k + 1:]
-        return StrategyProfile._from_columns(tuple(xs), tuple(ys))
+        return StrategyProfile(tuple(xs), tuple(ys))
 
     def sizes(self) -> tuple[int, int]:
         return (len(self.xs[0]), len(self.xs[1]))
@@ -318,8 +288,8 @@ def profile_from_dict(obj: dict) -> StrategyProfile:
     ys = tuple(tuple(y for _, y in group) for group in pairs)
     for x, y in zip(chain(*xs), chain(*ys)):
         if not (0.0 <= x < math.inf and 0.0 <= y < math.inf):  # also refuses nan
-            raise ValidationError(f"efforts must be finite and nonnegative, got {Effort(x, y)}")
-    return StrategyProfile._from_columns(xs, ys)
+            raise ValidationError(f"efforts must be finite and nonnegative, got x={x}, y={y}")
+    return StrategyProfile(xs, ys)
 
 
 def profile_to_dict(profile: StrategyProfile) -> dict:

@@ -198,21 +198,20 @@ class DynamicsResult:
     """Outcome of ``best_response_dynamics``.
 
     ``status``: Converged, Cycling or MaxIters.
-    ``profile``: the last profile reached, ``trajectory[-1]``.
+    ``profile``: the last profile reached.
     ``iterations``: the iterations run, each updating every player once.
     ``period``: for Cycling only, the number of iterations since the
     earlier profile that the last one recurred to (at least 2); None
     otherwise.
-    ``trajectory``: ``iterations + 1`` profiles, the initial profile at
-    ``trajectory[0]`` and the profile after iteration t at
-    ``trajectory[t]``.
+    ``last_delta``: the last iteration's step, the largest change of any
+    one effort between the last two profiles.
     """
 
     status: DynamicsStatus
     profile: StrategyProfile
     iterations: int
     period: int | None
-    trajectory: tuple[StrategyProfile, ...]
+    last_delta: float
 
 
 def default_epsilon(spec: ContestSpec) -> float:
@@ -667,9 +666,9 @@ def best_response_dynamics(
     roster = [(p, ((p.group, (p.index,)),)) for p in players(spec)]
     groups = tuple((g, range(1, n + 1)) for g, n in enumerate(spec.sizes(), start=1))
     current = initial
-    trajectory = [initial]
     # Row t holds profile t's columns; the buffer doubles when it is full.
     history = np.concatenate(initial.xs + initial.ys)[np.newaxis]
+    status, period = DynamicsStatus.MAX_ITERS, None
 
     for iteration in range(1, max_iters + 1):
         gain = 0.0
@@ -691,7 +690,6 @@ def best_response_dynamics(
                 for p, x, y, _ in moves:
                     current = current.replace(p, x, y)
 
-        trajectory.append(current)
         if iteration == len(history):
             history = np.concatenate((history, np.empty_like(history)))
         xs, ys = current.xs, current.ys
@@ -700,15 +698,10 @@ def best_response_dynamics(
         # just taken, the others are checked for a recurrence.
         gaps = abs(history[:iteration] - history[iteration]).max(axis=1)
         if gain <= FIXED_POINT_TOL and gaps[-1] <= CONVERGENCE_TOL:
-            return DynamicsResult(
-                DynamicsStatus.CONVERGED, current, iteration, None, tuple(trajectory)
-            )
+            status = DynamicsStatus.CONVERGED
+            break
         hits = (gaps[:-1] <= CYCLE_TOL).nonzero()[0]
         if hits.size:
-            period = iteration - int(hits[-1])
-            return DynamicsResult(
-                DynamicsStatus.CYCLING, current, iteration, period, tuple(trajectory)
-            )
-    return DynamicsResult(
-        DynamicsStatus.MAX_ITERS, current, max_iters, None, tuple(trajectory)
-    )
+            status, period = DynamicsStatus.CYCLING, iteration - int(hits[-1])
+            break
+    return DynamicsResult(status, current, iteration, period, float(gaps[-1]))

@@ -1,6 +1,8 @@
 """Shared test utilities: spec builders, seeded random spec generation,
-hypothesis strategies, a per-player residual oracle (the library's
-``EffectiveEffort`` holds only the two group sums), the five-case
+hypothesis strategies, a per-player view of a profile (the library's
+``StrategyProfile`` holds only its x and y columns), a per-player
+residual oracle (the library's ``EffectiveEffort`` holds only the two
+group sums), the five-case
 contest success function that the one-line form must match bit for
 bit, independent grid-search oracles for the single-axis best-response
 rules and for a player's best
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import math
 import struct
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +36,6 @@ from groupcontest.verify import (
     FIXED_POINT_TOL,
     ROUNDING_BAND,
     Deviation,
-    DynamicsResult,
     DynamicsStatus,
 )
 
@@ -88,8 +90,37 @@ def random_profile(
 def profile_distance(a: gc.StrategyProfile, b: gc.StrategyProfile) -> float:
     return max(
         max(abs(ea.x - eb.x), abs(ea.y - eb.y))
-        for ga, gb in zip(a.efforts, b.efforts)
+        for ga, gb in zip(efforts(a), efforts(b))
         for ea, eb in zip(ga, gb)
+    )
+
+
+# --- per-player view of a profile ---------------------------------------------
+
+
+class Effort(NamedTuple):
+    """One player's effort pair: constructive x and sabotage y."""
+
+    x: float
+    y: float
+
+
+def effort(profile, player) -> Effort:
+    """The player's pair, read from the profile's columns."""
+    g, k = profile._position(player)  # raises UnknownPlayer
+    return Effort(profile.xs[g][k], profile.ys[g][k])
+
+
+def efforts(profile) -> tuple[tuple[Effort, ...], tuple[Effort, ...]]:
+    """One ``Effort`` a player, one tuple a group."""
+    return tuple(tuple(map(Effort, gx, gy)) for gx, gy in zip(profile.xs, profile.ys))
+
+
+def profile_of(rows) -> gc.StrategyProfile:
+    """The profile of one row of (x, y) pairs a group, ``Effort`` values
+    or plain pairs."""
+    return gc.StrategyProfile(
+        tuple(tuple(x for x, _ in g) for g in rows), tuple(tuple(y for _, y in g) for g in rows)
     )
 
 
@@ -110,7 +141,7 @@ def residual(spec, profile, player) -> Residual:
     """The player's ``Residual``, from the sums ``effective_efforts`` takes."""
     eff = effective_efforts(spec, profile)
     z, z_other = (eff.z1, eff.z2) if player.group == 1 else (eff.z2, eff.z1)
-    e = profile.effort(player)
+    e = effort(profile, player)
     return Residual(z, z - (e.x - spec.theta * e.y), z_other)
 
 
@@ -136,7 +167,7 @@ def _payoff(spec, profile, player, eff) -> float:
     """Payoff v * p_own - x - y of one player given the profile's
     effective efforts ``eff``, through the five-case form."""
     v = valuation(spec, player)
-    e = profile.effort(player)
+    e = effort(profile, player)
     p1 = win_probability_five(eff.z1, eff.z2)
     return v * (p1 if player.group == 1 else 1.0 - p1) - e.x - e.y
 
@@ -335,7 +366,7 @@ def grid_deviation(spec, profile, player) -> tuple[float, float, float]:
     v = gc.valuation(spec, player)
     theta = spec.theta
     _, z_minus, z_other = residual(spec, profile, player)
-    current = profile.effort(player)
+    current = effort(profile, player)
     reach = 4.0 * (spec.max_abs_valuation() + abs(z_minus) + abs(z_other))
 
     def axis(special, hi):
@@ -412,12 +443,12 @@ def scalar_search(spec, profile, player):
     v = valuation(spec, player)
     theta = spec.theta
     eff = effective_efforts(spec, profile)
-    group = profile.efforts[player.group - 1]
+    group = efforts(profile)[player.group - 1]
     # The group's gross effort and nonzero efforts bound the rounding in z.
     own_gross = sum(e.x + theta * e.y for e in group)
     terms = sum((e.x != 0) + (e.y != 0) for e in group)
     z, z_minus, z_other = residual(spec, profile, player)
-    current = profile.effort(player)
+    current = effort(profile, player)
 
     # The current effort is scored first, so ties keep the player put.
     best_x, best_y = current.x, current.y
@@ -425,10 +456,10 @@ def scalar_search(spec, profile, player):
 
     move = (lambda e: (e, 0.0)) if v > 0 else (lambda e: (0.0, e))
     kink = max(0.0, -z_minus) if v > 0 else max(0.0, z_minus / theta)
-    efforts = [0.0]
+    levels = [0.0]
     for e in (kink, _stationary(v, theta, z_minus, z_other)):
-        if e > 0 and e not in efforts:
-            efforts.append(e)
+        if e > 0 and e not in levels:
+            levels.append(e)
     exact = abs(z_other) > ROUNDING_BAND * (terms + 4) * math.ulp(own_gross)
     if not exact:
         # The limit point: step past the kink until the rounded group sum
@@ -437,7 +468,7 @@ def scalar_search(spec, profile, player):
         while math.isfinite(kink + d):
             z = _own_z(spec, profile, player, *move(kink + d))
             if (z > 0) if v > 0 else (z < 0):
-                efforts.append(kink + d)
+                levels.append(kink + d)
                 break
             d *= 2.0
 
@@ -449,7 +480,7 @@ def scalar_search(spec, profile, player):
 
     # The payoff is undefined beyond the float range: each candidate is cut
     # back to the largest effort at which both group sums stay finite.
-    moves = [move(_largest_where(sums_finite, e)) for e in efforts]
+    moves = [move(_largest_where(sums_finite, e)) for e in levels]
     if exact:
         candidates = [(x, y, z_minus + x - theta * y) for x, y in moves]
     else:
@@ -482,15 +513,30 @@ def deviation_hex(d) -> str:
 # --- row-by-row dynamics oracle ---------------------------------------------
 
 
-def reference_dynamics(spec, initial, max_iters: int, order: str) -> DynamicsResult:
+class ReferenceRun(NamedTuple):
+    """What ``reference_dynamics`` returns: ``best_response_dynamics``'s
+    fields plus every profile it passed through."""
+
+    status: DynamicsStatus
+    profile: gc.StrategyProfile
+    iterations: int
+    period: int | None
+    last_delta: float
+    trajectory: tuple[gc.StrategyProfile, ...]
+
+
+def reference_dynamics(spec, initial, max_iters: int, order: str) -> ReferenceRun:
     """``best_response_dynamics`` as it was before it read moves from the
     search's pick layer: every search builds its report rows (one
     ``best_deviation`` a player in round-robin play, ``is_epsilon_nash``'s
-    rows in simultaneous play) and the checks go through ``np.max``."""
+    rows in simultaneous play) and the checks go through ``np.max``.  It
+    keeps every profile, and takes ``last_delta`` from the last two, one
+    Python float pair at a time."""
     roster = list(gc.players(spec))
     current = initial
     trajectory = [initial]
     history = np.concatenate(initial.xs + initial.ys)[np.newaxis]
+    status, period = DynamicsStatus.MAX_ITERS, None
 
     for iteration in range(1, max_iters + 1):
         gain = 0.0
@@ -514,19 +560,18 @@ def reference_dynamics(spec, initial, max_iters: int, order: str) -> DynamicsRes
         vec = np.concatenate(current.xs + current.ys, out=history[iteration])
         delta = float(np.max(np.abs(vec - history[iteration - 1])))
         if gain <= FIXED_POINT_TOL and delta <= CONVERGENCE_TOL:
-            return DynamicsResult(
-                DynamicsStatus.CONVERGED, current, iteration, None, tuple(trajectory)
-            )
+            status = DynamicsStatus.CONVERGED
+            break
         gaps = np.max(np.abs(history[: iteration - 1] - vec), axis=1)
         hits = np.nonzero(gaps <= CYCLE_TOL)[0]
         if hits.size:
-            period = iteration - int(hits[-1])
-            return DynamicsResult(
-                DynamicsStatus.CYCLING, current, iteration, period, tuple(trajectory)
-            )
-    return DynamicsResult(
-        DynamicsStatus.MAX_ITERS, current, max_iters, None, tuple(trajectory)
+            status, period = DynamicsStatus.CYCLING, iteration - int(hits[-1])
+            break
+    a, b = trajectory[-2], trajectory[-1]
+    last_delta = max(
+        abs(ea - eb) for ea, eb in zip(chain(*a.xs, *a.ys), chain(*b.xs, *b.ys))
     )
+    return ReferenceRun(status, current, iteration, period, last_delta, tuple(trajectory))
 
 
 # --- seeded profile corpus ---------------------------------------------------
@@ -566,7 +611,7 @@ def corpus_case(rng: np.random.Generator, max_size: int = 30):
         profile = solved
         if kind == "perturbed":
             for p in gc.players(spec):
-                e = profile.effort(p)
+                e = effort(profile, p)
                 profile = profile.replace(p, 1.5 * e.x, 1.5 * e.y)
         return spec, profile
     if kind in ("sparse", "closed_form", "perturbed"):

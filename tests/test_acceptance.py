@@ -11,6 +11,7 @@ from helpers import (
     BR_OPS,
     CLOSED_FORMS,
     draw_best_response_case,
+    effort,
     make_spec,
     oracle_for_case,
     random_profile,
@@ -211,8 +212,8 @@ def test_criterion_10_spend_bound():
         top1 = spec.group1.valuations[0]
         top2 = spec.group2.valuations[0]
         spend = (
-            result.profile.effort(gc.PlayerId(1, 1)).x
-            + result.profile.effort(gc.PlayerId(2, 1)).x
+            effort(result.profile, gc.PlayerId(1, 1)).x
+            + effort(result.profile, gc.PlayerId(2, 1)).x
         )
         assert spend == pytest.approx(top1 * top2 / (top1 + top2), rel=1e-10)
         assert spend < min(top1, top2)

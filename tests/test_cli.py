@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from groupcontest import cli
 from groupcontest.cli import run
-from helpers import make_spec
+from helpers import efforts, make_spec
 
 NO_SABOTAGE = {
     "theta": 0.5,
@@ -652,7 +652,7 @@ class TestDynamicsCommand:
                                               (17, 41, 3e5)]):
             spec = make_spec(vals(n1, top, -1.0), vals(n2, 2 * top, -3.0), 1.0)
             profile = cli._jittered_initial(spec, seed)
-            lines += [f"{e.x.hex()} {e.y.hex()}" for g in profile.efforts for e in g]
+            lines += [f"{e.x.hex()} {e.y.hex()}" for g in efforts(profile) for e in g]
         assert len(lines) == 187
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
             "3f7359bfd9fbf180759c6d947de7480d6a4b26608a26d8fff85bf6232798f3ae"

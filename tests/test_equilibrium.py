@@ -12,7 +12,16 @@ from hypothesis import strategies as st
 
 import groupcontest as gc
 from groupcontest import cli
-from helpers import RegionRow, make_spec, random_spec, region_rows, region_rows_csv, specs
+from helpers import (
+    Effort,
+    RegionRow,
+    effort,
+    make_spec,
+    random_spec,
+    region_rows,
+    region_rows_csv,
+    specs,
+)
 
 # Positive finite axis points from ordinary sizes out to 1e-300 and 1e300,
 # where ``.9g`` prints exponents and products leave the float range.
@@ -114,8 +123,8 @@ class TestSolve:
         spec = make_spec([4, 1, -1], [4, 2, -1], 0.5)
         result = gc.solve(spec)
         assert result.regime is gc.Regime.NO_SABOTAGE
-        assert result.profile.effort(gc.PlayerId(1, 1)) == gc.Effort(1.0, 0.0)
-        assert result.profile.effort(gc.PlayerId(2, 1)) == gc.Effort(1.0, 0.0)
+        assert effort(result.profile, gc.PlayerId(1, 1)) == Effort(1.0, 0.0)
+        assert effort(result.profile, gc.PlayerId(2, 1)) == Effort(1.0, 0.0)
         assert result.effective.z1 == 1.0 and result.effective.z2 == 1.0
         assert gc.win_probability_short(result.effective.z1, result.effective.z2) == 0.5
         assert gc.is_epsilon_nash(spec, result.profile).is_epsilon_nash
@@ -124,8 +133,8 @@ class TestSolve:
         spec = make_spec([1, -4], [1, -4], 2.5)
         result = gc.solve(spec)
         assert result.regime is gc.Regime.SABOTAGE
-        assert result.profile.effort(gc.PlayerId(1, 2)) == gc.Effort(0.0, 1.0)
-        assert result.profile.effort(gc.PlayerId(2, 2)) == gc.Effort(0.0, 1.0)
+        assert effort(result.profile, gc.PlayerId(1, 2)) == Effort(0.0, 1.0)
+        assert effort(result.profile, gc.PlayerId(2, 2)) == Effort(0.0, 1.0)
         assert result.effective.z1 == -2.5 and result.effective.z2 == -2.5
         assert gc.is_epsilon_nash(spec, result.profile).is_epsilon_nash
 
@@ -146,7 +155,7 @@ class TestSolve:
         assert result.regime is gc.Regime.NO_SABOTAGE
         assert result.effective.z1 > 0 and result.effective.z2 > 0
         for p in gc.players(low):
-            e = result.profile.effort(p)
+            e = effort(result.profile, p)
             assert e.y == 0.0
             assert (e.x > 0) == (p.index == 1)
         high = make_spec(*vals, cut.theta_sabotage / spec.theta)
@@ -154,7 +163,7 @@ class TestSolve:
         assert result.regime is gc.Regime.SABOTAGE
         assert result.effective.z1 < 0 and result.effective.z2 < 0
         for p in gc.players(high):
-            e = result.profile.effort(p)
+            e = effort(result.profile, p)
             assert e.x == 0.0
             assert (e.y > 0) == (p.index == high.group(p.group).size)
 
@@ -165,7 +174,10 @@ class TestSolve:
         low = make_spec(*vals, spec.theta * cut.theta_no_sabotage)
         result = gc.solve(low)
         top1, top2 = vals[0][0], vals[1][0]
-        spend = result.profile.effort(gc.PlayerId(1, 1)).x + result.profile.effort(gc.PlayerId(2, 1)).x
+        spend = (
+            effort(result.profile, gc.PlayerId(1, 1)).x
+            + effort(result.profile, gc.PlayerId(2, 1)).x
+        )
         assert spend == pytest.approx(top1 * top2 / (top1 + top2), rel=1e-10)
         assert spend < min(top1, top2)
 
@@ -184,7 +196,7 @@ class TestScale:
         assert cut.theta_sabotage == pytest.approx(6.0, rel=1e-12)
         result = gc.solve(spec)
         assert result.regime is gc.Regime.NO_SABOTAGE
-        assert result.profile.effort(gc.PlayerId(1, 1)).x == pytest.approx(s, rel=1e-12)
+        assert effort(result.profile, gc.PlayerId(1, 1)).x == pytest.approx(s, rel=1e-12)
         assert gc.is_epsilon_nash(spec, result.profile).is_epsilon_nash
 
     @pytest.mark.parametrize("top, bottom", [(1e300, -1e-30), (1e308, -5e-324)])
@@ -194,7 +206,7 @@ class TestScale:
         assert gc.thresholds(spec) == gc.Thresholds(math.inf, math.inf)
         result = gc.solve(spec)
         assert result.regime is gc.Regime.NO_SABOTAGE
-        assert result.profile.effort(gc.PlayerId(1, 1)).x == top / 4
+        assert effort(result.profile, gc.PlayerId(1, 1)).x == top / 4
 
     def test_tops_vanishing_next_to_bottoms(self):
         # Both cutoffs lie below the smallest float: theta is above the upper one.
@@ -202,13 +214,13 @@ class TestScale:
         assert gc.thresholds(spec) == gc.Thresholds(0.0, 0.0)
         result = gc.solve(spec)
         assert result.regime is gc.Regime.SABOTAGE
-        assert result.profile.effort(gc.PlayerId(1, 2)).y == 2.5e307
+        assert effort(result.profile, gc.PlayerId(1, 2)).y == 2.5e307
 
     def test_top_valuations_spanning_more_than_the_float_range(self):
         spec = make_spec([1e300, -1], [1e-10, -1], 1e-12)
         result = gc.solve(spec)
         assert result.regime is gc.Regime.NO_SABOTAGE
-        assert result.profile.effort(gc.PlayerId(1, 1)).x == pytest.approx(1e-10, rel=1e-12)
+        assert effort(result.profile, gc.PlayerId(1, 1)).x == pytest.approx(1e-10, rel=1e-12)
 
     @given(
         specs(),
@@ -232,7 +244,7 @@ class TestScale:
             assert scaled.profile is None
             return
         for p in gc.players(spec):
-            e, f = result.profile.effort(p), scaled.profile.effort(p)
+            e, f = effort(result.profile, p), effort(scaled.profile, p)
             assert (f.x, f.y) == (math.ldexp(e.x, k), math.ldexp(e.y, k))
 
 

@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 import groupcontest as gc
 from groupcontest.verify import _moved_z
 from helpers import (
+    Effort,
     dyadic_efforts,
+    effort,
+    efforts,
     dyadic_thetas,
     make_spec,
+    profile_of,
     residual,
     specs,
     specs_with_profiles,
@@ -125,7 +129,7 @@ class TestEffectiveEfforts:
         lam = 2.0**exponent
         scaled = profile
         for k in range(1, spec.group1.size + 1):
-            e = profile.effort(gc.PlayerId(1, k))
+            e = effort(profile, gc.PlayerId(1, k))
             scaled = scaled.replace(gc.PlayerId(1, k), lam * e.x, lam * e.y)
         eff = gc.effective_efforts(spec, profile)
         eff_scaled = gc.effective_efforts(spec, scaled)
@@ -137,7 +141,7 @@ class TestEffectiveEfforts:
         spec, profile = pair
         scaled = profile
         for k in range(1, spec.group2.size + 1):
-            e = profile.effort(gc.PlayerId(2, k))
+            e = effort(profile, gc.PlayerId(2, k))
             scaled = scaled.replace(gc.PlayerId(2, k), lam * e.x, lam * e.y)
         eff = gc.effective_efforts(spec, profile)
         eff_scaled = gc.effective_efforts(spec, scaled)
@@ -145,8 +149,10 @@ class TestEffectiveEfforts:
 
 
 class TestProfileAccess:
-    """``effort`` and ``replace`` refuse ids outside the profile instead of
-    wrapping a negative index or ignoring the write."""
+    """``replace`` and the columns' reader (``effort``, through the
+    profile's ``_position``, as ``payoff`` reads them) refuse ids outside
+    the profile instead of wrapping a negative index or ignoring the
+    write."""
 
     README_SPEC = make_spec([4, 1, -1], [4, 2, -1], 0.5)
 
@@ -159,7 +165,7 @@ class TestProfileAccess:
         profile = _profile(self.README_SPEC, {(1, 3): (0, 1), (2, 1): (2, 0)})
         player = gc.PlayerId(group, index)
         with pytest.raises(gc.UnknownPlayer):
-            profile.effort(player)
+            effort(profile, player)
         with pytest.raises(gc.UnknownPlayer):
             profile.replace(player, 5.0, 0.0)
 
@@ -167,8 +173,8 @@ class TestProfileAccess:
         profile = gc.StrategyProfile.zeros(self.README_SPEC)
         for p in gc.players(self.README_SPEC):
             moved = profile.replace(p, float(p.group), float(p.index))
-            assert moved.effort(p) == gc.Effort(float(p.group), float(p.index))
-            assert sum(e != gc.Effort(0.0, 0.0) for g in moved.efforts for e in g) == 1
+            assert effort(moved, p) == Effort(float(p.group), float(p.index))
+            assert sum(e != Effort(0.0, 0.0) for g in efforts(moved) for e in g) == 1
 
 
 signed_efforts = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1e300))
@@ -178,7 +184,7 @@ signed_efforts = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 1e300))
 def effort_rows(draw):
     """Efforts of a 2-to-5 by 2-to-5 profile, -0.0 included."""
     return tuple(
-        tuple(gc.Effort(draw(signed_efforts), draw(signed_efforts)) for _ in range(n))
+        tuple(Effort(draw(signed_efforts), draw(signed_efforts)) for _ in range(n))
         for n in draw(st.tuples(st.integers(2, 5), st.integers(2, 5)))
     )
 
@@ -196,7 +202,7 @@ class TestProfileColumns:
 
     @given(effort_rows())
     def test_every_construction_holds_the_same_columns(self, rows):
-        built = gc.StrategyProfile(rows)
+        built = profile_of(rows)
         doc = {"efforts": [[{"x": e.x, "y": e.y} for e in g] for g in rows]}
         spec = make_spec(*([1.0] + [0.5] * (len(g) - 2) + [-1.0] for g in rows), 1.0)
         replaced = gc.StrategyProfile.zeros(spec)
@@ -207,16 +213,16 @@ class TestProfileColumns:
             assert _bits(other) == _bits(built)
         assert built.xs == tuple(tuple(e.x for e in g) for g in rows)
         assert built.ys == tuple(tuple(e.y for e in g) for g in rows)
-        assert built.efforts == rows
-        assert all(type(e) is gc.Effort for g in built.efforts for e in g)
+        assert efforts(built) == rows
+        assert all(type(e) is Effort for g in efforts(built) for e in g)
         assert built.sizes() == tuple(map(len, rows))
 
     def test_zeros_equal_every_other_all_zero_profile(self):
         zeros = gc.StrategyProfile.zeros(self.README_SPEC)
-        rows = ((gc.Effort(0.0, 0.0),) * 3,) * 2
+        rows = ((Effort(0.0, 0.0),) * 3,) * 2
         doc = {"efforts": [[{"x": 0, "y": 0}] * 3] * 2}
         moved_back = zeros.replace(gc.PlayerId(2, 2), 1.0, 2.0).replace(gc.PlayerId(2, 2), 0.0, 0.0)
-        for other in (gc.StrategyProfile(rows), gc.profile_from_dict(doc), moved_back):
+        for other in (profile_of(rows), gc.profile_from_dict(doc), moved_back):
             assert other == zeros and hash(other) == hash(zeros)
             assert _bits(other) == _bits(zeros)
         assert zeros != zeros.replace(gc.PlayerId(1, 3), 0.0, 1.0)
@@ -232,8 +238,8 @@ class TestProfileColumns:
         before = _bits(profile)
         moved = profile.replace(gc.PlayerId(1, 1), 0.5, 0.0)
         assert _bits(profile) == before
-        assert profile.effort(gc.PlayerId(1, 1)) == gc.Effort(1.5, 0.0)
-        assert moved.effort(gc.PlayerId(1, 1)) == gc.Effort(0.5, 0.0)
+        assert effort(profile, gc.PlayerId(1, 1)) == Effort(1.5, 0.0)
+        assert effort(moved, gc.PlayerId(1, 1)) == Effort(0.5, 0.0)
 
     def test_negative_zero_keeps_its_bits(self):
         profile = gc.StrategyProfile.zeros(self.README_SPEC).replace(gc.PlayerId(2, 2), -0.0, -0.0)
@@ -273,7 +279,7 @@ class TestDocuments:
     def test_profile_document_names_the_first_bad_effort(self, bad):
         ok = {"x": 1.0, "y": -0.0}
         doc = {"efforts": [[ok, ok], [ok, {"x": 2.0, "y": bad}, {"x": bad, "y": 0.0}]]}
-        with pytest.raises(gc.ValidationError, match=rf"got Effort\(x=2.0, y={bad}\)$"):
+        with pytest.raises(gc.ValidationError, match=rf"got x=2.0, y={bad}$"):
             gc.profile_from_dict(doc)
 
     @pytest.mark.parametrize(

@@ -12,13 +12,17 @@ from hypothesis import strategies as st
 import groupcontest as gc
 from groupcontest import model, verify
 from helpers import (
+    Effort,
     corpus_case,
     corpus_group,
     deviation_hex,
+    effort,
+    efforts,
     efforts_st,
     grid_deviation,
     make_spec,
     profile_distance,
+    profile_of,
     random_profile,
     random_spec,
     reference_dynamics,
@@ -100,7 +104,7 @@ class TestBestDeviation:
             for p in gc.players(spec):
                 v = gc.valuation(spec, p)
                 _, z_minus, z_other = residual(spec, profile, p)
-                e = profile.effort(p)
+                e = effort(profile, p)
                 reach = 4.0 * (spec.max_abs_valuation() + abs(z_minus) + abs(z_other))
                 grid = np.linspace(0.0, reach, 200_001)
                 zeros = np.zeros_like(grid)
@@ -204,8 +208,8 @@ def wide_scale_cases(draw):
 
     spec = make_spec(group(), group(), draw(_magnitudes(-60, 60)))
     effort = st.one_of(st.just(0.0), _magnitudes(-1074, 1024))
-    profile = gc.StrategyProfile(
-        tuple(tuple(gc.Effort(draw(effort), draw(effort)) for _ in range(n)) for n in spec.sizes())
+    profile = profile_of(
+        tuple(tuple(Effort(draw(effort), draw(effort)) for _ in range(n)) for n in spec.sizes())
     )
     eff = gc.effective_efforts(spec, profile)
     assume(math.isfinite(eff.z1) and math.isfinite(eff.z2))
@@ -437,7 +441,7 @@ def _hash_report(h, r) -> None:
 
 
 def _profile_hex(profile) -> str:
-    return " ".join(f"{e.x.hex()},{e.y.hex()}" for g in profile.efforts for e in g)
+    return " ".join(f"{e.x.hex()},{e.y.hex()}" for g in efforts(profile) for e in g)
 
 
 def _verification_digest(cases: int, seed: int) -> str:
@@ -456,10 +460,23 @@ def _verification_digest(cases: int, seed: int) -> str:
     return h.hexdigest()
 
 
+def _reference_run(spec, initial, max_iters: int, order: str):
+    """``reference_dynamics``' run, once ``best_response_dynamics`` is
+    checked to agree with it on every field it returns, bit for bit."""
+    got = gc.best_response_dynamics(spec, initial, max_iters, order)
+    want = reference_dynamics(spec, initial, max_iters, order)
+    assert (got.status, got.iterations, got.period) == (want.status, want.iterations, want.period)
+    assert _profile_hex(got.profile) == _profile_hex(want.profile)
+    assert type(got.last_delta) is float
+    assert got.last_delta.hex() == want.last_delta.hex()
+    return want
+
+
 def _dynamics_digest(runs: int, seed: int) -> str:
     """SHA-256 over status, iterations, period and every trajectory
     profile of dynamics from seeded jitter on small specs at valuation
-    scales 2**k, alternating round-robin and simultaneous play."""
+    scales 2**k, alternating round-robin and simultaneous play.  The
+    profiles are the reference's, which keeps them all."""
     rng = np.random.default_rng(seed)
     h = hashlib.sha256()
     for i in range(runs):
@@ -468,7 +485,7 @@ def _dynamics_digest(runs: int, seed: int) -> str:
         theta = float(np.exp(rng.uniform(np.log(0.2), np.log(5.0))))
         spec = make_spec(corpus_group(rng, n1, s), corpus_group(rng, n2, s), theta)
         initial = random_profile(rng, spec, scale=1e-3 * s)
-        r = gc.best_response_dynamics(spec, initial, 40, ("round_robin", "simultaneous")[i % 2])
+        r = _reference_run(spec, initial, 40, ("round_robin", "simultaneous")[i % 2])
         h.update(f"{r.status.value}:{r.iterations}:{r.period}\n".encode())
         for profile in r.trajectory:
             h.update(f"{_profile_hex(profile)}\n".encode())
@@ -618,26 +635,26 @@ def array_search_cases(draw):
     spec = make_spec(*vals, theta)
     if kind in ("closed_form", "perturbed"):
         factor = 1.5 if kind == "perturbed" else 1.0
-        solved = gc.solve(spec).profile.efforts
-        efforts = [[(factor * e.x, factor * e.y) for e in g] for g in solved]
+        solved = efforts(gc.solve(spec).profile)
+        pairs = [[(factor * e.x, factor * e.y) for e in g] for g in solved]
     elif kind == "sparse":
-        efforts = [[(0.0, 0.0)] * len(g) for g in vals]
+        pairs = [[(0.0, 0.0)] * len(g) for g in vals]
         for _ in range(3):
             g = int(rng.integers(2))
             i = int(rng.integers(len(vals[g])))
             e = s * float(rng.uniform(1e-3, 10.0))
-            efforts[g][i] = (e, 0.0) if vals[g][i] > 0 else (0.0, e / theta)
+            pairs[g][i] = (e, 0.0) if vals[g][i] > 0 else (0.0, e / theta)
     else:
         big = draw(st.integers(0, 1))
-        efforts = [
+        pairs = [
             [tuple(s * float(rng.uniform(0, 2)) if rng.random() < 0.6 else 0.0 for _ in "xy")
              for _ in g]
             for g in vals
         ]
-        efforts[big] = [(x * 2**12, y * 2**12) for x, y in efforts[big]]
+        pairs[big] = [(x * 2**12, y * 2**12) for x, y in pairs[big]]
         if kind == "far_kink":
-            efforts = [[(x, 0.0) for x, _ in g] for g in efforts]
-    return spec, gc.StrategyProfile(tuple(tuple(gc.Effort(x, y) for x, y in g) for g in efforts))
+            pairs = [[(x, 0.0) for x, _ in g] for g in pairs]
+    return spec, profile_of(pairs)
 
 
 TIE_KINDS = ("dyadic", "stationary", "at_kink", "idle", "far_kink")
@@ -686,7 +703,7 @@ def tie_prone_cases(draw):
         efforts[g][-1][1] = s * draw(dyadic.filter(bool))
         efforts[1 - g] = [[0.0, 0.0] for _ in vals[1 - g]]
         efforts[1 - g][0][0] = vals[g][0]
-    profile = gc.StrategyProfile(tuple(tuple(gc.Effort(x, y) for x, y in g) for g in efforts))
+    profile = profile_of(efforts)
     if kind == "stationary":
         p = draw(st.sampled_from(list(gc.players(spec))))
         _, z_minus, z_other = residual(spec, profile, p)
@@ -701,7 +718,7 @@ def tie_prone_cases(draw):
 TIED_SCORES = (
     make_spec([0.5, -0.25, -0.25, -0.25, -0.25, -0.25, -0.5],
               [3.25, 3.0, 0.25, -0.25, -0.25, -0.25, -0.5], 1.0),
-    gc.StrategyProfile._from_columns(
+    gc.StrategyProfile(
         ((0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0), (0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 1.5)),
         ((0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 0.0), (0.0, 0.25, 2.0, 0.0, 0.0, 0.5, 0.0)),
     ),
@@ -729,7 +746,7 @@ def _large_regime_reports(seeds):
             spec = make_spec(*vals, theta)
             solved = gc.solve(spec).profile
             for factor in (1.0, 1.5):
-                profile = gc.StrategyProfile._from_columns(
+                profile = gc.StrategyProfile(
                     tuple(tuple(factor * x for x in g) for g in solved.xs),
                     tuple(tuple(factor * y for y in g) for g in solved.ys),
                 )
@@ -866,14 +883,6 @@ class TestArraySearch:
 STACKED_KINDS = ("unequal", "one_in_band", "near_edge", "tiny")
 
 
-def _columns(efforts) -> gc.StrategyProfile:
-    """A profile from one list of (x, y) per group."""
-    return gc.StrategyProfile._from_columns(
-        tuple(tuple(x for x, _ in g) for g in efforts),
-        tuple(tuple(y for _, y in g) for g in efforts),
-    )
-
-
 def _stacked_case(kind: str, n1: int, n2: int, seed: int, draw=None):
     """One profile of ``stacked_cases``; ``draw`` makes the discrete
     choices, or the seed where it is None."""
@@ -892,32 +901,32 @@ def _stacked_case(kind: str, n1: int, n2: int, seed: int, draw=None):
         cut = gc.thresholds(make_spec(*vals, 1.0))
         theta = pick((cut.theta_no_sabotage / 2, 2 * cut.theta_sabotage))
         factor = pick((1.0, 1.5))
-        solved = gc.solve(make_spec(*vals, theta)).profile.efforts
-        efforts = [[(factor * e.x, factor * e.y) for e in g] for g in solved]
+        solved = efforts(gc.solve(make_spec(*vals, theta)).profile)
+        pairs = [[(factor * e.x, factor * e.y) for e in g] for g in solved]
     elif kind == "one_in_band":
         # The mixing group is outside the band, the building one inside.
         small = pick((0, 1))
-        efforts = [
+        pairs = [
             [tuple(s * float(rng.uniform(0, 2)) if rng.random() < 0.6 else 0.0 for _ in "xy")
              for _ in g]
             for g in vals
         ]
         big = vals[1 - small]
-        efforts[1 - small] = [(s * 2**16 * float(rng.uniform(0.5, 2)), 0.0) for _ in big]
+        pairs[1 - small] = [(s * 2**16 * float(rng.uniform(0.5, 2)), 0.0) for _ in big]
     elif kind == "near_edge":
         # Both groups outside the band.  Every saboteur's kink, z_minus /
         # theta, lies beyond the float range, and group 2's bottom player
         # sabotages at nearly 2**1023.
-        efforts = [[(0.0, 0.0)] * len(g) for g in vals]
-        efforts[0][0] = (math.ldexp(float(rng.uniform(1, 2)), 1019), 0.0)
-        efforts[1][0] = (math.ldexp(float(rng.uniform(1, 2)), 1021), 0.0)
-        efforts[1][-1] = (0.0, math.ldexp(float(rng.uniform(1, 1.9)), 1023))
+        pairs = [[(0.0, 0.0)] * len(g) for g in vals]
+        pairs[0][0] = (math.ldexp(float(rng.uniform(1, 2)), 1019), 0.0)
+        pairs[1][0] = (math.ldexp(float(rng.uniform(1, 2)), 1021), 0.0)
+        pairs[1][-1] = (0.0, math.ldexp(float(rng.uniform(1, 1.9)), 1023))
     else:
         # Everyone builds, about 2**80 a group: both groups are outside the
         # band, and v * 2**-81 underflows to 0 in the common scaling.
-        efforts = [[(math.ldexp(float(rng.uniform(1, 2)), 80) / len(g), 0.0) for _ in g]
+        pairs = [[(math.ldexp(float(rng.uniform(1, 2)), 80) / len(g), 0.0) for _ in g]
                    for g in vals]
-    return kind, make_spec(*vals, theta), _columns(efforts)
+    return kind, make_spec(*vals, theta), profile_of(pairs)
 
 
 @st.composite
@@ -1028,10 +1037,8 @@ class TestPlayerIds:
     @pytest.mark.parametrize("n", [verify.ARRAY_MIN_PLAYERS - 1, verify.ARRAY_MIN_PLAYERS])
     def test_rows_carry_the_players_ids(self, n):
         spec = _ladder_spec(n)
-        efforts = gc.solve(spec).profile.efforts
-        profile = gc.StrategyProfile(
-            tuple(tuple(gc.Effort(1.5 * e.x, 1.5 * e.y) for e in g) for g in efforts)
-        )
+        solved = efforts(gc.solve(spec).profile)
+        profile = profile_of(tuple(tuple(Effort(1.5 * e.x, 1.5 * e.y) for e in g) for g in solved))
         with mock.patch.object(verify, "_search_array", wraps=verify._search_array) as spy:
             report = gc.is_epsilon_nash(spec, profile)
         assert spy.call_count == (1 if n >= verify.ARRAY_MIN_PLAYERS else 0)
@@ -1054,10 +1061,8 @@ class TestPlayerIds:
 
 
 def _scaled_closed_form(spec, scale):
-    efforts = gc.solve(spec).profile.efforts
-    return gc.StrategyProfile(
-        tuple(tuple(gc.Effort(scale * e.x, scale * e.y) for e in g) for g in efforts)
-    )
+    solved = efforts(gc.solve(spec).profile)
+    return profile_of(tuple(tuple(Effort(scale * e.x, scale * e.y) for e in g) for g in solved))
 
 
 class TestSharedRows:
@@ -1089,18 +1094,18 @@ class TestSharedRows:
     def test_negative_zero_efforts_keep_their_sign(self, n):
         spec = _ladder_spec(n)
         signed = [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (0.0, 0.0)]
-        profile = gc.StrategyProfile(
+        profile = profile_of(
             tuple(
                 # The top player builds; the idle ones take every signed zero.
-                (g[0], *(gc.Effort(*signed[(k + 2 * i) % 4]) for k in range(1, n)))
-                for i, g in enumerate(gc.solve(spec).profile.efforts)
+                (g[0], *(Effort(*signed[(k + 2 * i) % 4]) for k in range(1, n)))
+                for i, g in enumerate(efforts(gc.solve(spec).profile))
             )
         )
         with mock.patch.object(verify, "_search_array", wraps=verify._search_array) as spy:
             report = gc.is_epsilon_nash(spec, profile)
         assert spy.call_count == (1 if n >= verify.ARRAY_MIN_PLAYERS else 0)
         rows = [(d.new_x.hex(), d.new_y.hex()) for d in report.deviations]
-        assert rows == [(e.x.hex(), e.y.hex()) for g in profile.efforts for e in g]
+        assert rows == [(e.x.hex(), e.y.hex()) for g in efforts(profile) for e in g]
         assert [deviation_hex(d) for d in report.deviations] == [
             deviation_hex(gc.best_deviation(spec, profile, p)) for p in gc.players(spec)
         ]
@@ -1130,7 +1135,7 @@ class TestIsEpsilonNash:
     def test_refutes_perturbed_equilibrium(self, sabotage_spec):
         base = gc.solve(sabotage_spec).profile
         bottom = gc.PlayerId(1, 2)
-        perturbed = base.replace(bottom, 0.0, base.effort(bottom).y + 0.1)
+        perturbed = base.replace(bottom, 0.0, effort(base, bottom).y + 0.1)
         report = gc.is_epsilon_nash(sabotage_spec, perturbed, 1e-6)
         assert not report.is_epsilon_nash
         d = max(report.deviations, key=lambda d: d.improvement)
@@ -1212,7 +1217,7 @@ class TestRefuteClass:
             wrong = False
             for p in gc.players(no_sabotage_spec):
                 v = gc.valuation(no_sabotage_spec, p)
-                e = r.profile.effort(p)
+                e = effort(r.profile, p)
                 wrong = wrong or (v > 0 and e.y > 0) or (v < 0 and e.x > 0)
             assert wrong
 
@@ -1238,25 +1243,24 @@ class TestRefuteClass:
         assert len(records) == 20
         for r in records:
             assert r.deviation.improvement > tol
-            efforts = [e for column in r.profile.xs + r.profile.ys for e in column]
-            assert all(0.0 <= e < math.inf for e in efforts)
+            assert all(0.0 <= e < math.inf for column in r.profile.xs + r.profile.ys for e in column)
             if forbidden is not gc.ForbiddenClass.FREE_RIDER_VIOLATION:
                 continue
             # The violator is the one active player inside her group's ends.
             (violator,) = (
                 p for p in gc.players(spec)
-                if r.profile.effort(p) != gc.Effort(0.0, 0.0)
+                if effort(r.profile, p) != Effort(0.0, 0.0)
                 and p.index not in (1, spec.group(p.group).size)
             )
             v = gc.valuation(spec, violator)
             _, z_minus, z_other = residual(spec, r.profile, violator)
-            e = r.profile.effort(violator)
+            e = effort(r.profile, violator)
             if v > 0:
-                effort, peak = e.x, gc.br_positive_x(v, z_minus, z_other).effort
+                own, peak = e.x, gc.br_positive_x(v, z_minus, z_other).effort
             else:
-                effort, peak = e.y, gc.br_negative_y(spec.theta, v, z_minus, z_other).effort
-            assert effort > 0.0
-            assert math.isclose(effort, peak, rel_tol=1e-12)
+                own, peak = e.y, gc.br_negative_y(spec.theta, v, z_minus, z_other).effort
+            assert own > 0.0
+            assert math.isclose(own, peak, rel_tol=1e-12)
 
     def test_refutation_golden_digest(self):
         assert _refutation_digest(6, 2028) == (
@@ -1323,23 +1327,43 @@ class TestDynamics:
     def test_round_robin_rebuilds_only_the_moves(self, gap_spec, monkeypatch):
         # The search reads each profile afresh: a move costs one replace.
         initial = self._jitter(gap_spec, 4)
-        calls = _count_calls(monkeypatch)
-        result = gc.best_response_dynamics(gap_spec, initial, 30, "round_robin")
+        want = reference_dynamics(gap_spec, initial, 30, "round_robin")
         moves = sum(
             a != b
-            for before, after in zip(result.trajectory, result.trajectory[1:])
-            for ga, gb in zip(before.efforts, after.efforts)
+            for before, after in zip(want.trajectory, want.trajectory[1:])
+            for ga, gb in zip(efforts(before), efforts(after))
             for a, b in zip(ga, gb)
         )
+        calls = _count_calls(monkeypatch)
+        result = gc.best_response_dynamics(gap_spec, initial, 30, "round_robin")
+        assert result.profile == want.profile
         assert moves > 0
         assert calls == ["replace"] * moves
 
-    def test_trajectory_bookkeeping(self, gap_spec):
-        result = gc.best_response_dynamics(gap_spec, self._jitter(gap_spec, 0), 50, "round_robin")
-        assert result.trajectory[0] == self._jitter(gap_spec, 0)
-        assert result.trajectory[-1] == result.profile
+    def test_last_step_bookkeeping(self, gap_spec):
+        initial = self._jitter(gap_spec, 0)
+        result = gc.best_response_dynamics(gap_spec, initial, 50, "round_robin")
+        want = reference_dynamics(gap_spec, initial, 50, "round_robin")
+        assert want.trajectory[0] == initial
+        assert want.trajectory[-1] == result.profile
+        assert result.last_delta == profile_distance(*want.trajectory[-2:])
         if result.status is gc.DynamicsStatus.CYCLING:
             assert result.period >= 2
+
+    # Every status in both orders; MaxIters also after a single iteration.
+    @pytest.mark.parametrize("spec_name, order, max_iters, status", [
+        ("no_sabotage_spec", "round_robin", 300, "Converged"),
+        ("no_sabotage_spec", "simultaneous", 300, "Converged"),
+        ("gap_spec", "round_robin", 300, "Cycling"),
+        ("gap_spec", "simultaneous", 300, "Cycling"),
+        ("gap_spec", "round_robin", 4, "MaxIters"),
+        ("gap_spec", "round_robin", 1, "MaxIters"),
+        ("gap_spec", "simultaneous", 1, "MaxIters"),
+    ])
+    def test_last_delta_matches_reference(self, request, spec_name, order, max_iters, status):
+        spec = request.getfixturevalue(spec_name)
+        want = _reference_run(spec, self._jitter(spec, 0), max_iters, order)
+        assert want.status.value == status
 
     @settings(max_examples=60)
     @given(
@@ -1360,16 +1384,7 @@ class TestDynamics:
             random_profile(rng, spec, scale=1e-3 * s) if jitter
             else gc.StrategyProfile.zeros(spec)
         )
-        got = gc.best_response_dynamics(spec, initial, max_iters, order)
-        want = reference_dynamics(spec, initial, max_iters, order)
-        assert (got.status, got.iterations, got.period) == (
-            want.status, want.iterations, want.period
-        )
-        assert len(got.trajectory) == got.iterations + 1
-        assert got.profile is got.trajectory[-1]
-        assert [_profile_hex(q) for q in got.trajectory] == [
-            _profile_hex(q) for q in want.trajectory
-        ]
+        _reference_run(spec, initial, max_iters, order)
 
     # Ladder specs at 20, 45 and 60 players a group, theta at half the lower
     # cutoff, inside the gap and at twice the upper cutoff, from seeded
@@ -1389,7 +1404,7 @@ class TestDynamics:
                     starts = (self._jitter(spec, n), gc.StrategyProfile.zeros(spec))
                     for order in ("round_robin", "simultaneous"):
                         for initial in starts:
-                            r = gc.best_response_dynamics(spec, initial, 48, order)
+                            r = _reference_run(spec, initial, 48, order)
                             h.update(f"{r.status.value}:{r.iterations}:{r.period}\n".encode())
                             for profile in r.trajectory:
                                 h.update(f"{_profile_hex(profile)}\n".encode())
