@@ -63,7 +63,7 @@ def _time(spec, profile, searches, threshold: int, calls: int) -> float:
     try:
         start = time.perf_counter()
         for _ in range(calls):
-            verify._search_moves(spec, profile, searches)
+            verify._search_moves(spec, profile.xs, profile.ys, searches)
         return (time.perf_counter() - start) / calls
     finally:
         verify.ARRAY_MIN_PLAYERS = saved

@@ -49,16 +49,19 @@ def win_probability_short(z1: float, z2: float) -> float:
     """Group 1's winning probability at (z1, z2), all five sign cases in
     one expression (the branch-agreement tests pin it to the five-case
     definition bit for bit).  Where |z1| + |z2| overflows it runs on the
-    halved inputs: the map is scale-free and halving is exact there."""
-    if not (math.isfinite(z1) and math.isfinite(z2)):
-        raise NonFiniteInput(f"effective efforts must be finite, got ({z1}, {z2})")
+    halved inputs: the map is scale-free and halving is exact there.
+    A non-finite input makes the scale non-finite too, so finite inputs
+    pay for no check."""
     scale = abs(z1) + abs(z2)
-    if scale == math.inf:
+    if not scale < math.inf:
+        if not (math.isfinite(z1) and math.isfinite(z2)):
+            raise NonFiniteInput(f"effective efforts must be finite, got ({z1}, {z2})")
         z1, z2 = 0.5 * z1, 0.5 * z2
         scale = abs(z1) + abs(z2)
     if scale == 0:
         return 0.5
-    return (max(0.0, z1) - min(0.0, z2)) / scale
+    # Both conditionals map -0.0 to +0.0.
+    return ((z1 if z1 > 0.0 else 0.0) - (z2 if z2 < 0.0 else 0.0)) / scale
 
 
 def p1_values(z1, z2) -> np.ndarray:

@@ -59,9 +59,11 @@ improving one.  ``best_deviation`` searches one player, so calls for
 distinct players may run in parallel.
 
 ``best_response_dynamics`` reads the pick layer alone and builds no
-rows.  Round-robin play is inherently sequential: each search reads the
-columns afresh, and each move is one ``replace``, which swaps one entry
-of two columns.  After an iteration the profile becomes one row of a
+rows.  It keeps one list per group column, live, and writes each move
+into its player's two entries, in either order, so an iteration's moves
+cost O(1) each; the profile of tuples is built once, at return.
+Round-robin play is inherently sequential: each search reads the live
+columns afresh.  After an iteration the profile becomes one row of a
 float64 array that doubles when full, and one broadcast against the
 earlier rows gives the largest change from each of them: the last is
 the step just taken, for the convergence check, and the others feed
@@ -345,10 +347,11 @@ def _gains(theta, group, indices, valuations, columns, z, z_other, p_now, picks)
     picks[:] = gains
 
 
-def _search_moves(spec: ContestSpec, profile: StrategyProfile, searches):
-    """The pick layer of a profile's search.  ``searches`` holds (group,
-    indices) pairs, each a whole group (``range(1, n + 1)``) or one
-    player.  Returns per search the (position, x, y, gain) of each listed
+def _search_moves(spec: ContestSpec, xs, ys, searches):
+    """The pick layer of a profile's search, over its columns ``xs`` and
+    ``ys`` (per group, any sequences of floats).  ``searches`` holds
+    (group, indices) pairs, each a whole group (``range(1, n + 1)``) or
+    one player.  Returns per search the (position, x, y, gain) of each listed
     player whose best move gains and the positions of the busy listed
     players (an effort other than +0.0, -0.0 included), and the number of
     points scored.  Group values come from the sums ``effective_efforts``
@@ -357,33 +360,32 @@ def _search_moves(spec: ContestSpec, profile: StrategyProfile, searches):
     ``_search_array`` call, other searches to the scalar loop; both pick
     only the moves, whose exact gains ``_gains`` takes."""
     theta = spec.theta
-    (x1, x2), (y1, y2) = profile.xs, profile.ys
-    sx = sum(x1), sum(x2)
-    zs = sx[0] - theta * sum(y1), sx[1] - theta * sum(y2)
+    sx = sum(xs[0]), sum(xs[1])
+    zs = sx[0] - theta * sum(ys[0]), sx[1] - theta * sum(ys[1])
     found, wide, later, count = [], [], [], 0
     for group, indices in searches:
         valuations = spec.group(group).valuations
-        columns = xs, ys = profile.xs[group - 1], profile.ys[group - 1]
+        columns = gx, gy = xs[group - 1], ys[group - 1]
         z, z_other = zs[group - 1], zs[2 - group]
         # The gross effort and the number of nonzero efforts bound the rounding
         # in z.  Where every y is +-0.0, each term x + theta * y is x, or +0.0
-        # for x = -0.0, which the sum (from +0.0) adds alike: the gross is sum(xs).
-        n, idle_y = len(xs), ys.count(0.0)
-        own_gross = sx[group - 1] if idle_y == n else sum([x + theta * y for x, y in zip(xs, ys)])
-        terms = 2 * n - xs.count(0.0) - idle_y
+        # for x = -0.0, which the sum (from +0.0) adds alike: the gross is sum(gx).
+        n, idle_y = len(gx), gy.count(0.0)
+        own_gross = sx[group - 1] if idle_y == n else sum([x + theta * y for x, y in zip(gx, gy)])
+        terms = 2 * n - gx.count(0.0) - idle_y
         p_now = win_probability_short(z, z_other)
         exact = abs(z_other) > ROUNDING_BAND * (terms + 4) * math.ulp(own_gross)
         busy, picks = [], []
         found.append((picks, busy))
         if exact and len(indices) == n >= ARRAY_MIN_PLAYERS:
             # ``struct.pack`` reads tuples of floats about 3x faster than np.array.
-            rows = np.frombuffer(struct.pack(f"{3 * n}d", *valuations, *xs, *ys)).reshape(3, n)
+            rows = np.frombuffer(struct.pack(f"{3 * n}d", *valuations, *gx, *gy)).reshape(3, n)
             wide.append((rows, columns, z, z_other, p_now, own_gross, busy, picks))
             later.append((group, indices, valuations, columns, z, z_other, p_now, picks))
             continue
 
         for i, k in enumerate(indices):
-            v, x, y = valuations[k - 1], xs[k - 1], ys[k - 1]
+            v, x, y = valuations[k - 1], gx[k - 1], gy[k - 1]
             z_minus = z - (x - theta * y)
             # Candidate efforts on the valuation's axis.
             kink = max(0.0, -z_minus) if v > 0 else max(0.0, z_minus / theta)
@@ -458,7 +460,8 @@ def best_deviation(
     _check_shape(spec, profile)
     valuation(spec, player)  # raises UnknownPlayer
     searches = ((player.group, (player.index,)),)
-    (deviation,) = _search_rows(profile, searches, _search_moves(spec, profile, searches)[0])
+    found, _ = _search_moves(spec, profile.xs, profile.ys, searches)
+    (deviation,) = _search_rows(profile, searches, found)
     return deviation
 
 
@@ -480,7 +483,7 @@ def is_epsilon_nash(
         raise ContestError(f"epsilon must be finite and positive, got {epsilon}")
     _check_shape(spec, profile)
     searches = tuple((g, range(1, n + 1)) for g, n in enumerate(spec.sizes(), start=1))
-    found, count = _search_moves(spec, profile, searches)
+    found, count = _search_moves(spec, profile.xs, profile.ys, searches)
     # Only a gaining player's row improves on 0.0, and epsilon > 0.
     certified = all(gain <= epsilon for gains, _ in found for *_, gain in gains)
     deviations = _search_rows(profile, searches, found)
@@ -490,8 +493,11 @@ def is_epsilon_nash(
 # --- forbidden-class sampling -------------------------------------------
 
 
-def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+def _log_uniform(rng: np.random.Generator, logs) -> float:
+    """An effort drawn log-uniformly between bounds whose logs are ``logs``,
+    by ``rng.uniform``'s own arithmetic, low + (high - low) * u."""
+    log_lo, log_hi = logs
+    return float(np.exp(log_lo + (log_hi - log_lo) * rng.random()))
 
 
 def _draw(rng: np.random.Generator, items):
@@ -511,12 +517,10 @@ def _negative_players(spec: ContestSpec, group: int) -> list[PlayerId]:
 
 
 def _generate_forbidden(
-    spec: ContestSpec, forbidden: ForbiddenClass, rng: np.random.Generator
+    spec: ContestSpec, forbidden: ForbiddenClass, rng: np.random.Generator, logs
 ) -> tuple[StrategyProfile, list[PlayerId]]:
     """Draw one profile inside the forbidden class; also return the
     players that the class's counter-argument targets, checked first."""
-    s = spec.max_abs_valuation()
-    lo, hi = s / 8.0, s / 2.0
     profile = StrategyProfile.zeros(spec)
     theta = spec.theta
     ids = {g: _group_ids(g, spec.group(g).size) for g in (1, 2)}
@@ -526,8 +530,8 @@ def _generate_forbidden(
         j = 3 - i
         builder = _draw(rng, _positive_players(spec, i))
         saboteur = _draw(rng, _negative_players(spec, j))
-        profile = profile.replace(builder, _log_uniform(rng, lo, hi), 0.0)
-        profile = profile.replace(saboteur, 0.0, _log_uniform(rng, lo, hi))
+        profile = profile.replace(builder, _log_uniform(rng, logs), 0.0)
+        profile = profile.replace(saboteur, 0.0, _log_uniform(rng, logs))
         return profile, [builder, saboteur]
 
     if forbidden is ForbiddenClass.SOME_ZERO_Z:
@@ -537,17 +541,17 @@ def _generate_forbidden(
         if rng.random() < 0.5:
             # Zero by offset rather than idleness: top player builds,
             # bottom player sabotages it away exactly.
-            t = _log_uniform(rng, lo, hi)
+            t = _log_uniform(rng, logs)
             profile = profile.replace(ids[i][0], theta * t, 0.0)
             profile = profile.replace(ids[i][-1], 0.0, t)
         sign = _draw(rng, ("positive", "zero", "negative"))
         if sign == "positive":
             active = ids[j][0]
-            profile = profile.replace(active, _log_uniform(rng, lo, hi), 0.0)
+            profile = profile.replace(active, _log_uniform(rng, logs), 0.0)
             suspects = [active]
         elif sign == "negative":
             active = ids[j][-1]
-            profile = profile.replace(active, 0.0, _log_uniform(rng, lo, hi))
+            profile = profile.replace(active, 0.0, _log_uniform(rng, logs))
             suspects = [active]
         return profile, suspects
 
@@ -556,19 +560,19 @@ def _generate_forbidden(
         kind = _draw(rng, ("sabotaging_winner", "building_loser", "straddler"))
         if kind == "sabotaging_winner":
             culprit = _draw(rng, _positive_players(spec, i))
-            profile = profile.replace(culprit, 0.0, _log_uniform(rng, lo, hi))
+            profile = profile.replace(culprit, 0.0, _log_uniform(rng, logs))
         elif kind == "building_loser":
             culprit = _draw(rng, _negative_players(spec, i))
-            profile = profile.replace(culprit, _log_uniform(rng, lo, hi), 0.0)
+            profile = profile.replace(culprit, _log_uniform(rng, logs), 0.0)
         else:
             culprit = _draw(rng, _positive_players(spec, i))
             profile = profile.replace(
-                culprit, _log_uniform(rng, lo, hi), _log_uniform(rng, lo, hi)
+                culprit, _log_uniform(rng, logs), _log_uniform(rng, logs)
             )
         # Background activity in the other group keeps the sample generic.
         j = 3 - i
         if rng.random() < 0.5:
-            profile = profile.replace(ids[j][0], _log_uniform(rng, lo, hi), 0.0)
+            profile = profile.replace(ids[j][0], _log_uniform(rng, logs), 0.0)
         return profile, [culprit]
 
     # FreeRiderViolation: a non-extreme player is active and her own
@@ -617,10 +621,11 @@ def refute_class(
     if samples < 1:
         raise ContestError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    tol = 1e-9 * spec.max_abs_valuation()
+    s = spec.max_abs_valuation()
+    tol, logs = 1e-9 * s, (np.log(s / 8.0), np.log(s / 2.0))
     records = []
     for _ in range(samples):
-        profile, suspects = _generate_forbidden(spec, forbidden, rng)
+        profile, suspects = _generate_forbidden(spec, forbidden, rng, logs)
         refuting = None
         for p in chain(suspects, (p for p in players(spec) if p not in suspects)):
             d = best_deviation(spec, profile, p)
@@ -663,9 +668,10 @@ def best_response_dynamics(
     if order not in ("round_robin", "simultaneous"):
         raise ContestError(f"order must be round_robin or simultaneous, got {order!r}")
     _check_shape(spec, initial)
-    roster = [(p, ((p.group, (p.index,)),)) for p in players(spec)]
+    roster = [(p.group - 1, p.index - 1, ((p.group, (p.index,)),)) for p in players(spec)]
     groups = tuple((g, range(1, n + 1)) for g, n in enumerate(spec.sizes(), start=1))
-    current = initial
+    # The live columns: each move is written into its player's entries.
+    xs, ys = [list(c) for c in initial.xs], [list(c) for c in initial.ys]
     # Row t holds profile t's columns; the buffer doubles when it is full.
     history = np.concatenate(initial.xs + initial.ys)[np.newaxis]
     status, period = DynamicsStatus.MAX_ITERS, None
@@ -673,26 +679,22 @@ def best_response_dynamics(
     for iteration in range(1, max_iters + 1):
         gain = 0.0
         if order == "round_robin":
-            for p, search in roster:
-                ((gains, _),), _ = _search_moves(spec, current, search)
+            for g, k, search in roster:
+                ((gains, _),), _ = _search_moves(spec, xs, ys, search)
                 for _, x, y, d in gains:
                     gain = max(gain, d)
-                    current = current.replace(p, x, y)
+                    xs[g][k], ys[g][k] = x, y
         else:
-            found, _ = _search_moves(spec, current, groups)
-            moves = [
-                (_group_ids(g, len(indices))[i], x, y, d)
-                for (g, indices), (gains, _) in zip(groups, found)
-                for i, x, y, d in gains
-            ]
-            gain = max((d for *_, d in moves), default=0.0)
+            # Every search reads the columns before any move is written.
+            found, _ = _search_moves(spec, xs, ys, groups)
+            gain = max((d for gains, _ in found for *_, d in gains), default=0.0)
             if gain > FIXED_POINT_TOL:
-                for p, x, y, _ in moves:
-                    current = current.replace(p, x, y)
+                for g, (gains, _) in enumerate(found):  # positions i are indices - 1
+                    for i, x, y, _ in gains:
+                        xs[g][i], ys[g][i] = x, y
 
         if iteration == len(history):
             history = np.concatenate((history, np.empty_like(history)))
-        xs, ys = current.xs, current.ys
         history[iteration] = xs[0] + xs[1] + ys[0] + ys[1]
         # The largest change from each earlier profile: the last is the step
         # just taken, the others are checked for a recurrence.
@@ -704,4 +706,5 @@ def best_response_dynamics(
         if hits.size:
             status, period = DynamicsStatus.CYCLING, iteration - int(hits[-1])
             break
-    return DynamicsResult(status, current, iteration, period, float(gaps[-1]))
+    profile = StrategyProfile(tuple(map(tuple, xs)), tuple(map(tuple, ys)))
+    return DynamicsResult(status, profile, iteration, period, float(gaps[-1]))

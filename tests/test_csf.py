@@ -39,10 +39,13 @@ class TestWinProbability:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(gc.NonFiniteInput):
-            gc.win_probability_short(bad, 1.0)
-        with pytest.raises(gc.NonFiniteInput):
-            gc.win_probability_short(1.0, bad)
+        # The finiteness check runs only where |z1| + |z2| is not below inf,
+        # so partners at zero, subnormal and near-overflow must still reach it.
+        for partner in (1.0, 0.0, -0.0, 5e-324, 1e308, -1e308):
+            with pytest.raises(gc.NonFiniteInput):
+                gc.win_probability_short(bad, partner)
+            with pytest.raises(gc.NonFiniteInput):
+                gc.win_probability_short(partner, bad)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(

@@ -1324,8 +1324,10 @@ class TestDynamics:
             assert result.status is gc.DynamicsStatus.CONVERGED
             assert gc.is_epsilon_nash(sabotage_spec, result.profile).is_epsilon_nash
 
-    def test_round_robin_rebuilds_only_the_moves(self, gap_spec, monkeypatch):
-        # The search reads each profile afresh: a move costs one replace.
+    def test_round_robin_calls_neither_replace_nor_effective_efforts(
+        self, gap_spec, monkeypatch
+    ):
+        # Each search reads the live columns, and each move is written into them.
         initial = self._jitter(gap_spec, 4)
         want = reference_dynamics(gap_spec, initial, 30, "round_robin")
         moves = sum(
@@ -1338,7 +1340,46 @@ class TestDynamics:
         result = gc.best_response_dynamics(gap_spec, initial, 30, "round_robin")
         assert result.profile == want.profile
         assert moves > 0
-        assert calls == ["replace"] * moves
+        assert calls == []
+
+    def test_simultaneous_moves_are_written_in_place(self, monkeypatch):
+        # One iteration's moves cost O(n): no replace copies a group per move.
+        base = _ladder_spec(200)
+        cut = gc.thresholds(base)
+        theta = math.sqrt(cut.theta_no_sabotage * cut.theta_sabotage)
+        spec = make_spec(base.group1.valuations, base.group2.valuations, theta)
+        initial = self._jitter(spec, 0)
+        want = reference_dynamics(spec, initial, 3, "simultaneous")
+        assert want.profile != initial
+        calls = _count_calls(monkeypatch)
+        got = gc.best_response_dynamics(spec, initial, 3, "simultaneous")
+        assert calls == []
+        assert (got.status, got.iterations) == (want.status, want.iterations)
+        assert _profile_hex(got.profile) == _profile_hex(want.profile)
+        assert got.last_delta.hex() == want.last_delta.hex()
+
+    # One iteration that moves, and a run that converges at once from the
+    # closed-form equilibrium, in both orders.
+    @pytest.mark.parametrize("order", ["round_robin", "simultaneous"])
+    @pytest.mark.parametrize("spec_name, max_iters", [
+        ("gap_spec", 1), ("no_sabotage_spec", 300),
+    ])
+    def test_initial_is_untouched_and_result_holds_tuples(
+        self, request, spec_name, max_iters, order
+    ):
+        spec = request.getfixturevalue(spec_name)
+        initial = self._jitter(spec, 0) if max_iters == 1 else gc.solve(spec).profile
+        before = _profile_hex(initial)
+        result = gc.best_response_dynamics(spec, initial, max_iters, order)
+        assert result.iterations == 1
+        assert _profile_hex(initial) == before
+        assert (result.profile == initial) is (max_iters > 1)
+        for columns in (result.profile.xs, result.profile.ys):
+            assert type(columns) is tuple
+            assert all(type(c) is tuple for c in columns)
+        assert hash(result.profile) == hash(gc.StrategyProfile(
+            result.profile.xs, result.profile.ys
+        ))
 
     def test_last_step_bookkeeping(self, gap_spec):
         initial = self._jitter(gap_spec, 0)
