@@ -67,10 +67,13 @@ def _load_json(path: str) -> dict:
 
 
 def _round9(obj):
-    """Round every float in a JSON-ish structure to 9 significant digits."""
+    """Round every float in a JSON-ish structure to 9 significant digits,
+    refusing nan and the infinities."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise NonFiniteOutput(f"the output holds {obj}, which JSON cannot spell")
         return float(f"{obj:.9g}")
     if isinstance(obj, dict):
         return {k: _round9(v) for k, v in obj.items()}
@@ -80,18 +83,13 @@ def _round9(obj):
 
 
 def _emit(obj) -> None:
-    try:
-        print(json.dumps(_round9(obj), indent=2, allow_nan=False))
-    except ValueError:  # nan or an infinity
-        raise NonFiniteOutput("the output holds a value that JSON cannot spell") from None
+    print(json.dumps(_round9(obj), indent=2))
 
 
 def _region_json(grid: RegionGrid) -> str:
     """What ``_emit`` prints for the sweep as a list of {axis1, axis2,
     margin, in_region} objects, rendered from the arrays row by row as
     ``region_csv`` renders its rows."""
-    if not np.isfinite(grid.margin).all():
-        raise NonFiniteOutput("a margin overflows to nan or an infinity, which JSON cannot spell")
     cells = [
         f'    "axis2": {json.dumps(_round9(a2))},\n    "margin": %s,\n    "in_region": %s\n  }}'
         for a2 in grid.axis2.tolist()

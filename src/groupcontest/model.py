@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from typing import Iterator
 
@@ -147,20 +146,11 @@ class EffectiveEffort:
     z2: float
 
 
-# An entry is as large as its group, so the bound keeps the cache within a
-# few profiles' size; callers mostly repeat one or two group sizes.
-@lru_cache(maxsize=16)
-def _group_ids(group: int, size: int) -> tuple[PlayerId, ...]:
-    """(PlayerId(group, 1), ..., PlayerId(group, size))."""
-    return tuple(PlayerId(group, k) for k in range(1, size + 1))
-
-
 def players(spec: ContestSpec) -> Iterator[PlayerId]:
-    """Iterate players group 1 then group 2, in valuation order.  The
-    ids are shared immutable values from one bounded cache, so repeated
-    calls on groups of the same size build no new ones."""
+    """Iterate players group 1 then group 2, in valuation order."""
     for i in (1, 2):
-        yield from _group_ids(i, spec.group(i).size)
+        for k in range(1, spec.group(i).size + 1):
+            yield PlayerId(i, k)
 
 
 def valuation(spec: ContestSpec, player: PlayerId) -> float:

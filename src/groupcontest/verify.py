@@ -49,14 +49,14 @@ searched group (its gross effort, the odds, the rounding-band decision)
 once, and returns each gaining player's move and exact gain as plain
 floats.  The row layer, ``_search_rows``, builds the report rows that
 ``best_deviation``, ``is_epsilon_nash`` and ``refute_class`` return;
-``is_epsilon_nash`` takes its verdict from the gains.  Rows carry the
-player ids ``players`` yields: shared immutable values from one bounded
-cache in ``model``, so a search builds no ids once groups of its sizes
-have been seen.  Idle players' rows, staying at (+0.0, +0.0), are
-shared too, checked against those ids on each use: a search builds a
-row only for a busy player (any other effort, -0.0 included) and for an
-improving one.  ``best_deviation`` searches one player, so calls for
-distinct players may run in parallel.
+``is_epsilon_nash`` takes its verdict from the gains.  Idle players' rows,
+staying at (+0.0, +0.0), are shared immutable values from one bounded
+cache, and every other row takes its player's id from the idle row at
+its position, so the ids of a report agree by construction.  A search
+builds a row only for a busy player (any other effort, -0.0 included)
+and for an improving one, and no id once groups of its sizes have been
+seen.  ``best_deviation`` searches one player, so calls for distinct
+players may run in parallel.
 
 ``best_response_dynamics`` reads the pick layer alone and builds no
 rows.  It keeps one list per group column, live, and writes each move
@@ -100,8 +100,6 @@ from .model import (
     PlayerId,
     StrategyProfile,
     _check_shape,
-    _group_ids,
-    players,
     valuation,
 )
 
@@ -256,11 +254,12 @@ def _edge(theta, columns, k, v, z_minus, e):
     return float(np.int64(lo).view(np.float64))
 
 
-# Rows of players staying at (+0.0, +0.0), shared like their ids.  ``_group_ids``
-# may evict and rebuild a size's ids while its rows stay here, so each use checks.
+# Rows of players staying at (+0.0, +0.0), one shared row each.  Every other
+# row takes its player's id from the idle row at its position.  An entry is as
+# large as its group; callers mostly repeat one or two group sizes.
 @lru_cache(maxsize=16)
 def _idle_rows(group: int, size: int) -> tuple[Deviation, ...]:
-    return tuple(Deviation(p, 0.0, 0.0, 0.0) for p in _group_ids(group, size))
+    return tuple(Deviation(PlayerId(group, k), 0.0, 0.0, 0.0) for k in range(1, size + 1))
 
 
 def _search_array(theta, parts):
@@ -438,17 +437,14 @@ def _search_rows(profile: StrategyProfile, searches, found) -> list[Deviation]:
     rows = []
     for (group, indices), (gains, busy) in zip(searches, found):
         xs, ys = profile.xs[group - 1], profile.ys[group - 1]
-        ids, idle = _group_ids(group, len(xs)), _idle_rows(group, len(xs))
-        if idle[0].player is not ids[0]:  # ``_group_ids`` rebuilt this size's ids
-            _idle_rows.cache_clear()
-            idle = _idle_rows(group, len(xs))
+        idle = _idle_rows(group, len(xs))
         deviations = list(idle) if len(indices) == len(idle) else [idle[k - 1] for k in indices]
         for i, x, y, gain in gains:
-            deviations[i] = Deviation(ids[indices[i] - 1], x, y, gain)
+            deviations[i] = Deviation(deviations[i].player, x, y, gain)
         for i in busy:
             k = indices[i]
             if deviations[i] is idle[k - 1]:  # not moved by a gaining pick
-                deviations[i] = Deviation(ids[k - 1], xs[k - 1], ys[k - 1], 0.0)
+                deviations[i] = Deviation(idle[k - 1].player, xs[k - 1], ys[k - 1], 0.0)
         rows += deviations
     return rows
 
@@ -506,30 +502,22 @@ def _draw(rng: np.random.Generator, items):
     return items[int(rng.integers(len(items)))]
 
 
-def _positive_players(spec: ContestSpec, group: int) -> list[PlayerId]:
-    vals = spec.group(group).valuations
-    return [p for p, v in zip(_group_ids(group, len(vals)), vals) if v > 0]
-
-
-def _negative_players(spec: ContestSpec, group: int) -> list[PlayerId]:
-    vals = spec.group(group).valuations
-    return [p for p, v in zip(_group_ids(group, len(vals)), vals) if v < 0]
-
-
 def _generate_forbidden(
-    spec: ContestSpec, forbidden: ForbiddenClass, rng: np.random.Generator, logs
+    spec: ContestSpec, forbidden: ForbiddenClass, rng: np.random.Generator, logs,
+    ids, positive, negative,
 ) -> tuple[StrategyProfile, list[PlayerId]]:
     """Draw one profile inside the forbidden class; also return the
-    players that the class's counter-argument targets, checked first."""
+    players that the class's counter-argument targets, checked first.
+    ``ids``, ``positive`` and ``negative`` map each group to its players,
+    its positive ones and its negative ones, in valuation order."""
     profile = StrategyProfile.zeros(spec)
     theta = spec.theta
-    ids = {g: _group_ids(g, spec.group(g).size) for g in (1, 2)}
 
     if forbidden is ForbiddenClass.OPPOSITE_SIGNS:
         i = int(rng.integers(1, 3))
         j = 3 - i
-        builder = _draw(rng, _positive_players(spec, i))
-        saboteur = _draw(rng, _negative_players(spec, j))
+        builder = _draw(rng, positive[i])
+        saboteur = _draw(rng, negative[j])
         profile = profile.replace(builder, _log_uniform(rng, logs), 0.0)
         profile = profile.replace(saboteur, 0.0, _log_uniform(rng, logs))
         return profile, [builder, saboteur]
@@ -559,13 +547,13 @@ def _generate_forbidden(
         i = int(rng.integers(1, 3))
         kind = _draw(rng, ("sabotaging_winner", "building_loser", "straddler"))
         if kind == "sabotaging_winner":
-            culprit = _draw(rng, _positive_players(spec, i))
+            culprit = _draw(rng, positive[i])
             profile = profile.replace(culprit, 0.0, _log_uniform(rng, logs))
         elif kind == "building_loser":
-            culprit = _draw(rng, _negative_players(spec, i))
+            culprit = _draw(rng, negative[i])
             profile = profile.replace(culprit, _log_uniform(rng, logs), 0.0)
         else:
-            culprit = _draw(rng, _positive_players(spec, i))
+            culprit = _draw(rng, positive[i])
             profile = profile.replace(
                 culprit, _log_uniform(rng, logs), _log_uniform(rng, logs)
             )
@@ -578,11 +566,8 @@ def _generate_forbidden(
     # FreeRiderViolation: a non-extreme player is active and her own
     # first-order condition holds exactly, so the group's extreme player
     # strictly gains by joining in - the free-riding argument's target.
-    builder_violators = []  # non-top positive players
-    saboteur_violators = []  # non-bottom negative players
-    for g in (1, 2):
-        builder_violators.extend(_positive_players(spec, g)[1:])
-        saboteur_violators.extend(_negative_players(spec, g)[:-1])
+    builder_violators = positive[1][1:] + positive[2][1:]  # non-top positive players
+    saboteur_violators = negative[1][:-1] + negative[2][:-1]  # non-bottom negative players
     if not builder_violators and not saboteur_violators:
         raise ClassUnsatisfiable(
             "free riding needs a group with two players of the same sign"
@@ -617,17 +602,26 @@ def refute_class(
 ) -> list[Refutation]:
     """Sample ``samples`` profiles inside a forbidden class and refute
     each with a strictly improving deviation (threshold 1e-9 times the
-    largest valuation magnitude).  Fully reproducible from the seed."""
+    largest valuation magnitude).  Fully reproducible from the seed.
+
+    Each sample searches the players its class's argument names first,
+    then the rest of the roster in player order: the threshold is
+    absolute, so a suspect valued far below the largest valuation can
+    gain less than it while another player gains more."""
     if samples < 1:
         raise ContestError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     s = spec.max_abs_valuation()
     tol, logs = 1e-9 * s, (np.log(s / 8.0), np.log(s / 2.0))
+    ids = {g: [PlayerId(g, k) for k in range(1, n + 1)] for g, n in zip((1, 2), spec.sizes())}
+    positive = {g: [p for p in ids[g] if valuation(spec, p) > 0] for g in ids}
+    negative = {g: [p for p in ids[g] if valuation(spec, p) < 0] for g in ids}
+    roster = ids[1] + ids[2]
     records = []
     for _ in range(samples):
-        profile, suspects = _generate_forbidden(spec, forbidden, rng, logs)
+        profile, suspects = _generate_forbidden(spec, forbidden, rng, logs, ids, positive, negative)
         refuting = None
-        for p in chain(suspects, (p for p in players(spec) if p not in suspects)):
+        for p in chain(suspects, (p for p in roster if p not in suspects)):
             d = best_deviation(spec, profile, p)
             if d.improvement > tol:
                 refuting = d
@@ -668,8 +662,8 @@ def best_response_dynamics(
     if order not in ("round_robin", "simultaneous"):
         raise ContestError(f"order must be round_robin or simultaneous, got {order!r}")
     _check_shape(spec, initial)
-    roster = [(p.group - 1, p.index - 1, ((p.group, (p.index,)),)) for p in players(spec)]
     groups = tuple((g, range(1, n + 1)) for g, n in enumerate(spec.sizes(), start=1))
+    roster = [(g - 1, k - 1, ((g, (k,)),)) for g, ks in groups for k in ks]
     # The live columns: each move is written into its player's entries.
     xs, ys = [list(c) for c in initial.xs], [list(c) for c in initial.ys]
     # Row t holds profile t's columns; the buffer doubles when it is full.

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import groupcontest as gc
-from groupcontest import model, verify
+from groupcontest import verify
 from helpers import (
     Effort,
     corpus_case,
@@ -1031,8 +1031,8 @@ class TestStackedSearch:
 
 
 class TestPlayerIds:
-    """Report rows take their player ids from ``players``' bounded cache,
-    on both search paths."""
+    """Report rows carry the ids ``players`` yields, as equal values, on
+    both search paths."""
 
     @pytest.mark.parametrize("n", [verify.ARRAY_MIN_PLAYERS - 1, verify.ARRAY_MIN_PLAYERS])
     def test_rows_carry_the_players_ids(self, n):
@@ -1045,19 +1045,11 @@ class TestPlayerIds:
         assert any(d.improvement > 0 for d in report.deviations)
         roster = list(gc.players(spec))
         assert [d.player for d in report.deviations] == roster
-        # Shared, not rebuilt: the rows hold the very ids ``players`` yields.
-        assert all(d.player is p for d, p in zip(report.deviations, roster))
+        # Shared, not rebuilt: a second report holds the same id objects.
+        again = gc.is_epsilon_nash(spec, profile)
+        assert all(a.player is b.player for a, b in zip(report.deviations, again.deviations))
         for p in roster:
             assert gc.best_deviation(spec, profile, p).player == p
-
-    def test_id_cache_is_bounded(self):
-        cache = model._group_ids
-        maxsize = cache.cache_parameters()["maxsize"]
-        # Two groups per spec: more distinct (group, size) keys than maxsize.
-        for n in range(2, maxsize // 2 + 4):
-            spec = _ladder_spec(n)
-            gc.is_epsilon_nash(spec, gc.StrategyProfile.zeros(spec))
-        assert cache.cache_info().currsize <= maxsize
 
 
 def _scaled_closed_form(spec, scale):
@@ -1069,18 +1061,20 @@ class TestSharedRows:
     """Idle players, at (+0.0, +0.0) and staying put, share one row each;
     only busy players and movers get a row of their own."""
 
-    def test_rows_keep_the_players_ids_after_eviction(self):
+    def test_rows_take_their_ids_from_the_idle_rows(self):
         spec = _ladder_spec(60)
-        profile = _scaled_closed_form(spec, 1.0)
-        gc.is_epsilon_nash(spec, profile)
-        maxsize = model._group_ids.cache_parameters()["maxsize"]
-        # Churn more (group, size) keys than maxsize through ``players`` alone.
+        gc.is_epsilon_nash(spec, _scaled_closed_form(spec, 1.0))
+        maxsize = verify._idle_rows.cache_parameters()["maxsize"]
+        # Churn more (group, size) keys than maxsize through the search.
         for n in range(61, 61 + maxsize // 2 + 4):
-            list(gc.players(_ladder_spec(n)))
-        report = gc.is_epsilon_nash(spec, profile)
-        roster = list(gc.players(spec))
-        assert len(report.deviations) == len(roster)
-        assert all(d.player is p for d, p in zip(report.deviations, roster))
+            other = _ladder_spec(n)
+            gc.is_epsilon_nash(other, gc.StrategyProfile.zeros(other))
+        report = gc.is_epsilon_nash(spec, _scaled_closed_form(spec, 1.5))
+        idle = verify._idle_rows(1, 60) + verify._idle_rows(2, 60)
+        assert len(report.deviations) == len(idle)
+        own = [(d, r) for d, r in zip(report.deviations, idle) if d is not r]
+        assert sum(d.improvement > 0 for d, _ in own) > 0  # movers, not only busy rows
+        assert all(d.player is r.player for d, r in own)
 
     def test_shared_rows_are_bounded(self):
         cache = verify._idle_rows
@@ -1261,6 +1255,23 @@ class TestRefuteClass:
                 own, peak = e.y, gc.br_negative_y(spec.theta, v, z_minus, z_other).effort
             assert own > 0.0
             assert math.isclose(own, peak, rel_tol=1e-12)
+
+    def test_fall_back_refutes_what_the_suspect_cannot(self):
+        # The threshold 1e-9 * max|v| is absolute: with the builders' valuations
+        # 2**-40 of the largest, the free-rider suspect (1, 1) gains far less
+        # than it, and the rest of the roster refutes the sample.
+        t = 2.0**-40
+        spec = make_spec([3 * t, 2 * t, t, -4], [3 * t, -1, -4], 0.7)
+        tol = 1e-9 * spec.max_abs_valuation()
+        forbidden = gc.ForbiddenClass.FREE_RIDER_VIOLATION
+        by_seed = {seed: gc.refute_class(spec, forbidden, 4, seed=seed) for seed in range(4)}
+        for records in by_seed.values():
+            for r in records:
+                assert r.deviation.improvement > tol
+                if r.deviation.player == gc.PlayerId(1, 4):
+                    suspect = gc.best_deviation(spec, r.profile, gc.PlayerId(1, 1))
+                    assert suspect.improvement <= tol
+        assert any(r.deviation.player == gc.PlayerId(1, 4) for r in by_seed[1])
 
     def test_refutation_golden_digest(self):
         assert _refutation_digest(6, 2028) == (
