@@ -11,10 +11,11 @@ and the bottom -2 to -8, theta at half the lower cutoff) and two profiles:
   nonzero) while group 2 builds 2**12 times harder.  Only group 1 lies
   outside the band, and only it is searched.
 
-The pick layer ``verify._search_moves`` runs each profile's searches with
-``ARRAY_MIN_PLAYERS`` at 1 (the arrays) and at 10**9 (the scalar loop),
-alternating, and the script prints the median time of each per search
-and their ratio.  A ratio below 1 means the arrays are faster there.
+The pick layer ``verify._search_moves`` searches each profile's groups with
+``ARRAY_MIN_PLAYERS`` at 1 (the arrays) and at 10**9 (the scalar loop, one
+``_search_player`` call per player), alternating, and the script prints
+the median time of each per search and their ratio.  A ratio below 1
+means the arrays are faster there.
 
     python3 scripts/crossover.py --sizes 10,20,30,40,60,100,200 --repeat 40
 
@@ -44,26 +45,25 @@ def _group(rng: np.random.Generator, n: int) -> tuple[float, ...]:
 
 
 def _cases(n: int):
-    """(name, spec, profile, searches) of both profiles at size n."""
+    """(name, spec, profile, groups searched) of both profiles at size n."""
     rng = np.random.default_rng([0, n])
     groups = GroupSpec(_group(rng, n)), GroupSpec(_group(rng, n))
     theta = thresholds(validate_spec(ContestSpec(*groups, 1.0))).theta_no_sabotage / 2
     spec = validate_spec(ContestSpec(*groups, theta))
-    both = ((1, range(1, n + 1)), (2, range(1, n + 1)))
     mixed = [[float(rng.uniform(0, 2)) if rng.random() < 0.6 else 0.0 for _ in range(n)]
              for _ in "xy"]
     big = tuple(float(x) * 2**12 for x in rng.uniform(0.5, 2.0, n))
     profile = StrategyProfile((tuple(mixed[0]), big), (tuple(mixed[1]), (0.0,) * n))
-    return [("closed", spec, solve(spec).profile, both), ("mixed", spec, profile, both[:1])]
+    return [("closed", spec, solve(spec).profile, (1, 2)), ("mixed", spec, profile, (1,))]
 
 
-def _time(spec, profile, searches, threshold: int, calls: int) -> float:
+def _time(spec, profile, groups, threshold: int, calls: int) -> float:
     """Seconds per ``_search_moves`` call with ``ARRAY_MIN_PLAYERS`` set to threshold."""
     saved, verify.ARRAY_MIN_PLAYERS = verify.ARRAY_MIN_PLAYERS, threshold
     try:
         start = time.perf_counter()
         for _ in range(calls):
-            verify._search_moves(spec, profile.xs, profile.ys, searches)
+            verify._search_moves(spec, profile.xs, profile.ys, groups)
         return (time.perf_counter() - start) / calls
     finally:
         verify.ARRAY_MIN_PLAYERS = saved
@@ -87,11 +87,11 @@ def main() -> int:
     print(f"{'n':>5} {'profile':>8} {'arrays_us':>10} {'loop_us':>10} {'ratio':>7}")
     for n in sizes:
         calls = max(1, 2000 // n)
-        for name, spec, profile, searches in _cases(n):
+        for name, spec, profile, groups in _cases(n):
             times = {mode: [] for mode, _ in MODES}
             for block in range(args.repeat):
                 for mode, threshold in MODES[:: 1 if block % 2 == 0 else -1]:
-                    times[mode].append(_time(spec, profile, searches, threshold, calls))
+                    times[mode].append(_time(spec, profile, groups, threshold, calls))
             arrays, loop = (statistics.median(times[mode]) for mode, _ in MODES)
             print(f"{n:5d} {name:>8} {arrays * 1e6:10.1f} {loop * 1e6:10.1f} {arrays / loop:7.3f}")
     return 0

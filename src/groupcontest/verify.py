@@ -41,43 +41,48 @@ improving deviation for every one of them.
 profile, reporting convergence, cycling, or exhaustion; it is an
 empirical probe of the no-equilibrium gap, not a solver.
 
-All functions are pure.  The search runs a profile at a time and reads
-it in one place.  The pick layer, ``_search_moves``, takes searches of
-whole groups or of one player, computes both effective efforts once, by
-the builtin sums ``effective_efforts`` takes, and what depends only on a
-searched group (its gross effort, the odds, the rounding-band decision)
-once, and returns each gaining player's move and exact gain as plain
-floats.  The row layer, ``_search_rows``, builds the report rows that
-``best_deviation``, ``is_epsilon_nash`` and ``refute_class`` return;
-``is_epsilon_nash`` takes its verdict from the gains.  Idle players' rows,
-staying at (+0.0, +0.0), are shared immutable values from one bounded
-cache, and every other row takes its player's id from the idle row at
-its position, so the ids of a report agree by construction.  A search
-builds a row only for a busy player (any other effort, -0.0 included)
-and for an improving one, and no id once groups of its sizes have been
-seen.  ``best_deviation`` searches one player, so calls for distinct
-players may run in parallel.
+All functions are pure.  A search reads a profile in one place.  One
+player's search is ``_search_player``: candidates, limit point,
+cut-backs, scores and exact gain, from the group values it is handed
+(both effective efforts, by the builtin sums ``effective_efforts``
+takes, the odds, and ``_gross_and_band``).  It returns the points scored
+and the gaining move, if any, as plain floats, and builds no record.
+``best_deviation`` calls it once and builds its one row, so calls for
+distinct players may run in parallel.  The pick layer, ``_search_moves``,
+takes each searched group's values once and returns each gaining
+player's move and exact gain; the row layer, ``_search_rows``, builds
+the rows of ``is_epsilon_nash``, whose verdict comes from the gains.
+Idle players' rows, staying at (+0.0, +0.0), are shared immutable values
+from one bounded cache, and every other row takes its player's id from
+the idle row at its position, so the ids of a report agree by
+construction.  A search builds a row only for a busy player (any other
+effort, -0.0 included) and for an improving one, and no id once groups
+of its sizes have been seen.
 
-``best_response_dynamics`` reads the pick layer alone and builds no
-rows.  It keeps one list per group column, live, and writes each move
-into its player's two entries, in either order, so an iteration's moves
-cost O(1) each; the profile of tuples is built once, at return.
-Round-robin play is inherently sequential: each search reads the live
-columns afresh.  After an iteration the profile becomes one row of a
-float64 array that doubles when full, and one broadcast against the
-earlier rows gives the largest change from each of them: the last is
-the step just taken, for the convergence check, and the others feed
-the cycle check.
+``best_response_dynamics`` builds no rows.  It keeps one list per group
+column, live, and writes each move into its player's two entries; the
+profile of tuples is built once, at return.  Simultaneous play runs the
+pick layer once an iteration.  Round-robin play, inherently sequential,
+calls ``_search_player`` per player on the live columns.  It takes the
+group values once an iteration and, after a move, the group's z from
+the move's own ``_moved_z`` (the same sum over the live columns) and its
+``_gross_and_band`` again: a staying player costs O(1) apart from
+in-band candidates, a move O(n).  After an iteration the profile
+becomes one row of a float64 array that doubles when full, and one
+broadcast against the earlier rows gives the largest change from each
+of them: the last is the step just taken, for the convergence check,
+and the others feed the cycle check.
 
 A search takes one of two paths.  Outside the rounding band, every
 whole group of ``ARRAY_MIN_PLAYERS`` or more players is scored in one
 float64 matrix, the groups' columns side by side, with the scalar loop's
 candidates, IEEE operations and tie rule, so every report is the loop's
-bit for bit.  Other searches, one player's among them, run the loop,
+bit for bit.  Other groups, and one player's search, run the loop,
 which is faster there: ``scripts/crossover.py`` (in-process, shared
-2-vCPU VM) puts both groups of a closed-form profile at 1.7x the loop's
-time at 10 players a group, even at 20 to 25 and 0.19x at 200, and a
-mixed group searched alone even between 40 and 60.
+2-vCPU VM) puts both groups of a closed-form profile at 2.1x the loop's
+time at 10 players a group, even between 20 (1.1-1.2x) and 25 (0.93x)
+and 0.19x at 200, and a mixed group searched alone even between 40
+(1.1-1.3x) and 60 (0.94-0.97x).
 """
 
 from __future__ import annotations
@@ -225,14 +230,21 @@ def _on_axis(v: float, e: float) -> tuple[float, float]:
     return (e, 0.0) if v > 0 else (0.0, e)
 
 
+def _busy(x: float, y: float) -> bool:
+    """Whether (x, y) is any effort but (+0.0, +0.0), -0.0 included."""
+    return bool(x or y) or math.copysign(1.0, x) < 0 or math.copysign(1.0, y) < 0
+
+
 def _moved_z(theta: float, columns, k: int, x: float, y: float) -> float:
     """The group's effective effort after its player k moves to (x, y),
-    without rebuilding the profile: the builtin sum over ``columns`` (the
-    group's x and y efforts) with the move swapped in.  That is the same
+    without rebuilding the profile: the builtin sum over a copy of each of
+    ``columns`` (the group's x and y efforts) with the move written in (a
+    copy sums faster than a chain of slices).  That is the same
     sum over the same sequence as ``effective_efforts`` on the deviated
     profile, so the result is bit for bit its z."""
-    xs, ys = columns
-    return sum(chain(xs[: k - 1], (x,), xs[k:])) - theta * sum(chain(ys[: k - 1], (y,), ys[k:]))
+    xs, ys = list(columns[0]), list(columns[1])
+    xs[k - 1], ys[k - 1] = x, y
+    return sum(xs) - theta * sum(ys)
 
 
 def _edge(theta, columns, k, v, z_minus, e):
@@ -325,126 +337,137 @@ def _search_array(theta, parts):
     return 2 * len(v) + int(np.count_nonzero(ok))
 
 
-def _gains(theta, group, indices, valuations, columns, z, z_other, p_now, picks):
-    """Turn ``picks``, in place, into the (position, x, y, gain) of those
-    that gain: the payoff as ``_payoff_at`` takes it, from the group sum
-    with the move swapped in, less the current payoff at the group's odds.
-    A pick at the current effort, or gaining nothing, is dropped."""
-    xs, ys = columns
+def _gain(theta, group, v, columns, k, z, z_other, p_now, e):
+    """Player k's move to effort e on its axis as (x, y, gain, the group's
+    z after it) if it gains, else None.  The gain is the payoff as
+    ``_payoff_at`` takes it, from the group sum with the move swapped in,
+    less the current payoff at the group's odds; a move to the current
+    effort gains nothing."""
+    x, y = columns[0][k - 1], columns[1][k - 1]
+    if (move := _on_axis(v, e)) == (x, y):
+        return None
+    moved = _moved_z(theta, columns, k, *move)
+    z1, z2 = (moved, z_other) if group == 1 else (z_other, moved)
     p_own = p_now if group == 1 else 1.0 - win_probability_short(z_other, z)
-    gains = []
-    for i, e in picks:
-        k = indices[i]
-        v, x, y = valuations[k - 1], xs[k - 1], ys[k - 1]
-        if (pick := _on_axis(v, e)) == (x, y):
-            continue
-        moved = _moved_z(theta, columns, k, *pick)
-        z1, z2 = (moved, z_other) if group == 1 else (z_other, moved)
-        gain = _payoff_at(v, group, z1, z2, *pick) - (v * p_own - x - y)
-        if gain > 0.0:
-            gains.append((i, *pick, gain))
-    picks[:] = gains
+    gain = _payoff_at(v, group, z1, z2, *move) - (v * p_own - x - y)
+    return (*move, gain, moved) if gain > 0.0 else None
 
 
-def _search_moves(spec: ContestSpec, xs, ys, searches):
+def _gross_and_band(theta, gx, gy):
+    """A group's gross effort, the builtin sum of x + theta * y over its
+    columns, and the rival effort |z_other| must exceed for the group to
+    lie outside the rounding band: the gross effort and the number of
+    nonzero efforts bound the rounding in the group's z."""
+    # Where every y is +-0.0, each term x + theta * y is x, or +0.0 for
+    # x = -0.0, which the sum (from +0.0) adds alike: the gross is sum(gx).
+    n, idle_y = len(gx), gy.count(0.0)
+    gross = sum(gx) if idle_y == n else sum([x + theta * y for x, y in zip(gx, gy)])
+    terms = 2 * n - gx.count(0.0) - idle_y
+    return gross, ROUNDING_BAND * (terms + 4) * math.ulp(gross)
+
+
+def _search_player(theta, group, v, columns, k, z, z_other, p_now, gross, band):
+    """The scalar search of player k of ``group``, valued v, whose efforts
+    are the k-th of ``columns``, given the group values: both groups'
+    effective efforts z and z_other, the odds win_probability_short(z,
+    z_other) and the group's ``_gross_and_band``.  Returns the number of
+    points scored and the best move as ``_gain`` gives it, or None."""
+    x, y = columns[0][k - 1], columns[1][k - 1]
+    z_minus = z - (x - theta * y)
+    exact = abs(z_other) > band
+    # Candidate efforts on the valuation's axis.
+    kink = max(0.0, -z_minus) if v > 0 else max(0.0, z_minus / theta)
+    moves = [0.0]
+    for e in (kink, _stationary(v, theta, z_minus, z_other)):
+        if e > 0 and e not in moves:
+            moves.append(e)
+    if not exact:
+        # The limit point: step past the kink until the rounded group
+        # sum is past 0, unless the kink is out of the float range.
+        d = math.ulp(max(abs(v), kink))
+        while math.isfinite(kink + d):
+            past = _moved_z(theta, columns, k, *_on_axis(v, kink + d))
+            if (past > 0) if v > 0 else (past < 0):
+                moves.append(kink + d)
+                break
+            d *= 2.0
+    for j, e in enumerate(moves):
+        if not gross + (e if v > 0 else theta * e) <= SUM_EDGE:
+            moves[j] = _edge(theta, columns, k, v, z_minus, e)
+    # The current effort is scored first, so ties keep the player put.
+    best, best_value = None, v * p_now - x - y
+    for e in moves:
+        if exact:
+            z_e = z_minus + e if v > 0 else z_minus - theta * e
+        else:
+            z_e = _moved_z(theta, columns, k, *_on_axis(v, e))
+        value = v * win_probability_short(z_e, z_other) - e
+        if value > best_value:
+            best, best_value = e, value
+    move = None if best is None else _gain(theta, group, v, columns, k, z, z_other, p_now, best)
+    return 1 + len(moves), move
+
+
+def _search_moves(spec: ContestSpec, xs, ys, groups):
     """The pick layer of a profile's search, over its columns ``xs`` and
-    ``ys`` (per group, any sequences of floats).  ``searches`` holds
-    (group, indices) pairs, each a whole group (``range(1, n + 1)``) or
-    one player.  Returns per search the (position, x, y, gain) of each listed
-    player whose best move gains and the positions of the busy listed
-    players (an effort other than +0.0, -0.0 included), and the number of
-    points scored.  Group values come from the sums ``effective_efforts``
-    takes, so they are its values bit for bit.  Every whole group of
+    ``ys`` (per group, any sequences of floats), of the whole groups in
+    ``groups``.  Returns per group the (position, x, y, gain) of each
+    player whose best move gains and the positions of the busy players
+    (an effort other than +0.0, -0.0 included), and the number of points
+    scored.  Group values come from the sums ``effective_efforts`` takes,
+    so they are its values bit for bit.  Every group of
     ``ARRAY_MIN_PLAYERS`` or more outside the rounding band goes into one
-    ``_search_array`` call, other searches to the scalar loop; both pick
-    only the moves, whose exact gains ``_gains`` takes."""
+    ``_search_array`` call, whose picks ``_gain`` turns into moves; the
+    players of other groups go to ``_search_player`` one by one."""
     theta = spec.theta
-    sx = sum(xs[0]), sum(xs[1])
-    zs = sx[0] - theta * sum(ys[0]), sx[1] - theta * sum(ys[1])
+    zs = sum(xs[0]) - theta * sum(ys[0]), sum(xs[1]) - theta * sum(ys[1])
     found, wide, later, count = [], [], [], 0
-    for group, indices in searches:
+    for group in groups:
         valuations = spec.group(group).valuations
         columns = gx, gy = xs[group - 1], ys[group - 1]
         z, z_other = zs[group - 1], zs[2 - group]
-        # The gross effort and the number of nonzero efforts bound the rounding
-        # in z.  Where every y is +-0.0, each term x + theta * y is x, or +0.0
-        # for x = -0.0, which the sum (from +0.0) adds alike: the gross is sum(gx).
-        n, idle_y = len(gx), gy.count(0.0)
-        own_gross = sx[group - 1] if idle_y == n else sum([x + theta * y for x, y in zip(gx, gy)])
-        terms = 2 * n - gx.count(0.0) - idle_y
+        gross, band = _gross_and_band(theta, gx, gy)
         p_now = win_probability_short(z, z_other)
-        exact = abs(z_other) > ROUNDING_BAND * (terms + 4) * math.ulp(own_gross)
         busy, picks = [], []
         found.append((picks, busy))
-        if exact and len(indices) == n >= ARRAY_MIN_PLAYERS:
+        if abs(z_other) > band and (n := len(gx)) >= ARRAY_MIN_PLAYERS:
             # ``struct.pack`` reads tuples of floats about 3x faster than np.array.
             rows = np.frombuffer(struct.pack(f"{3 * n}d", *valuations, *gx, *gy)).reshape(3, n)
-            wide.append((rows, columns, z, z_other, p_now, own_gross, busy, picks))
-            later.append((group, indices, valuations, columns, z, z_other, p_now, picks))
+            wide.append((rows, columns, z, z_other, p_now, gross, busy, picks))
+            later.append((group, valuations, columns, z, z_other, p_now, picks))
             continue
-
-        for i, k in enumerate(indices):
-            v, x, y = valuations[k - 1], gx[k - 1], gy[k - 1]
-            z_minus = z - (x - theta * y)
-            # Candidate efforts on the valuation's axis.
-            kink = max(0.0, -z_minus) if v > 0 else max(0.0, z_minus / theta)
-            moves = [0.0]
-            for e in (kink, _stationary(v, theta, z_minus, z_other)):
-                if e > 0 and e not in moves:
-                    moves.append(e)
-            if not exact:
-                # The limit point: step past the kink until the rounded group
-                # sum is past 0, unless the kink is out of the float range.
-                d = math.ulp(max(abs(v), kink))
-                while math.isfinite(kink + d):
-                    past = _moved_z(theta, columns, k, *_on_axis(v, kink + d))
-                    if (past > 0) if v > 0 else (past < 0):
-                        moves.append(kink + d)
-                        break
-                    d *= 2.0
-            for j, e in enumerate(moves):
-                if not own_gross + (e if v > 0 else theta * e) <= SUM_EDGE:
-                    moves[j] = _edge(theta, columns, k, v, z_minus, e)
-            count += 1 + len(moves)
-            if x or y or math.copysign(1.0, x) < 0 or math.copysign(1.0, y) < 0:
+        for i, v in enumerate(valuations):
+            if _busy(gx[i], gy[i]):
                 busy.append(i)
-            # The current effort is scored first, so ties keep the player put.
-            best, best_value = None, v * p_now - x - y
-            for e in moves:
-                if exact:
-                    z_e = z_minus + e if v > 0 else z_minus - theta * e
-                else:
-                    z_e = _moved_z(theta, columns, k, *_on_axis(v, e))
-                value = v * win_probability_short(z_e, z_other) - e
-                if value > best_value:
-                    best, best_value = e, value
-            if best is not None:
-                picks.append((i, best))
-        if picks:
-            _gains(theta, group, indices, valuations, columns, z, z_other, p_now, picks)
+            scored, move = _search_player(theta, group, v, columns, i + 1, z, z_other, p_now,
+                                          gross, band)
+            count += scored
+            if move:
+                picks.append((i, *move[:3]))
     if wide:
         count += _search_array(theta, wide)
-        for read in later:
-            _gains(theta, *read)
+        for group, valuations, columns, z, z_other, p_now, picks in later:
+            moves = [(i, _gain(theta, group, valuations[i], columns, i + 1, z, z_other, p_now, e))
+                     for i, e in picks]
+            picks[:] = [(i, *move[:3]) for i, move in moves if move]
     return found, count
 
 
-def _search_rows(profile: StrategyProfile, searches, found) -> list[Deviation]:
-    """The row layer over ``_search_moves``' result ``found``: exact best
-    deviations of the players listed in ``searches``.  Idle players take
-    the shared rows, busy ones a row at their effort, gaining ones a row
-    at their move."""
+def _search_rows(profile: StrategyProfile, found) -> list[Deviation]:
+    """The row layer over ``_search_moves``' result ``found`` for both
+    groups: exact best deviations of every player.  Idle players take the
+    shared rows, busy ones a row at their effort, gaining ones a row at
+    their move."""
     rows = []
-    for (group, indices), (gains, busy) in zip(searches, found):
+    for group, (gains, busy) in enumerate(found, start=1):
         xs, ys = profile.xs[group - 1], profile.ys[group - 1]
         idle = _idle_rows(group, len(xs))
-        deviations = list(idle) if len(indices) == len(idle) else [idle[k - 1] for k in indices]
+        deviations = list(idle)
         for i, x, y, gain in gains:
-            deviations[i] = Deviation(deviations[i].player, x, y, gain)
+            deviations[i] = Deviation(idle[i].player, x, y, gain)
         for i in busy:
-            k = indices[i]
-            if deviations[i] is idle[k - 1]:  # not moved by a gaining pick
-                deviations[i] = Deviation(idle[k - 1].player, xs[k - 1], ys[k - 1], 0.0)
+            if deviations[i] is idle[i]:  # not moved by a gaining pick
+                deviations[i] = Deviation(idle[i].player, xs[i], ys[i], 0.0)
         rows += deviations
     return rows
 
@@ -454,11 +477,15 @@ def best_deviation(
 ) -> Deviation:
     """Search one player's deviations, holding all others fixed."""
     _check_shape(spec, profile)
-    valuation(spec, player)  # raises UnknownPlayer
-    searches = ((player.group, (player.index,)),)
-    found, _ = _search_moves(spec, profile.xs, profile.ys, searches)
-    (deviation,) = _search_rows(profile, searches, found)
-    return deviation
+    v = valuation(spec, player)  # raises UnknownPlayer
+    theta, group, k = spec.theta, player.group, player.index
+    own, other = ((profile.xs[g], profile.ys[g]) for g in (group - 1, 2 - group))
+    z, z_other = (sum(cx) - theta * sum(cy) for cx, cy in (own, other))
+    _, move = _search_player(theta, group, v, own, k, z, z_other,
+                             win_probability_short(z, z_other), *_gross_and_band(theta, *own))
+    row = _idle_rows(group, len(own[0]))[k - 1]
+    x, y, gain = move[:3] if move else (own[0][k - 1], own[1][k - 1], 0.0)
+    return Deviation(row.player, x, y, gain) if move or _busy(x, y) else row
 
 
 def is_epsilon_nash(
@@ -478,11 +505,10 @@ def is_epsilon_nash(
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ContestError(f"epsilon must be finite and positive, got {epsilon}")
     _check_shape(spec, profile)
-    searches = tuple((g, range(1, n + 1)) for g, n in enumerate(spec.sizes(), start=1))
-    found, count = _search_moves(spec, profile.xs, profile.ys, searches)
+    found, count = _search_moves(spec, profile.xs, profile.ys, (1, 2))
     # Only a gaining player's row improves on 0.0, and epsilon > 0.
     certified = all(gain <= epsilon for gains, _ in found for *_, gain in gains)
-    deviations = _search_rows(profile, searches, found)
+    deviations = _search_rows(profile, found)
     return VerificationReport(certified, epsilon, tuple(deviations), count)
 
 
@@ -662,10 +688,11 @@ def best_response_dynamics(
     if order not in ("round_robin", "simultaneous"):
         raise ContestError(f"order must be round_robin or simultaneous, got {order!r}")
     _check_shape(spec, initial)
-    groups = tuple((g, range(1, n + 1)) for g, n in enumerate(spec.sizes(), start=1))
-    roster = [(g - 1, k - 1, ((g, (k,)),)) for g, ks in groups for k in ks]
+    theta = spec.theta
+    roster = [(g, k, v) for g in (0, 1) for k, v in enumerate(spec.group(g + 1).valuations, 1)]
     # The live columns: each move is written into its player's entries.
     xs, ys = [list(c) for c in initial.xs], [list(c) for c in initial.ys]
+    columns = tuple(zip(xs, ys))
     # Row t holds profile t's columns; the buffer doubles when it is full.
     history = np.concatenate(initial.xs + initial.ys)[np.newaxis]
     status, period = DynamicsStatus.MAX_ITERS, None
@@ -673,17 +700,24 @@ def best_response_dynamics(
     for iteration in range(1, max_iters + 1):
         gain = 0.0
         if order == "round_robin":
-            for g, k, search in roster:
-                ((gains, _),), _ = _search_moves(spec, xs, ys, search)
-                for _, x, y, d in gains:
+            # Each group's values, updated after each of its moves: z from the
+            # move's own ``_moved_z``, the same sum over the live columns.
+            zs = [sum(gx) - theta * sum(gy) for gx, gy in columns]
+            bands = [_gross_and_band(theta, *c) for c in columns]
+            for g, k, v in roster:
+                z, z_other = zs[g], zs[1 - g]
+                _, move = _search_player(theta, g + 1, v, columns[g], k, z, z_other,
+                                         win_probability_short(z, z_other), *bands[g])
+                if move:
+                    xs[g][k - 1], ys[g][k - 1], d, zs[g] = move
                     gain = max(gain, d)
-                    xs[g][k], ys[g][k] = x, y
+                    bands[g] = _gross_and_band(theta, *columns[g])
         else:
             # Every search reads the columns before any move is written.
-            found, _ = _search_moves(spec, xs, ys, groups)
+            found, _ = _search_moves(spec, xs, ys, (1, 2))
             gain = max((d for gains, _ in found for *_, d in gains), default=0.0)
             if gain > FIXED_POINT_TOL:
-                for g, (gains, _) in enumerate(found):  # positions i are indices - 1
+                for g, (gains, _) in enumerate(found):
                     for i, x, y, _ in gains:
                         xs[g][i], ys[g][i] = x, y
 

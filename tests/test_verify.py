@@ -762,8 +762,8 @@ class TestArraySearch:
     bit."""
 
     @settings(max_examples=40)
-    @given(array_search_cases())
-    def test_matches_player_by_player_oracle(self, case):
+    @given(array_search_cases(), st.data())
+    def test_matches_player_by_player_oracle(self, case, data):
         spec, profile = case
         expected = [scalar_search(spec, profile, p) for p in gc.players(spec)]
         with mock.patch.object(verify, "_search_array", wraps=verify._search_array) as spy:
@@ -773,6 +773,9 @@ class TestArraySearch:
             deviation_hex(d) for d, _ in expected
         ]
         assert report.candidate_count == sum(n for _, n in expected)
+        # One player's search takes the scalar path at any group size.
+        for d, _ in data.draw(st.lists(st.sampled_from(expected), min_size=1, max_size=4)):
+            assert deviation_hex(gc.best_deviation(spec, profile, d.player)) == deviation_hex(d)
 
     def test_verification_golden_digest_on_arrays(self, monkeypatch):
         monkeypatch.setattr(verify, "ARRAY_MIN_PLAYERS", 2)
@@ -1348,10 +1351,13 @@ class TestDynamics:
             for a, b in zip(ga, gb)
         )
         calls = _count_calls(monkeypatch)
-        result = gc.best_response_dynamics(gap_spec, initial, 30, "round_robin")
+        # Each player's search builds no per-search records: no pick layer.
+        with mock.patch.object(verify, "_search_moves", wraps=verify._search_moves) as spy:
+            result = gc.best_response_dynamics(gap_spec, initial, 30, "round_robin")
         assert result.profile == want.profile
         assert moves > 0
         assert calls == []
+        assert spy.call_count == 0
 
     def test_simultaneous_moves_are_written_in_place(self, monkeypatch):
         # One iteration's moves cost O(n): no replace copies a group per move.
