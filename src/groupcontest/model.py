@@ -210,12 +210,16 @@ def _check_shape(spec: ContestSpec, profile: StrategyProfile) -> None:
         )
 
 
+def _group_z(theta: float, xs, ys) -> float:
+    """A group's effective effort: the one spelling of the group sum."""
+    return sum(xs) - theta * sum(ys)
+
+
 def effective_efforts(spec: ContestSpec, profile: StrategyProfile) -> EffectiveEffort:
-    """Compute both groups' effective efforts, each by the builtin sums
-    over its x and y columns."""
+    """Compute both groups' effective efforts by ``_group_z``."""
     _check_shape(spec, profile)
     (x1, x2), (y1, y2), theta = profile.xs, profile.ys, spec.theta
-    return EffectiveEffort(sum(x1) - theta * sum(y1), sum(x2) - theta * sum(y2))
+    return EffectiveEffort(_group_z(theta, x1, y1), _group_z(theta, x2, y2))
 
 
 # --- canonical JSON documents -------------------------------------------

@@ -41,12 +41,13 @@ improving deviation for every one of them.
 profile, reporting convergence, cycling, or exhaustion; it is an
 empirical probe of the no-equilibrium gap, not a solver.
 
-All functions are pure.  A search reads a profile in one place.  One
-player's search is ``_search_player``: candidates, limit point,
-cut-backs, scores and exact gain, from the group values it is handed
-(both effective efforts, by the builtin sums ``effective_efforts``
-takes, the odds, and ``_gross_and_band``).  It returns the points scored
-and the gaining move, if any, as plain floats, and builds no record.
+All functions are pure.  A search reads a profile in one place, and a
+group's values, (z, gross, band), come from one function,
+``_group_values``, whose z is ``model._group_z``: the one spelling of
+the group sum.  One player's search is ``_search_player``: candidates,
+limit point, cut-backs, scores and exact gain, from its group's values,
+the rival's z and the odds.  It returns the points scored and the
+gaining move, if any, as plain floats, and builds no record.
 ``best_deviation`` calls it once and builds its one row, so calls for
 distinct players may run in parallel.  The pick layer, ``_search_moves``,
 takes each searched group's values once and returns each gaining
@@ -63,11 +64,10 @@ of its sizes have been seen.
 column, live, and writes each move into its player's two entries; the
 profile of tuples is built once, at return.  Simultaneous play runs the
 pick layer once an iteration.  Round-robin play, inherently sequential,
-calls ``_search_player`` per player on the live columns.  It takes the
-group values once an iteration and, after a move, the group's z from
-the move's own ``_moved_z`` (the same sum over the live columns) and its
-``_gross_and_band`` again: a staying player costs O(1) apart from
-in-band candidates, a move O(n).  After an iteration the profile
+calls ``_search_player`` per player on the live columns.  It takes each
+group's ``_group_values`` once an iteration and again after each of the
+group's moves: a staying player costs O(1) apart from in-band
+candidates, a move O(n).  After an iteration the profile
 becomes one row of a float64 array that doubles when full, and one
 broadcast against the earlier rows gives the largest change from each
 of them: the last is the step just taken, for the convergence check,
@@ -105,6 +105,7 @@ from .model import (
     PlayerId,
     StrategyProfile,
     _check_shape,
+    _group_z,
     valuation,
 )
 
@@ -239,12 +240,12 @@ def _moved_z(theta: float, columns, k: int, x: float, y: float) -> float:
     """The group's effective effort after its player k moves to (x, y),
     without rebuilding the profile: the builtin sum over a copy of each of
     ``columns`` (the group's x and y efforts) with the move written in (a
-    copy sums faster than a chain of slices).  That is the same
-    sum over the same sequence as ``effective_efforts`` on the deviated
-    profile, so the result is bit for bit its z."""
+    copy sums faster than a chain of slices).  That is ``_group_z`` over
+    the same sequence as ``effective_efforts`` on the deviated profile,
+    so the result is bit for bit its z."""
     xs, ys = list(columns[0]), list(columns[1])
     xs[k - 1], ys[k - 1] = x, y
-    return sum(xs) - theta * sum(ys)
+    return _group_z(theta, xs, ys)
 
 
 def _edge(theta, columns, k, v, z_minus, e):
@@ -338,11 +339,10 @@ def _search_array(theta, parts):
 
 
 def _gain(theta, group, v, columns, k, z, z_other, p_now, e):
-    """Player k's move to effort e on its axis as (x, y, gain, the group's
-    z after it) if it gains, else None.  The gain is the payoff as
-    ``_payoff_at`` takes it, from the group sum with the move swapped in,
-    less the current payoff at the group's odds; a move to the current
-    effort gains nothing."""
+    """Player k's move to effort e on its axis as (x, y, gain) if it gains,
+    else None: the payoff as ``_payoff_at`` takes it at the group sum with
+    the move swapped in (``_moved_z``), less the current payoff at the
+    group's odds.  A move to the current effort gains nothing."""
     x, y = columns[0][k - 1], columns[1][k - 1]
     if (move := _on_axis(v, e)) == (x, y):
         return None
@@ -350,29 +350,28 @@ def _gain(theta, group, v, columns, k, z, z_other, p_now, e):
     z1, z2 = (moved, z_other) if group == 1 else (z_other, moved)
     p_own = p_now if group == 1 else 1.0 - win_probability_short(z_other, z)
     gain = _payoff_at(v, group, z1, z2, *move) - (v * p_own - x - y)
-    return (*move, gain, moved) if gain > 0.0 else None
+    return (*move, gain) if gain > 0.0 else None
 
 
-def _gross_and_band(theta, gx, gy):
-    """A group's gross effort, the builtin sum of x + theta * y over its
-    columns, and the rival effort |z_other| must exceed for the group to
-    lie outside the rounding band: the gross effort and the number of
-    nonzero efforts bound the rounding in the group's z."""
-    # Where every y is +-0.0, each term x + theta * y is x, or +0.0 for
-    # x = -0.0, which the sum (from +0.0) adds alike: the gross is sum(gx).
-    n, idle_y = len(gx), gy.count(0.0)
-    gross = sum(gx) if idle_y == n else sum([x + theta * y for x, y in zip(gx, gy)])
+def _group_values(theta, gx, gy):
+    """A group's (z, gross, band) from its columns: z by ``_group_z``, the
+    gross effort, the builtin sum of x + theta * y, and the |z_other| above
+    which the group lies outside the rounding band: the gross effort and
+    the number of nonzero efforts bound the rounding in z."""
+    # Where every y is +-0.0, sum(gy) is +0.0 and each x + theta * y is x, or
+    # +0.0 for x = -0.0, which the sum (from +0.0) adds alike: gross is z.
+    z, n, idle_y = _group_z(theta, gx, gy), len(gx), gy.count(0.0)
+    gross = z if idle_y == n else sum([x + theta * y for x, y in zip(gx, gy)])
     terms = 2 * n - gx.count(0.0) - idle_y
-    return gross, ROUNDING_BAND * (terms + 4) * math.ulp(gross)
+    return z, gross, ROUNDING_BAND * (terms + 4) * math.ulp(gross)
 
 
-def _search_player(theta, group, v, columns, k, z, z_other, p_now, gross, band):
+def _search_player(theta, group, v, columns, k, own, z_other, p_now):
     """The scalar search of player k of ``group``, valued v, whose efforts
-    are the k-th of ``columns``, given the group values: both groups'
-    effective efforts z and z_other, the odds win_probability_short(z,
-    z_other) and the group's ``_gross_and_band``.  Returns the number of
-    points scored and the best move as ``_gain`` gives it, or None."""
-    x, y = columns[0][k - 1], columns[1][k - 1]
+    are the k-th of ``columns``, from its group's ``_group_values`` (own),
+    z_other and the odds win_probability_short(z, z_other).  Returns the
+    number of points scored and the best move as ``_gain`` gives it."""
+    (z, gross, band), x, y = own, columns[0][k - 1], columns[1][k - 1]
     z_minus = z - (x - theta * y)
     exact = abs(z_other) > band
     # Candidate efforts on the valuation's axis.
@@ -414,19 +413,19 @@ def _search_moves(spec: ContestSpec, xs, ys, groups):
     ``groups``.  Returns per group the (position, x, y, gain) of each
     player whose best move gains and the positions of the busy players
     (an effort other than +0.0, -0.0 included), and the number of points
-    scored.  Group values come from the sums ``effective_efforts`` takes,
-    so they are its values bit for bit.  Every group of
+    scored.  Group values come from ``_group_values``, so each z is
+    ``effective_efforts``' bit for bit.  Every group of
     ``ARRAY_MIN_PLAYERS`` or more outside the rounding band goes into one
     ``_search_array`` call, whose picks ``_gain`` turns into moves; the
     players of other groups go to ``_search_player`` one by one."""
     theta = spec.theta
-    zs = sum(xs[0]) - theta * sum(ys[0]), sum(xs[1]) - theta * sum(ys[1])
+    values = [_group_values(theta, gx, gy) for gx, gy in zip(xs, ys)]
     found, wide, later, count = [], [], [], 0
     for group in groups:
         valuations = spec.group(group).valuations
         columns = gx, gy = xs[group - 1], ys[group - 1]
-        z, z_other = zs[group - 1], zs[2 - group]
-        gross, band = _gross_and_band(theta, gx, gy)
+        own, z_other = values[group - 1], values[2 - group][0]
+        z, gross, band = own
         p_now = win_probability_short(z, z_other)
         busy, picks = [], []
         found.append((picks, busy))
@@ -439,17 +438,16 @@ def _search_moves(spec: ContestSpec, xs, ys, groups):
         for i, v in enumerate(valuations):
             if _busy(gx[i], gy[i]):
                 busy.append(i)
-            scored, move = _search_player(theta, group, v, columns, i + 1, z, z_other, p_now,
-                                          gross, band)
+            scored, move = _search_player(theta, group, v, columns, i + 1, own, z_other, p_now)
             count += scored
             if move:
-                picks.append((i, *move[:3]))
+                picks.append((i, *move))
     if wide:
         count += _search_array(theta, wide)
         for group, valuations, columns, z, z_other, p_now, picks in later:
             moves = [(i, _gain(theta, group, valuations[i], columns, i + 1, z, z_other, p_now, e))
                      for i, e in picks]
-            picks[:] = [(i, *move[:3]) for i, move in moves if move]
+            picks[:] = [(i, *move) for i, move in moves if move]
     return found, count
 
 
@@ -480,11 +478,11 @@ def best_deviation(
     v = valuation(spec, player)  # raises UnknownPlayer
     theta, group, k = spec.theta, player.group, player.index
     own, other = ((profile.xs[g], profile.ys[g]) for g in (group - 1, 2 - group))
-    z, z_other = (sum(cx) - theta * sum(cy) for cx, cy in (own, other))
-    _, move = _search_player(theta, group, v, own, k, z, z_other,
-                             win_probability_short(z, z_other), *_gross_and_band(theta, *own))
+    values, z_other = _group_values(theta, *own), _group_z(theta, *other)
+    _, move = _search_player(theta, group, v, own, k, values, z_other,
+                             win_probability_short(values[0], z_other))
     row = _idle_rows(group, len(own[0]))[k - 1]
-    x, y, gain = move[:3] if move else (own[0][k - 1], own[1][k - 1], 0.0)
+    x, y, gain = move or (own[0][k - 1], own[1][k - 1], 0.0)
     return Deviation(row.player, x, y, gain) if move or _busy(x, y) else row
 
 
@@ -700,18 +698,16 @@ def best_response_dynamics(
     for iteration in range(1, max_iters + 1):
         gain = 0.0
         if order == "round_robin":
-            # Each group's values, updated after each of its moves: z from the
-            # move's own ``_moved_z``, the same sum over the live columns.
-            zs = [sum(gx) - theta * sum(gy) for gx, gy in columns]
-            bands = [_gross_and_band(theta, *c) for c in columns]
+            # Each group's values, taken again after each of its moves.
+            values = [_group_values(theta, *c) for c in columns]
             for g, k, v in roster:
-                z, z_other = zs[g], zs[1 - g]
-                _, move = _search_player(theta, g + 1, v, columns[g], k, z, z_other,
-                                         win_probability_short(z, z_other), *bands[g])
+                own, z_other = values[g], values[1 - g][0]
+                _, move = _search_player(theta, g + 1, v, columns[g], k, own, z_other,
+                                         win_probability_short(own[0], z_other))
                 if move:
-                    xs[g][k - 1], ys[g][k - 1], d, zs[g] = move
+                    xs[g][k - 1], ys[g][k - 1], d = move
                     gain = max(gain, d)
-                    bands[g] = _gross_and_band(theta, *columns[g])
+                    values[g] = _group_values(theta, *columns[g])
         else:
             # Every search reads the columns before any move is written.
             found, _ = _search_moves(spec, xs, ys, (1, 2))

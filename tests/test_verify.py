@@ -1014,7 +1014,7 @@ class TestStackedSearch:
     @example([(-0.0, 0.0), (0.0, -0.0)], 2.0)
     @example([(-0.0, -0.0), (1.5, -0.0)], 0.5)
     def test_gross_without_y_is_the_sum_of_x(self, pairs, theta):
-        # ``_search_moves`` takes this identity for a group whose ys are all +-0.0.
+        # ``_group_values`` takes this identity for a group whose ys are all +-0.0.
         xs = [x for x, _ in pairs]
         assert sum(xs).hex() == sum([x + theta * y for x, y in pairs]).hex()
 
@@ -1031,6 +1031,38 @@ class TestStackedSearch:
         two = one.replace(gc.PlayerId(1, 2), 1e308, 0.0)
         with pytest.raises(gc.NonFiniteInput):
             gc.is_epsilon_nash(spec, two)
+
+
+# Efforts as the search meets them: +-0.0 and positive, at scales 2**-600,
+# 1 and 2**600.
+UNIT_EFFORTS = st.one_of(st.floats(0.0, 4.0), st.sampled_from([0.0, -0.0]))
+
+
+class TestGroupValues:
+    """``_group_values`` is the one home of a group's (z, gross, band)."""
+
+    @given(
+        st.lists(st.tuples(UNIT_EFFORTS, UNIT_EFFORTS), min_size=2, max_size=12),
+        st.sampled_from([-600, 0, 600]),
+        st.booleans(),
+        st.floats(0.01, 100.0),
+    )
+    @example([(-0.0, -0.0), (0.0, -0.0)], 0, False, 1.0)
+    @example([(-0.0, 0.0), (1.5, -0.0), (0.0, 0.25)], 600, False, 0.5)
+    @example([(3.0, 1.0), (-0.0, 2.0)], -600, True, 3.0)
+    def test_pins_z_gross_and_band(self, pairs, scale, idle_y, theta):
+        gx = [math.ldexp(x, scale) for x, _ in pairs]
+        # An idle y column keeps each y's sign: all +-0.0.
+        gy = [math.copysign(0.0, y) if idle_y else math.ldexp(y, scale) for _, y in pairs]
+        n = len(pairs)
+        valuations = (1.0, *[0.5] * (n - 2), -1.0)
+        spec = gc.validate_spec(gc.ContestSpec(gc.GroupSpec(valuations), gc.GroupSpec(valuations), theta))
+        profile = gc.StrategyProfile((tuple(gx), tuple(gx)), (tuple(gy), tuple(gy)))
+        z, gross, band = verify._group_values(theta, gx, gy)
+        assert z.hex() == gc.effective_efforts(spec, profile).z1.hex()
+        assert gross.hex() == sum([x + theta * y for x, y in zip(gx, gy)]).hex()
+        terms = sum(e != 0.0 for e in gx + gy)
+        assert band == verify.ROUNDING_BAND * (terms + 4) * math.ulp(gross)
 
 
 class TestPlayerIds:
