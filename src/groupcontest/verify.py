@@ -65,13 +65,13 @@ column, live, and writes each move into its player's two entries; the
 profile of tuples is built once, at return.  Simultaneous play runs the
 pick layer once an iteration.  Round-robin play, inherently sequential,
 calls ``_search_player`` per player on the live columns.  It takes each
-group's ``_group_values`` once an iteration and again after each of the
+group's ``_group_values`` once per run and again after each of the
 group's moves: a staying player costs O(1) apart from in-band
-candidates, a move O(n).  After an iteration the profile
-becomes one row of a float64 array that doubles when full, and one
-broadcast against the earlier rows gives the largest change from each
-of them: the last is the step just taken, for the convergence check,
-and the others feed the cycle check.
+candidates, a move O(n).  After an iteration the profile becomes a
+tuple of floats, kept with its largest effort as key.  The largest
+change from the previous tuple is the step just taken, for the
+convergence check; the cycle check compares in full only earlier tuples
+whose key is within ``CYCLE_TOL`` of the new one's, an exact prune.
 
 A search takes one of two paths.  Outside the rounding band, every
 whole group of ``ARRAY_MIN_PLAYERS`` or more players is scored in one
@@ -94,6 +94,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
+from operator import sub
 
 import numpy as np
 
@@ -691,15 +692,17 @@ def best_response_dynamics(
     # The live columns: each move is written into its player's entries.
     xs, ys = [list(c) for c in initial.xs], [list(c) for c in initial.ys]
     columns = tuple(zip(xs, ys))
-    # Row t holds profile t's columns; the buffer doubles when it is full.
-    history = np.concatenate(initial.xs + initial.ys)[np.newaxis]
+    # Each group's values, taken again after each of its round-robin moves,
+    # so they are current at the start of every iteration.
+    values = [_group_values(theta, *c) for c in columns]
+    # Each profile as a row of its columns, keyed by its largest effort.
+    row = (*xs[0], *xs[1], *ys[0], *ys[1])
+    history = [(max(row), row)]
     status, period = DynamicsStatus.MAX_ITERS, None
 
     for iteration in range(1, max_iters + 1):
         gain = 0.0
         if order == "round_robin":
-            # Each group's values, taken again after each of its moves.
-            values = [_group_values(theta, *c) for c in columns]
             for g, k, v in roster:
                 own, z_other = values[g], values[1 - g][0]
                 _, move = _search_player(theta, g + 1, v, columns[g], k, own, z_other,
@@ -717,18 +720,20 @@ def best_response_dynamics(
                     for i, x, y, _ in gains:
                         xs[g][i], ys[g][i] = x, y
 
-        if iteration == len(history):
-            history = np.concatenate((history, np.empty_like(history)))
-        history[iteration] = xs[0] + xs[1] + ys[0] + ys[1]
-        # The largest change from each earlier profile: the last is the step
-        # just taken, the others are checked for a recurrence.
-        gaps = abs(history[:iteration] - history[iteration]).max(axis=1)
-        if gain <= FIXED_POINT_TOL and gaps[-1] <= CONVERGENCE_TOL:
+        row = (*xs[0], *xs[1], *ys[0], *ys[1])
+        top, step = max(row), max(map(abs, map(sub, history[-1][1], row)))
+        if gain <= FIXED_POINT_TOL and step <= CONVERGENCE_TOL:
             status = DynamicsStatus.CONVERGED
             break
-        hits = (gaps[:-1] <= CYCLE_TOL).nonzero()[0]
-        if hits.size:
-            status, period = DynamicsStatus.CYCLING, iteration - int(hits[-1])
+        # The newest earlier profile within CYCLE_TOL, the previous one aside.
+        # Max is 1-Lipschitz in the max norm and rounding is monotone, so only
+        # rows whose largest effort is within CYCLE_TOL are compared in full.
+        period = next((back for back, (top_t, row_t) in enumerate(reversed(history[:-1]), 2)
+                       if abs(top_t - top) <= CYCLE_TOL
+                       and max(map(abs, map(sub, row_t, row))) <= CYCLE_TOL), None)
+        if period:
+            status = DynamicsStatus.CYCLING
             break
+        history.append((top, row))
     profile = StrategyProfile(tuple(map(tuple, xs)), tuple(map(tuple, ys)))
-    return DynamicsResult(status, profile, iteration, period, float(gaps[-1]))
+    return DynamicsResult(status, profile, iteration, period, float(step))

@@ -1,19 +1,24 @@
 """Each benchmark workload builds, runs one operation and checks its
 answer, without writing to the process's stdout: the benchmark's last
 stdout line must be its JSON result.  Every function the tracer wraps
-exists, so no per-layer metric goes missing from a traced run.  The
-``bench/`` modules are imported from their files and left as they are
-(no bytecode is written next to them)."""
+exists, so no per-layer metric goes missing from a traced run, and a
+short run of the benchmark itself ends in a strict JSON result that
+names every metric of ``BENCHMARK.json``.  The ``bench/`` modules are
+imported from their files and left as they are (no bytecode is written
+next to them)."""
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 
 
 def _load_bench(name):
@@ -51,3 +56,25 @@ def test_every_traced_function_exists():
         assert tracer.absent == set()
     finally:
         tracer.restore()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# A traced run prints the per-layer metrics and an untraced one the
+# end-to-end metrics; both end with one strict JSON line.
+@pytest.mark.parametrize("name, trace, metrics", [
+    ("dynamics_gap", 1, "per_layer"),
+    ("certify_small", 1, "per_layer"),
+    ("dynamics_gap", 0, "end_to_end"),
+])
+def test_benchmark_run_ends_in_a_strict_result(name, trace, metrics):
+    argv = [sys.executable, "bench/run.py", "--workload", name, "--seed", "1",
+            "--seconds", "1", "--trace", str(trace)]
+    run = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300,
+                         env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1], parse_constant=_refuse_constant)
+    assert result["correct"] is True
+    assert {m["name"] for m in BENCHMARK[metrics]} <= set(result["metrics"])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import operator
 import sys
 from unittest import mock
 
@@ -514,6 +515,28 @@ def _refutation_digest(specs: int, seed: int) -> str:
                     .encode()
                 )
     return h.hexdigest()
+
+
+# Finite floats, +-0.0 and subnormals included, some near 2**+-1000, in
+# pairs that are either drawn apart or within about CYCLE_TOL of each other.
+wide_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(
+        math.ldexp,
+        st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+        st.one_of(st.integers(-1074, -990), st.integers(990, 1024)),
+    ),
+)
+effort_pairs = st.one_of(
+    st.tuples(wide_floats, wide_floats),
+    st.tuples(wide_floats, st.floats(-2e-6, 2e-6)).map(lambda p: (p[0], p[0] + p[1])),
+)
+
+
+def row_gap(a, b) -> float:
+    """The largest change between two rows of efforts, as the dynamics
+    cycle check takes it."""
+    return max(map(abs, map(operator.sub, a, b)))
 
 
 def _ladder_spec(n: int) -> gc.ContestSpec:
@@ -1475,6 +1498,41 @@ class TestDynamics:
             else gc.StrategyProfile.zeros(spec)
         )
         _reference_run(spec, initial, max_iters, order)
+
+    def test_matches_reference_on_the_gap_workload_runs(self):
+        # The README spec at the seven thetas of the dynamics_gap benchmark,
+        # half the lower cutoff to twice the upper.  Some earlier rows share
+        # the latest row's largest effort within CYCLE_TOL but differ
+        # elsewhere, so the cycle check's full compare also rejects rows.
+        vals = ([4, 1, -1], [4, 2, -1])
+        cut = gc.thresholds(make_spec(*vals, 1.0))
+        keyed = rejected = 0
+        for theta in np.geomspace(cut.theta_no_sabotage / 2, 2 * cut.theta_sabotage, 7):
+            spec = make_spec(*vals, float(theta))
+            for seed in range(5):
+                for order in ("round_robin", "simultaneous"):
+                    r = _reference_run(spec, self._jitter(spec, seed), 1000, order)
+                    rows = [(*p.xs[0], *p.xs[1], *p.ys[0], *p.ys[1]) for p in r.trajectory]
+                    for i, row in enumerate(rows):
+                        for earlier in rows[:max(i - 1, 0)]:
+                            if abs(max(earlier) - max(row)) <= verify.CYCLE_TOL:
+                                keyed += 1
+                                rejected += row_gap(earlier, row) > verify.CYCLE_TOL
+        assert rejected > 0
+        assert keyed > rejected
+
+    # Max is 1-Lipschitz in the max norm and rounding is monotone, so the
+    # cycle check may skip rows whose largest effort is off by more than
+    # the tolerance.
+    @settings(max_examples=500)
+    @given(
+        st.lists(effort_pairs, min_size=1, max_size=8),
+        st.sampled_from([0.0, 5e-324, verify.CONVERGENCE_TOL, verify.CYCLE_TOL]),
+    )
+    def test_largest_effort_key_never_skips_a_close_row(self, pairs, tol):
+        a, b = zip(*pairs)
+        if row_gap(a, b) <= tol:
+            assert abs(max(a) - max(b)) <= tol
 
     # Ladder specs at 20, 45 and 60 players a group, theta at half the lower
     # cutoff, inside the gap and at twice the upper cutoff, from seeded
