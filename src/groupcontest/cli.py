@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Reads a contest-spec JSON document, dispatches to the solver, the
-classifier, the verifier, the single-axis best-response rules, the
+classifier, the verifier, the best-response rule, the
 existence-region sweeps, or best-response dynamics, and emits JSON (CSV
 for region sweeps).  All numeric output is rounded to 9 significant
 digits so identical inputs produce byte-identical output.
@@ -239,23 +239,10 @@ def _cmd_br(args, spec: ContestSpec) -> int:
         if value is not None and not math.isfinite(value):
             raise ContestError(f"{flag} must be finite, got {value}")
 
-    def need_theta() -> float:
-        if args.theta is None:
-            raise UsageError("--theta is required for sabotage best responses")
-        return args.theta
-
-    if v > 0 and z_other > 0:
-        name, response = "br_positive_x", br.br_positive_x(v, z_minus, z_other)
-    elif v < 0 and z_other > 0:
-        name, response = "br_positive_y", br.br_positive_y(need_theta(), v, z_minus, z_other)
-    elif v < 0 and z_other < 0:
-        name, response = "br_negative_y", br.br_negative_y(need_theta(), v, z_minus, z_other)
-    elif v > 0 and z_other < 0:
-        name, response = "br_negative_x", br.br_negative_x(v, z_minus, z_other)
-    else:
-        raise br.DomainError(
-            f"no best-response rule applies to v={v}, z_other={z_other}"
-        )
+    if v < 0 and z_other != 0 and args.theta is None:  # z_other = 0 is a DomainError
+        raise UsageError("--theta is required for sabotage best responses")
+    response = br.axis_best_response(args.theta, v, z_minus, z_other)
+    name = f"br_{'positive' if z_other > 0 else 'negative'}_{'x' if v > 0 else 'y'}"
     if response.effort == math.inf:
         raise ContestError(f"{name} effort is beyond the float range")
     _emit({"operation": name, "effort": response.effort, "tie": response.tie})

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator
 
 
 class ContestError(Exception):
@@ -146,13 +145,6 @@ class EffectiveEffort:
     z2: float
 
 
-def players(spec: ContestSpec) -> Iterator[PlayerId]:
-    """Iterate players group 1 then group 2, in valuation order."""
-    for i in (1, 2):
-        for k in range(1, spec.group(i).size + 1):
-            yield PlayerId(i, k)
-
-
 def valuation(spec: ContestSpec, player: PlayerId) -> float:
     group = spec.group(player.group)
     if not 1 <= player.index <= group.size:
@@ -255,16 +247,6 @@ def spec_from_dict(obj: dict) -> ContestSpec:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed contest spec document: {exc}") from exc
     return validate_spec(ContestSpec(g1, g2, theta))
-
-
-def spec_to_dict(spec: ContestSpec) -> dict:
-    return {
-        "theta": spec.theta,
-        "groups": [
-            {"valuations": list(spec.group1.valuations)},
-            {"valuations": list(spec.group2.valuations)},
-        ],
-    }
 
 
 def profile_from_dict(obj: dict) -> StrategyProfile:

@@ -8,9 +8,10 @@ fall as own-group effort rises, so a positive-valuation player only
 builds and a negative-valuation one only sabotages.  On that axis the
 payoff has one kink, where own-group effective effort crosses 0; on
 either side the success function is c/(c + z) or c/(c - z), so each
-piece peaks at an endpoint or at the stationary point of
-``br_positive_x`` / ``br_negative_y``.  The candidates are the current
-effort, 0, the kink and that stationary point, scored as plain floats.
+piece peaks at an endpoint or at the concave piece's stationary point
+(``_stationary``, shared with ``axis_best_response``).  The candidates
+are the current effort, 0, the kink and that stationary point, scored as
+plain floats.
 
 Where the rival group's effective effort is 0 the odds jump as own-group
 effort leaves 0, so the supremum lies just past the kink and is never
@@ -125,6 +126,8 @@ ROUNDING_BAND = 2.0**44
 ARRAY_MIN_PLAYERS = 30
 # Below this, the group's gross effort plus a move (theta times it for y)
 # keeps every sum the search takes finite; above it ``_edge`` checks them.
+# A y move is held to min(1, theta) times it: for theta < 1 the plain sum
+# of the y column, up to gross / theta, must stay finite too.
 SUM_EDGE = 2.0**1023
 
 
@@ -310,8 +313,10 @@ def _search_array(theta, parts):
                 stat[i] = _stationary(float(v[i]), theta, float(m[i]), float(z_other[i]))
         stat[stat == kink] = 0.0  # a stationary point at the kink is scored once
         ok = moves[1:] > 0  # the kinks and stationary points that are candidates
-        if not max(p[5] for p in parts) + max(1.0, theta) * moves.max() <= SUM_EDGE:
-            far = ok & ~(own_gross + np.where(pos, 1.0, theta) * moves[1:] <= SUM_EDGE)
+        y_edge = min(1.0, theta) * SUM_EDGE
+        if not max(p[5] for p in parts) + max(1.0, theta) * moves.max() <= y_edge:
+            edge = np.where(pos, SUM_EDGE, y_edge)
+            far = ok & ~(own_gross + np.where(pos, 1.0, theta) * moves[1:] <= edge)
             for r, i in np.argwhere(far).tolist():
                 j = bisect_right(starts, i) - 1  # column i is player i - starts[j] + 1 of part j
                 moves[r + 1, i] = _edge(theta, parts[j][1], i - starts[j] + 1,
@@ -391,8 +396,9 @@ def _search_player(theta, group, v, columns, k, own, z_other, p_now):
                 moves.append(kink + d)
                 break
             d *= 2.0
+    edge = SUM_EDGE if v > 0 else min(1.0, theta) * SUM_EDGE
     for j, e in enumerate(moves):
-        if not gross + (e if v > 0 else theta * e) <= SUM_EDGE:
+        if not gross + (e if v > 0 else theta * e) <= edge:
             moves[j] = _edge(theta, columns, k, v, z_minus, e)
     # The current effort is scored first, so ties keep the player put.
     best, best_value = None, v * p_now - x - y

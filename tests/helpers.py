@@ -1,19 +1,21 @@
-"""Shared test utilities: spec builders, seeded random spec generation,
-hypothesis strategies, a per-player view of a profile (the library's
-``StrategyProfile`` holds only its x and y columns), a per-player
-residual oracle (the library's ``EffectiveEffort`` holds only the two
-group sums), the five-case
+"""Shared test utilities: spec builders and the player roster and spec
+document that only tests need (``players``, ``spec_to_dict``), seeded
+random spec generation, hypothesis strategies, a per-player view of a
+profile (the library's ``StrategyProfile`` holds only its x and y
+columns), a per-player residual oracle (the library's
+``EffectiveEffort`` holds only the two group sums), the five-case
 contest success function that the one-line form must match bit for
-bit, independent grid-search oracles for the single-axis best-response
-rules and for a player's best
-deviation, the player-by-player deviation search that the group-at-once
-one must match bit for bit, the row-by-row dynamics loop that the
-move-by-move one must match bit for bit, and the point-by-point region
-sweep that the array-backed one must match.
+bit, independent grid-search oracles for the best-response rule and
+for a player's best deviation, the player-by-player deviation search
+that the group-at-once one must match bit for bit, the row-by-row
+dynamics loop that the move-by-move one must match bit for bit, and the
+point-by-point region sweep that the array-backed one must match.
 
-The grid oracles maximize the exact payoff of each regime by brute force
-on a dense effort grid (augmented with the exact piece endpoints, where
-the payoff has a kink) and never call the closed forms they check.
+The grid oracles maximize the payoff through the five-case success
+function by brute force on a dense effort grid (augmented with the exact
+piece endpoints, where the payoff has a kink) and never call the closed
+forms they check.  The regime formulas ``objective_*`` stay for the
+curvature tests, on draws inside their regime.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 from hypothesis import strategies as st
 
 import groupcontest as gc
-from groupcontest import best_response as br
 from groupcontest.csf import payoff, win_probability_short
 from groupcontest.model import effective_efforts, valuation
 from groupcontest.verify import (
@@ -48,6 +49,24 @@ def make_spec(vals1, vals2, theta) -> gc.ContestSpec:
             float(theta),
         )
     )
+
+
+def players(spec: gc.ContestSpec):
+    """Iterate players group 1 then group 2, in valuation order."""
+    for i in (1, 2):
+        for k in range(1, spec.group(i).size + 1):
+            yield gc.PlayerId(i, k)
+
+
+def spec_to_dict(spec: gc.ContestSpec) -> dict:
+    """The spec's JSON document, as ``spec_from_dict`` reads it."""
+    return {
+        "theta": spec.theta,
+        "groups": [
+            {"valuations": list(spec.group1.valuations)},
+            {"valuations": list(spec.group2.valuations)},
+        ],
+    }
 
 
 def random_spec(
@@ -80,7 +99,7 @@ def random_profile(
     rng: np.random.Generator, spec: gc.ContestSpec, scale: float = 1.0
 ) -> gc.StrategyProfile:
     profile = gc.StrategyProfile.zeros(spec)
-    for p in gc.players(spec):
+    for p in players(spec):
         profile = profile.replace(
             p, float(rng.uniform(0, scale)), float(rng.uniform(0, scale))
         )
@@ -199,7 +218,7 @@ efforts_st = st.one_of(st.just(0.0), st.floats(1e-200, 50.0))
 def specs_with_profiles(draw, effort=efforts_st):
     spec = draw(specs())
     profile = gc.StrategyProfile.zeros(spec)
-    for p in gc.players(spec):
+    for p in players(spec):
         profile = profile.replace(p, draw(effort), draw(effort))
     return spec, profile
 
@@ -297,27 +316,38 @@ def draw_best_response_case(rng: np.random.Generator, op: str) -> dict:
     raise ValueError(op)
 
 
+def payoff_on_axis(v, z_minus, z_other, theta=None):
+    """The payoff v * p_own - e of efforts e on the valuation's axis (x
+    for v > 0, y for v < 0), through the five-case success function."""
+    slope = 1.0 if v > 0 else -theta
+
+    def f(es):
+        z1, z2 = np.broadcast_arrays(z_minus + slope * es, z_other)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p_own = np.select(
+                [(z1 > 0) & (z2 >= 0), (z1 >= 0) & (z2 < 0), (z1 <= 0) & (z2 > 0),
+                 (z1 < 0) & (z2 <= 0)],
+                [z1 / (z1 + z2), 1.0, 0.0, np.abs(z2) / (np.abs(z1) + np.abs(z2))],
+                0.5,
+            )
+        return v * p_own - es
+
+    return f
+
+
 def oracle_for_case(op: str, params: dict) -> tuple[float, float, object]:
-    """Grid-maximize the matching exact objective; returns the oracle's
-    best effort, its payoff, and the objective for re-evaluation."""
+    """Grid-maximize the case's payoff: the five-case payoff on the axis
+    for the best-response rule, the one-body objective for ``group``.
+    Returns the oracle's best effort, its payoff, and the objective for
+    re-evaluation."""
     span = 4.0 * sum(abs(x) for k, x in params.items() if k != "theta")
-    if op == "positive_x":
-        f = objective_positive_x(**params)
-        extra = ()
-    elif op == "positive_y":
-        f = objective_positive_y(**params)
+    f = objective_group(**params) if op == "group" else payoff_on_axis(**params)
+    if op == "positive_y":
         extra = (params["z_minus"] / params["theta"],)
-    elif op == "negative_y":
-        f = objective_negative_y(**params)
-        extra = ()
     elif op == "negative_x":
-        f = objective_negative_x(**params)
         extra = (abs(params["z_minus"]),)
-    elif op == "group":
-        f = objective_group(**params)
-        extra = ()
     else:
-        raise ValueError(op)
+        extra = ()
     effort, value = grid_argmax(f, span, extra=extra)
     return effort, value, f
 
@@ -333,15 +363,16 @@ def group_best_effective_effort(v: float, z_other: float) -> float:
     return max(0.0, math.sqrt(v * z_other) - z_other)
 
 
+def _axis_rule(p: dict) -> float:
+    return gc.axis_best_response(p.get("theta"), p["v"], p["z_minus"], p["z_other"]).effort
+
+
+# One rule answers every sign case; each case draws its own parameters.
 CLOSED_FORMS = {
-    "positive_x": lambda p: gc.br_positive_x(p["v"], p["z_minus"], p["z_other"]).effort,
-    "positive_y": lambda p: gc.br_positive_y(
-        p["theta"], p["v"], p["z_minus"], p["z_other"]
-    ).effort,
-    "negative_y": lambda p: gc.br_negative_y(
-        p["theta"], p["v"], p["z_minus"], p["z_other"]
-    ).effort,
-    "negative_x": lambda p: gc.br_negative_x(p["v"], p["z_minus"], p["z_other"]).effort,
+    "positive_x": _axis_rule,
+    "positive_y": _axis_rule,
+    "negative_y": _axis_rule,
+    "negative_x": _axis_rule,
     "group": lambda p: group_best_effective_effort(p["v"], p["z_other"]),
 }
 
@@ -400,15 +431,18 @@ def grid_deviation(spec, profile, player) -> tuple[float, float, float]:
 
 def _stationary(v: float, theta: float, z_minus: float, z_other: float) -> float:
     """The concave piece's peak on the player's axis, or 0 if there is
-    none.  The rules are homogeneous of degree 1 in (v, z_minus, z_other),
-    so they run on arguments scaled by a power of two to at most 1, where
-    v*z_other cannot overflow or underflow, and scale back exactly."""
+    none: sqrt(v*z_other) - z_other - z_minus for v > 0 and its mirror
+    (sqrt(theta*|v|*|z_other|) - |z_other| + z_minus) / theta for v < 0,
+    each clamped at 0.  Both are homogeneous of degree 1 in (v, z_minus,
+    z_other), so they run on arguments scaled by a power of two to at
+    most 1, where v*z_other cannot overflow or underflow, and scale back
+    exactly."""
     e = math.frexp(max(abs(v), abs(z_minus), abs(z_other)))[1]
     v1, m1, o1 = (math.ldexp(t, -e) for t in (v, z_minus, z_other))
     if v > 0 and z_other > 0:
-        effort = br.br_positive_x(v1, m1, o1).effort
+        effort = max(0.0, math.sqrt(v1 * o1) - o1 - m1)
     elif v < 0 and z_other < 0:
-        effort = br.br_negative_y(theta, v1, m1, o1).effort
+        effort = max(0.0, (math.sqrt(theta * abs(v1) * abs(o1)) - abs(o1) + m1) / theta)
     else:
         return 0.0
     try:
@@ -532,7 +566,7 @@ def reference_dynamics(spec, initial, max_iters: int, order: str) -> ReferenceRu
     rows in simultaneous play) and the checks go through ``np.max``.  It
     keeps every profile, and takes ``last_delta`` from the last two, one
     Python float pair at a time."""
-    roster = list(gc.players(spec))
+    roster = list(players(spec))
     current = initial
     trajectory = [initial]
     history = np.concatenate(initial.xs + initial.ys)[np.newaxis]
@@ -610,19 +644,19 @@ def corpus_case(rng: np.random.Generator, max_size: int = 30):
     if kind in ("closed_form", "perturbed") and solved is not None:
         profile = solved
         if kind == "perturbed":
-            for p in gc.players(spec):
+            for p in players(spec):
                 e = effort(profile, p)
                 profile = profile.replace(p, 1.5 * e.x, 1.5 * e.y)
         return spec, profile
     if kind in ("sparse", "closed_form", "perturbed"):
-        roster = list(gc.players(spec))
+        roster = list(players(spec))
         for j in rng.choice(len(roster), size=min(3, len(roster)), replace=False):
             p = roster[int(j)]
             e = s * float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
             profile = profile.replace(p, e, 0.0) if gc.valuation(spec, p) > 0 else (
                 profile.replace(p, 0.0, e / theta))
         return spec, profile
-    for p in gc.players(spec):
+    for p in players(spec):
         x, y = (s * float(rng.uniform(0, 2)) if rng.random() < 0.6 else 0.0 for _ in "xy")
         profile = profile.replace(p, x, y)
     if kind != "mixed":

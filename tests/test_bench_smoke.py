@@ -63,10 +63,12 @@ def _refuse_constant(name):
 
 
 # A traced run prints the per-layer metrics and an untraced one the
-# end-to-end metrics; both end with one strict JSON line.
+# end-to-end metrics; both end with one strict JSON line.  region_cli is the
+# one workload that runs through ``cli.run``.
 @pytest.mark.parametrize("name, trace, metrics", [
     ("dynamics_gap", 1, "per_layer"),
     ("certify_small", 1, "per_layer"),
+    ("region_cli", 1, "per_layer"),
     ("dynamics_gap", 0, "end_to_end"),
 ])
 def test_benchmark_run_ends_in_a_strict_result(name, trace, metrics):

@@ -329,9 +329,10 @@ class TestBrCommand:
         assert code == 1
         assert "DomainError" in err
 
-    # The digests were computed before ``br_positive_x`` and ``br_negative_y``
-    # moved onto the power-of-two-scaled peak: at ordinary scale every rule,
-    # tie and clamp prints the same bytes.
+    # The digests were computed before the peak moved onto power-of-two-scaled
+    # arguments, and all but one before the four sign-regime rules became one
+    # whole-axis rule: at ordinary scale every sign case, tie and clamp prints
+    # the same bytes.
     @pytest.mark.parametrize("flags, digest", [
         ("--v 4 --z-minus 0 --z-other 1",
          "c748483a4fa88b443ad2150ec2933c585a1c962f1c8caf03eb06e9ebb9ff0aa1"),
@@ -357,8 +358,9 @@ class TestBrCommand:
          "0622a74fa6768a9a9c25ae7e254137508e0327e4b4353e421d88664438a52e0b"),
         ("--v -4 --theta 1 --z-minus 0 --z-other=-1",
          "6c62e6e8c9008192d7d20fdcd319b7edadb710a576c8e8245d0a9f9248009d01"),
+        # Effort 0: the peak 1.07467309 pays -3.435 and y = 0 pays -3.0.
         ("--v -3 --theta 0.7 --z-minus 0.4 --z-other=-1.3",
-         "c036bb3558b48f64cf6249531216617f387eca87abfe9bbb593a519639d5084b"),
+         "ee941819582febcd9e840ffc5c5aea13e575413f1537c5780a027e987e3be10e"),
         ("--v -3 --theta 0.7 --z-minus -0.4 --z-other=-1.3",
          "ee941819582febcd9e840ffc5c5aea13e575413f1537c5780a027e987e3be10e"),
         ("--v -0.1 --theta 1 --z-minus -5 --z-other=-2",

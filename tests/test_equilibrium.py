@@ -17,6 +17,7 @@ from helpers import (
     RegionRow,
     effort,
     make_spec,
+    players,
     random_spec,
     region_rows,
     region_rows_csv,
@@ -154,7 +155,7 @@ class TestSolve:
         result = gc.solve(low)
         assert result.regime is gc.Regime.NO_SABOTAGE
         assert result.effective.z1 > 0 and result.effective.z2 > 0
-        for p in gc.players(low):
+        for p in players(low):
             e = effort(result.profile, p)
             assert e.y == 0.0
             assert (e.x > 0) == (p.index == 1)
@@ -162,7 +163,7 @@ class TestSolve:
         result = gc.solve(high)
         assert result.regime is gc.Regime.SABOTAGE
         assert result.effective.z1 < 0 and result.effective.z2 < 0
-        for p in gc.players(high):
+        for p in players(high):
             e = effort(result.profile, p)
             assert e.x == 0.0
             assert (e.y > 0) == (p.index == high.group(p.group).size)
@@ -243,7 +244,7 @@ class TestScale:
         if result.profile is None:
             assert scaled.profile is None
             return
-        for p in gc.players(spec):
+        for p in players(spec):
             e, f = effort(result.profile, p), effort(scaled.profile, p)
             assert (f.x, f.y) == (math.ldexp(e.x, k), math.ldexp(e.y, k))
 

@@ -14,8 +14,10 @@ from helpers import (
     efforts,
     dyadic_thetas,
     make_spec,
+    players,
     profile_of,
     residual,
+    spec_to_dict,
     specs,
     specs_with_profiles,
 )
@@ -171,7 +173,7 @@ class TestProfileAccess:
 
     def test_known_players_read_and_write_their_own_slot(self):
         profile = gc.StrategyProfile.zeros(self.README_SPEC)
-        for p in gc.players(self.README_SPEC):
+        for p in players(self.README_SPEC):
             moved = profile.replace(p, float(p.group), float(p.index))
             assert effort(moved, p) == Effort(float(p.group), float(p.index))
             assert sum(e != Effort(0.0, 0.0) for g in efforts(moved) for e in g) == 1
@@ -206,7 +208,7 @@ class TestProfileColumns:
         doc = {"efforts": [[{"x": e.x, "y": e.y} for e in g] for g in rows]}
         spec = make_spec(*([1.0] + [0.5] * (len(g) - 2) + [-1.0] for g in rows), 1.0)
         replaced = gc.StrategyProfile.zeros(spec)
-        for p, e in zip(gc.players(spec), (e for g in rows for e in g)):
+        for p, e in zip(players(spec), (e for g in rows for e in g)):
             replaced = replaced.replace(p, e.x, e.y)
         for other in (gc.profile_from_dict(doc), replaced):
             assert other == built and hash(other) == hash(built)
@@ -252,7 +254,7 @@ class TestProfileColumns:
 class TestDocuments:
     def test_spec_round_trip(self):
         spec = make_spec([4, 1, -1], [4, 2, -1], 0.5)
-        assert gc.spec_from_dict(gc.spec_to_dict(spec)) == spec
+        assert gc.spec_from_dict(spec_to_dict(spec)) == spec
 
     def test_profile_round_trip(self):
         spec = make_spec([4, 1, -1], [4, 2, -1], 0.5)

@@ -34,19 +34,15 @@ PUBLIC_NAMES = [
     "ValidationError",
     "VerificationReport",
     "ZeroValuation",
+    "axis_best_response",
     "best_deviation",
     "best_response_dynamics",
-    "br_negative_x",
-    "br_negative_y",
-    "br_positive_x",
-    "br_positive_y",
     "classify",
     "default_epsilon",
     "effective_efforts",
     "is_epsilon_nash",
     "p1_values",
     "payoff",
-    "players",
     "profile_from_dict",
     "profile_to_dict",
     "refute_class",
@@ -54,7 +50,6 @@ PUBLIC_NAMES = [
     "region_sample",
     "solve",
     "spec_from_dict",
-    "spec_to_dict",
     "thresholds",
     "validate_spec",
     "valuation",
@@ -67,7 +62,7 @@ class TestPublicSurface:
         assert gc.__all__ == sorted(set(gc.__all__))
 
     def test_all_is_the_pinned_list(self):
-        assert len(PUBLIC_NAMES) == 56
+        assert len(PUBLIC_NAMES) == 51
         assert gc.__all__ == PUBLIC_NAMES
 
     def test_every_name_resolves(self):

@@ -14,6 +14,7 @@ import groupcontest as gc
 from groupcontest import verify
 from helpers import (
     Effort,
+    _stationary as stationary_oracle,
     corpus_case,
     corpus_group,
     deviation_hex,
@@ -22,6 +23,7 @@ from helpers import (
     efforts_st,
     grid_deviation,
     make_spec,
+    players,
     profile_distance,
     profile_of,
     random_profile,
@@ -76,7 +78,7 @@ class TestBestDeviation:
     def test_improvement_is_exact_payoff_difference(self, sabotage_spec):
         rng = np.random.default_rng(8)
         profile = random_profile(rng, sabotage_spec, scale=2.0)
-        for p in gc.players(sabotage_spec):
+        for p in players(sabotage_spec):
             d = gc.best_deviation(sabotage_spec, profile, p)
             deviated = profile.replace(p, d.new_x, d.new_y)
             diff = gc.payoff(sabotage_spec, deviated, p) - gc.payoff(sabotage_spec, profile, p)
@@ -87,7 +89,7 @@ class TestBestDeviation:
         rng = np.random.default_rng(9)
         for _ in range(10):
             profile = random_profile(rng, gap_spec, scale=1.5)
-            for p in gc.players(gap_spec):
+            for p in players(gap_spec):
                 d = gc.best_deviation(gap_spec, profile, p)
                 after = profile.replace(p, d.new_x, d.new_y)
                 again = gc.best_deviation(gap_spec, after, p)
@@ -102,7 +104,7 @@ class TestBestDeviation:
         rng = np.random.default_rng(13)
         for _ in range(5):
             profile = random_profile(rng, spec, scale=3.0)
-            for p in gc.players(spec):
+            for p in players(spec):
                 v = gc.valuation(spec, p)
                 _, z_minus, z_other = residual(spec, profile, p)
                 e = effort(profile, p)
@@ -154,7 +156,7 @@ class TestBestDeviation:
 
         rng = np.random.default_rng(15)
         profile = random_profile(rng, sabotage_spec, scale=2.0)
-        roster = list(gc.players(sabotage_spec))
+        roster = list(players(sabotage_spec))
         sequential = [gc.best_deviation(sabotage_spec, profile, p) for p in roster]
         with ThreadPoolExecutor(max_workers=4) as pool:
             parallel = list(
@@ -177,7 +179,7 @@ def search_cases(draw):
     offsetting efforts."""
     spec = draw(specs())
     profile = gc.StrategyProfile.zeros(spec)
-    for p in gc.players(spec):
+    for p in players(spec):
         profile = profile.replace(p, draw(efforts_st), draw(efforts_st))
     zero = draw(st.sampled_from([None, "idle", "offset"]))
     if zero is not None:
@@ -326,10 +328,29 @@ class TestExactSearch:
         assert d.improvement > gc.payoff(spec, probe, player) - now > 4e299
         report = gc.is_epsilon_nash(spec, profile)
         assert report.deviations[1] == d
-        for p, found in zip(gc.players(spec), report.deviations):
+        for p, found in zip(players(spec), report.deviations):
             assert deviation_hex(scalar_search(spec, profile, p)[0]) == (
                 deviation_hex(found)
             )
+
+    def test_kink_that_overflows_the_plain_y_sum_is_cut_back(self):
+        # At theta 0.75 * 2**-57, player (2, 5)'s kink is the largest float:
+        # theta times it stays far from the float range's edge, but the plain
+        # sum of her group's y column, which the group sum takes before
+        # scaling it by theta, overflows.  The rival group is idle, so the
+        # search scores the limit point on the rebuilt group sum.
+        spec = make_spec([0.5, -0.5], [0.875, 0.75, 0.5, -0.5, -0.75, -0.875],
+                         math.ldexp(0.75, -57))
+        profile = gc.StrategyProfile.zeros(spec)
+        profile = profile.replace(gc.PlayerId(2, 4), 0.0, math.ldexp(0.5, 972))
+        profile = profile.replace(gc.PlayerId(2, 6), math.ldexp(0.75, 967), 0.0)
+        report = gc.is_epsilon_nash(spec, profile)
+        for p, found in zip(players(spec), report.deviations):
+            assert found == gc.best_deviation(spec, profile, p)
+            deviated = profile.replace(p, found.new_x, found.new_y)
+            assert math.isfinite(gc.effective_efforts(spec, deviated).z2)
+        for order in ("round_robin", "simultaneous"):
+            gc.best_response_dynamics(spec, profile, 1, order)
 
     def test_valuations_beyond_one_scale(self):
         # Player (1, 2)'s valuation, rival effort and residual 1e300 span
@@ -374,7 +395,7 @@ class TestExactSearch:
             for e in group:
                 e["x"], e["y"] = math.ldexp(e["x"], k), math.ldexp(e["y"], k)
         scaled = gc.profile_from_dict(doc)
-        for p in gc.players(spec):
+        for p in players(spec):
             d, f = gc.best_deviation(spec, profile, p), gc.best_deviation(big, scaled, p)
             assert (f.new_x, f.new_y) == (math.ldexp(d.new_x, k), math.ldexp(d.new_y, k))
             assert f.improvement == math.ldexp(d.improvement, k)
@@ -390,7 +411,7 @@ def group_search_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vals = [corpus_group(rng, draw(st.integers(2, 40)), math.ldexp(1.0, k)) for _ in "12"]
     spec = make_spec(*vals, draw(st.floats(0.01, 100.0)))
-    roster = list(gc.players(spec))
+    roster = list(players(spec))
     if draw(st.booleans()):
         active = roster
     else:
@@ -454,7 +475,7 @@ def _verification_digest(cases: int, seed: int) -> str:
     for _ in range(cases):
         spec, profile = corpus_case(rng)
         _hash_report(h, gc.is_epsilon_nash(spec, profile))
-        roster = list(gc.players(spec))
+        roster = list(players(spec))
         for j in rng.choice(len(roster), size=2, replace=False):
             d = gc.best_deviation(spec, profile, roster[int(j)])
             h.update(f"{deviation_hex(d)}\n".encode())
@@ -555,7 +576,7 @@ class TestGroupSearch:
     @given(group_search_cases(), st.data())
     def test_matches_player_by_player_oracle(self, case, data):
         spec, profile = case
-        expected = [scalar_search(spec, profile, p) for p in gc.players(spec)]
+        expected = [scalar_search(spec, profile, p) for p in players(spec)]
         report = gc.is_epsilon_nash(spec, profile)
         assert [deviation_hex(d) for d in report.deviations] == [
             deviation_hex(d) for d, _ in expected
@@ -607,7 +628,7 @@ class TestGroupSearch:
         with mock.patch.object(verify, "_search_array", wraps=verify._search_array) as spy:
             report = gc.is_epsilon_nash(spec, profile)
         assert spy.call_count == 0
-        expected = [scalar_search(spec, profile, p) for p in gc.players(spec)]
+        expected = [scalar_search(spec, profile, p) for p in players(spec)]
         assert [deviation_hex(d) for d in report.deviations] == [
             deviation_hex(d) for d, _ in expected
         ]
@@ -728,7 +749,7 @@ def tie_prone_cases(draw):
         efforts[1 - g][0][0] = vals[g][0]
     profile = profile_of(efforts)
     if kind == "stationary":
-        p = draw(st.sampled_from(list(gc.players(spec))))
+        p = draw(st.sampled_from(list(players(spec))))
         _, z_minus, z_other = residual(spec, profile, p)
         e = verify._stationary(gc.valuation(spec, p), theta, z_minus, z_other)
         if math.isfinite(e):
@@ -788,7 +809,7 @@ class TestArraySearch:
     @given(array_search_cases(), st.data())
     def test_matches_player_by_player_oracle(self, case, data):
         spec, profile = case
-        expected = [scalar_search(spec, profile, p) for p in gc.players(spec)]
+        expected = [scalar_search(spec, profile, p) for p in players(spec)]
         with mock.patch.object(verify, "_search_array", wraps=verify._search_array) as spy:
             report = gc.is_epsilon_nash(spec, profile)
         assert spy.call_count >= 1
@@ -844,7 +865,7 @@ class TestArraySearch:
         profile = gc.StrategyProfile.zeros(spec)
         profile = profile.replace(gc.PlayerId(1, n), 0.0, 1.0)
         profile = profile.replace(gc.PlayerId(2, 1), 4.0, 0.0)
-        expected = [scalar_search(spec, profile, p) for p in gc.players(spec)]
+        expected = [scalar_search(spec, profile, p) for p in players(spec)]
         report = gc.is_epsilon_nash(spec, profile)
         assert report.candidate_count == sum(n for _, n in expected)
         assert [deviation_hex(d) for d in report.deviations] == [
@@ -1101,7 +1122,7 @@ class TestPlayerIds:
             report = gc.is_epsilon_nash(spec, profile)
         assert spy.call_count == (1 if n >= verify.ARRAY_MIN_PLAYERS else 0)
         assert any(d.improvement > 0 for d in report.deviations)
-        roster = list(gc.players(spec))
+        roster = list(players(spec))
         assert [d.player for d in report.deviations] == roster
         # Shared, not rebuilt: a second report holds the same id objects.
         again = gc.is_epsilon_nash(spec, profile)
@@ -1159,7 +1180,7 @@ class TestSharedRows:
         rows = [(d.new_x.hex(), d.new_y.hex()) for d in report.deviations]
         assert rows == [(e.x.hex(), e.y.hex()) for g in efforts(profile) for e in g]
         assert [deviation_hex(d) for d in report.deviations] == [
-            deviation_hex(gc.best_deviation(spec, profile, p)) for p in gc.players(spec)
+            deviation_hex(gc.best_deviation(spec, profile, p)) for p in players(spec)
         ]
 
     def test_only_busy_players_and_movers_build_rows(self):
@@ -1267,7 +1288,7 @@ class TestRefuteClass:
         )
         for r in records:
             wrong = False
-            for p in gc.players(no_sabotage_spec):
+            for p in players(no_sabotage_spec):
                 v = gc.valuation(no_sabotage_spec, p)
                 e = effort(r.profile, p)
                 wrong = wrong or (v > 0 and e.y > 0) or (v < 0 and e.x > 0)
@@ -1300,17 +1321,15 @@ class TestRefuteClass:
                 continue
             # The violator is the one active player inside her group's ends.
             (violator,) = (
-                p for p in gc.players(spec)
+                p for p in players(spec)
                 if effort(r.profile, p) != Effort(0.0, 0.0)
                 and p.index not in (1, spec.group(p.group).size)
             )
             v = gc.valuation(spec, violator)
             _, z_minus, z_other = residual(spec, r.profile, violator)
             e = effort(r.profile, violator)
-            if v > 0:
-                own, peak = e.x, gc.br_positive_x(v, z_minus, z_other).effort
-            else:
-                own, peak = e.y, gc.br_negative_y(spec.theta, v, z_minus, z_other).effort
+            own = e.x if v > 0 else e.y
+            peak = stationary_oracle(v, spec.theta, z_minus, z_other)
             assert own > 0.0
             assert math.isclose(own, peak, rel_tol=1e-12)
 
