@@ -50,8 +50,9 @@ class DomainError(ContestError):
 
 @dataclass(frozen=True)
 class AxisBestResponse:
-    """A maximizing effort level; ``tie`` marks the knife-edge case
-    where a second, distinct effort attains the same payoff."""
+    """A maximizing effort level; ``tie`` marks a second, distinct
+    candidate whose float score equals the best, so two efforts whose
+    true payoffs differ by less than the rounding of v * p tie too."""
 
     effort: float
     tie: bool = False

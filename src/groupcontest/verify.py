@@ -78,12 +78,15 @@ A search takes one of two paths.  Outside the rounding band, every
 whole group of ``ARRAY_MIN_PLAYERS`` or more players is scored in one
 float64 matrix, the groups' columns side by side, with the scalar loop's
 candidates, IEEE operations and tie rule, so every report is the loop's
-bit for bit.  Other groups, and one player's search, run the loop,
-which is faster there: ``scripts/crossover.py`` (in-process, shared
-2-vCPU VM) puts both groups of a closed-form profile at 2.1x the loop's
-time at 10 players a group, even between 20 (1.1-1.2x) and 25 (0.93x)
-and 0.19x at 200, and a mixed group searched alone even between 40
-(1.1-1.3x) and 60 (0.94-0.97x).
+bit for bit.  Where a candidate's group sums may pass ``SUM_EDGE`` or a
+stationary point's common scaling underflows, the matrix declines and
+the loop, the one home of ``_edge`` and the unscaled root, searches its
+groups.  Other groups, and one player's search, run the loop, which is
+faster there: ``scripts/crossover.py`` (in-process, shared 2-vCPU VM)
+puts both groups of a closed-form profile at 2.1x the loop's time at 10
+players a group, even between 20 (1.1-1.2x) and 25 (0.93x) and 0.19x at
+200, and a mixed group searched alone even between 40 (1.1-1.3x) and 60
+(0.94-0.97x).
 """
 
 from __future__ import annotations
@@ -91,7 +94,6 @@ from __future__ import annotations
 import enum
 import math
 import struct
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
@@ -125,7 +127,8 @@ ROUNDING_BAND = 2.0**44
 # crossover, see the module docstring).
 ARRAY_MIN_PLAYERS = 30
 # Below this, the group's gross effort plus a move (theta times it for y)
-# keeps every sum the search takes finite; above it ``_edge`` checks them.
+# keeps every sum the search takes finite; above it ``_edge`` checks them,
+# in the scalar loop only: ``_search_array`` declines such groups.
 # A y move is held to min(1, theta) times it: for theta < 1 the plain sum
 # of the y column, up to gross / theta, must stay finite too.
 SUM_EDGE = 2.0**1023
@@ -281,15 +284,17 @@ def _idle_rows(group: int, size: int) -> tuple[Deviation, ...]:
 
 def _search_array(theta, parts):
     """The scalar loop's exact-mode search of whole groups, stacked as the
-    columns of float64 arrays, with the same candidates, cut-backs and
-    IEEE operations.  Each part is a group's (valuations, x, y) rows, its
-    columns, z, z_other, p_now, gross effort and the busy and picks lists
-    that the search extends, as the scalar loop does.  Returns the number
-    of points scored."""
-    sizes = [read.shape[1] for read, *_ in parts]
+    columns of float64 arrays.  Each part is a group's (group, valuations,
+    columns, group values, z_other, p_now, picks, busy): the loop's
+    arguments and the lists it extends.  Returns the points scored, or
+    None, extending no list, where a stationary point's common scaling
+    underflows or a candidate's group sums may pass ``SUM_EDGE``."""
+    sizes = [len(p[1]) for p in parts]
     starts = [0, *accumulate(sizes)]
-    v, cx, cy = np.concatenate([read for read, *_ in parts], axis=1)
-    z, z_other, p_now, own_gross = np.repeat(np.array([p[2:6] for p in parts]).T, sizes, axis=1)
+    # ``struct.pack`` reads tuples of floats about 3x faster than np.array.
+    rows = chain(*(p[1] for p in parts), *(p[2][0] for p in parts), *(p[2][1] for p in parts))
+    v, cx, cy = np.frombuffer(struct.pack(f"{3 * starts[-1]}d", *rows)).reshape(3, -1)
+    z, z_other, p_now = np.repeat(np.array([(p[3][0], *p[4:6]) for p in parts]).T, sizes, axis=1)
     m = z - (cx - theta * cy)  # the residuals, as the scalar loop takes them
     pos = v > 0
     moves = np.zeros((3, len(v)))  # rows: the candidates 0, the kink, the stationary point
@@ -305,42 +310,38 @@ def _search_array(theta, parts):
         vs, ms, zs = v[has], m[has], z_other[has]
         e = np.frexp(np.maximum(np.maximum(np.abs(vs), np.abs(ms)), np.abs(zs)))[1]
         v1, m1, o1 = np.ldexp(vs, -e), np.ldexp(ms, -e), np.ldexp(zs, -e)
+        if not (v1.all() and o1.all()):  # the common scaling underflows
+            return None
         c, s = np.where(pos[has], 1.0, [[theta], [-1.0]])
         peak = np.maximum(0.0, (np.sqrt(c * v1 * o1) - s * o1 - s * m1) / c)
         stat[has] = np.ldexp(peak, e)
-        if not (v1.all() and o1.all()):  # the common scaling underflows
-            for i in np.flatnonzero(has)[(v1 == 0) | (o1 == 0)].tolist():
-                stat[i] = _stationary(float(v[i]), theta, float(m[i]), float(z_other[i]))
         stat[stat == kink] = 0.0  # a stationary point at the kink is scored once
-        ok = moves[1:] > 0  # the kinks and stationary points that are candidates
-        y_edge = min(1.0, theta) * SUM_EDGE
-        if not max(p[5] for p in parts) + max(1.0, theta) * moves.max() <= y_edge:
-            edge = np.where(pos, SUM_EDGE, y_edge)
-            far = ok & ~(own_gross + np.where(pos, 1.0, theta) * moves[1:] <= edge)
-            for r, i in np.argwhere(far).tolist():
-                j = bisect_right(starts, i) - 1  # column i is player i - starts[j] + 1 of part j
-                moves[r + 1, i] = _edge(theta, parts[j][1], i - starts[j] + 1,
-                                        float(v[i]), float(m[i]), float(moves[r + 1, i]))
+        gross = max(p[3][1] for p in parts)
+        if not gross + max(1.0, theta) * moves.max() <= min(1.0, theta) * SUM_EDGE:
+            return None
         # Row 0 scores the current effort, rows 1-3 the candidates.
         score = np.empty((4, len(v)))
         score[0] = v * p_now - cx - cy
         z_moved = m + np.where(pos, 1.0, -theta) * moves
         np.subtract(v * p1_values(z_moved, z_other), moves, out=score[1:])
+    ok = moves[1:] > 0  # the kinks and stationary points that are candidates
     np.copyto(score[2:], -np.inf, where=~ok)
-    # No score is nan: the efforts and, once ``_edge`` has run, the moved
-    # group sums are finite, so each score is finite or -inf.  argmax then
-    # takes the first maximum, which is the scalar loop's strict ``>`` in
-    # scoring order: ties keep the player at its current effort.
+    # No score is nan: the efforts and the moved group sums are finite, so
+    # each score is finite or -inf.  argmax then takes the first maximum,
+    # which is the scalar loop's strict ``>`` in scoring order: ties keep the
+    # player at its current effort.
     best = score.argmax(axis=0)
     took = np.flatnonzero(best)
     # +0.0 is the only float whose bits are all zero.
     busy = np.flatnonzero(cx.view(np.int64) | cy.view(np.int64))
     t, b = took.searchsorted(starts).tolist(), busy.searchsorted(starts).tolist()
-    picks = list(zip(took.tolist(), moves[best[took] - 1, took].tolist()))
-    busy = busy.tolist()
-    for j, (*_, busy_j, picks_j) in enumerate(parts):  # at each part's own positions
+    took, e, busy = took.tolist(), moves[best[took] - 1, took].tolist(), busy.tolist()
+    for j, (group, valuations, columns, own, *rest, picks_j, busy_j) in enumerate(parts):
         busy_j += [i - starts[j] for i in busy[b[j]:b[j + 1]]]
-        picks_j += [(i - starts[j], e) for i, e in picks[t[j]:t[j + 1]]]
+        for i in range(t[j], t[j + 1]):  # at part j's own positions k
+            k = took[i] - starts[j]
+            if move := _gain(theta, group, valuations[k], columns, k + 1, own[0], *rest, e[i]):
+                picks_j.append((k, *move))
     return 2 * len(v) + int(np.count_nonzero(ok))
 
 
@@ -423,38 +424,29 @@ def _search_moves(spec: ContestSpec, xs, ys, groups):
     scored.  Group values come from ``_group_values``, so each z is
     ``effective_efforts``' bit for bit.  Every group of
     ``ARRAY_MIN_PLAYERS`` or more outside the rounding band goes into one
-    ``_search_array`` call, whose picks ``_gain`` turns into moves; the
-    players of other groups go to ``_search_player`` one by one."""
+    ``_search_array`` call; the players of other groups, and of every
+    group of a call that it declines, go to ``_search_player`` one by one."""
     theta = spec.theta
     values = [_group_values(theta, gx, gy) for gx, gy in zip(xs, ys)]
-    found, wide, later, count = [], [], [], 0
+    found, wide, narrow = [], [], []
     for group in groups:
-        valuations = spec.group(group).valuations
-        columns = gx, gy = xs[group - 1], ys[group - 1]
         own, z_other = values[group - 1], values[2 - group][0]
-        z, gross, band = own
-        p_now = win_probability_short(z, z_other)
-        busy, picks = [], []
-        found.append((picks, busy))
-        if abs(z_other) > band and (n := len(gx)) >= ARRAY_MIN_PLAYERS:
-            # ``struct.pack`` reads tuples of floats about 3x faster than np.array.
-            rows = np.frombuffer(struct.pack(f"{3 * n}d", *valuations, *gx, *gy)).reshape(3, n)
-            wide.append((rows, columns, z, z_other, p_now, gross, busy, picks))
-            later.append((group, valuations, columns, z, z_other, p_now, picks))
-            continue
+        part = (group, spec.group(group).valuations, (xs[group - 1], ys[group - 1]), own, z_other,
+                win_probability_short(own[0], z_other), [], [])
+        found.append(part[6:])  # (picks, busy)
+        exact = abs(z_other) > own[2]
+        (wide if exact and len(xs[group - 1]) >= ARRAY_MIN_PLAYERS else narrow).append(part)
+    count = _search_array(theta, wide) if wide else 0
+    if count is None:  # declined: the scalar loop searches those groups
+        count, narrow = 0, narrow + wide
+    for group, valuations, columns, own, z_other, p_now, picks, busy in narrow:
         for i, v in enumerate(valuations):
-            if _busy(gx[i], gy[i]):
+            if _busy(columns[0][i], columns[1][i]):
                 busy.append(i)
             scored, move = _search_player(theta, group, v, columns, i + 1, own, z_other, p_now)
             count += scored
             if move:
                 picks.append((i, *move))
-    if wide:
-        count += _search_array(theta, wide)
-        for group, valuations, columns, z, z_other, p_now, picks in later:
-            moves = [(i, _gain(theta, group, valuations[i], columns, i + 1, z, z_other, p_now, e))
-                     for i, e in picks]
-            picks[:] = [(i, *move) for i, move in moves if move]
     return found, count
 
 

@@ -64,10 +64,12 @@ def _refuse_constant(name):
 
 # A traced run prints the per-layer metrics and an untraced one the
 # end-to-end metrics; both end with one strict JSON line.  region_cli is the
-# one workload that runs through ``cli.run``.
+# one workload that runs through ``cli.run``, certify_large the one that
+# runs through ``verify._search_array``.
 @pytest.mark.parametrize("name, trace, metrics", [
     ("dynamics_gap", 1, "per_layer"),
     ("certify_small", 1, "per_layer"),
+    ("certify_large", 1, "per_layer"),
     ("region_cli", 1, "per_layer"),
     ("dynamics_gap", 0, "end_to_end"),
 ])

@@ -3,6 +3,7 @@ import json
 import math
 import operator
 import sys
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -662,7 +663,9 @@ def array_search_cases(draw):
     builders only under a theta so small that every saboteur's kink lies
     beyond the float range.  In the last two, one group's efforts are
     2**12 times the other's: with this many active players a group is
-    outside the rounding band only against a much larger rival effort."""
+    outside the rounding band only against a much larger rival effort.
+    The far kinks make ``_search_array`` decline, so ``far_kink`` profiles
+    exercise the scalar loop's cut-backs for groups of array size."""
     kind = draw(st.sampled_from(ARRAY_KINDS))
     k = draw(st.integers(100 if kind == "far_kink" else -600, 600))
     s = math.ldexp(1.0, k)
@@ -826,13 +829,15 @@ class TestArraySearch:
         assert _verification_digest(150, 2026) == VERIFICATION_GOLDEN
 
     # Computed with the array search that selected by three passes of
-    # np.where, before the score matrix replaced them.
+    # np.where, before the score matrix replaced them.  No call declines:
+    # these are the benchmark's large groups, at 100 a group.
     def test_large_regime_golden_digest(self):
         h = hashlib.sha256()
-        with mock.patch.object(verify, "_search_array", wraps=verify._search_array) as spy:
+        with _array_calls() as calls:
             for report in _large_regime_reports(range(3)):
                 _hash_report(h, report)
-        assert spy.call_count == 12  # one per report: both groups in one call
+        assert len(calls) == 12  # one per report: both groups in one call
+        assert all(scored is not None for _, scored in calls)
         assert h.hexdigest() == (
             "87232047cadd239cc6625614fe884955a6dd05fad310ab5e810ba55f33edd7b9"
         )
@@ -985,7 +990,9 @@ def stacked_cases(draw):
     first is outside the rounding band; efforts near 2**1023 under a
     theta of 2**-8 or less, so that candidates of both groups are cut
     back by ``_edge``; or valuations at scale 2**-1000 against efforts
-    near 2**80, where the stationary point's common scaling underflows."""
+    near 2**80, where the stationary point's common scaling underflows.
+    ``_search_array`` declines every ``near_edge`` and ``tiny`` call, and
+    the scalar loop searches both groups."""
     kind = draw(st.sampled_from(STACKED_KINDS))
     top = 12 if kind == "near_edge" else 40
     n1 = draw(st.integers(2, top))
@@ -994,6 +1001,23 @@ def stacked_cases(draw):
 
 
 SIGNED_EFFORTS = st.one_of(st.floats(0.0, 1e300), st.just(-0.0))
+
+
+@contextmanager
+def _array_calls():
+    """Patch ``_search_array`` to record each call's parts and what it
+    returned: the points scored, or None where it declined."""
+    calls, search = [], verify._search_array
+
+    def record(theta, parts):
+        scored = search(theta, parts)
+        # A declined call extends no list: the scalar loop fills them all.
+        assert scored is not None or not any(picks or busy for *_, picks, busy in parts)
+        calls.append((parts, scored))
+        return scored
+
+    with mock.patch.object(verify, "_search_array", record):
+        yield calls
 
 
 def _report_bits(report):
@@ -1019,18 +1043,21 @@ class TestStackedSearch:
     @example(_stacked_case("tiny", 9, 4, 2))
     def test_matches_the_scalar_loop(self, case):
         kind, spec, profile = case
-        with mock.patch.object(verify, "ARRAY_MIN_PLAYERS", 1), mock.patch.object(
-            verify, "_search_array", wraps=verify._search_array
-        ) as spy:
+        with mock.patch.object(verify, "ARRAY_MIN_PLAYERS", 1), _array_calls() as calls:
             stacked = gc.is_epsilon_nash(spec, profile)
         with mock.patch.object(verify, "ARRAY_MIN_PLAYERS", 10**9):
             scalar = gc.is_epsilon_nash(spec, profile)
         assert _report_bits(stacked) == _report_bits(scalar)
-        assert spy.call_count == 1
+        [(parts, scored)] = calls
         if kind != "unequal":
-            assert len(spy.call_args.args[1]) == (1 if kind == "one_in_band" else 2)
+            assert len(parts) == (1 if kind == "one_in_band" else 2)
+        # Near the float range's edge and on underflow the call declines,
+        # and the scalar loop searches its groups.
+        assert (scored is None) == (kind in ("near_edge", "tiny"))
 
     def test_edge_cuts_back_a_column_of_group_2(self):
+        """The near-edge call declines, and the scalar loop's ``_edge``
+        cuts back candidates of both groups, each on its own columns."""
         _, spec, profile = _stacked_case("near_edge", 5, 7, 1)
         with mock.patch.object(verify, "ARRAY_MIN_PLAYERS", 1), mock.patch.object(
             verify, "_edge", wraps=verify._edge
@@ -1041,6 +1068,8 @@ class TestStackedSearch:
         assert any(args[1][0] is profile.xs[0] for args in cut)
 
     def test_underflow_fallback_takes_each_columns_rival(self):
+        """The tiny call declines on underflow, and the scalar loop's
+        ``_stationary`` takes each group's own rival effort."""
         _, spec, profile = _stacked_case("tiny", 9, 4, 2)
         eff = gc.effective_efforts(spec, profile)
         with mock.patch.object(verify, "ARRAY_MIN_PLAYERS", 1), mock.patch.object(
