@@ -4,15 +4,19 @@
     python3 scripts/ab_bench.py --parent REV --change REV --workload NAME \\
         --pairs 10 --seconds 25 --workdir DIR
 
-Each side is exported with ``git archive`` into its own directory under
-DIR, which must lie outside the checkout; ``--change .`` exports the
-working tree's tracked and unignored files.  Pair i runs the benchmark
-command of BENCHMARK.json (``bench/run.py`` as it stands in each side's
-export) with ``--seed i --trace 0`` on both sides, the parent first in
-odd pairs and the change first in even ones.  The script prints each
-pair's end-to-end metrics, then per metric each side's median and
-quartiles and how many pairs the change won, read against the metric's
-``better`` in BENCHMARK.json; ties count for neither side.
+``--workload`` names a workload of BENCHMARK.json; repeat it for several,
+or give ``all`` for every one, in BENCHMARK.json's order.  Each side is
+exported once, with ``git archive``, into its own directory under DIR,
+which must lie outside the checkout; ``--change .`` exports the working
+tree's tracked and unignored files.  The workloads then run one after
+another.  Pair i of a workload runs the benchmark command of
+BENCHMARK.json (``bench/run.py`` as it stands in each side's export)
+with ``--seed i --trace 0`` on both sides, the parent first in odd pairs
+and the change first in even ones.  The script prints each pair's
+end-to-end metrics and, after a workload's last pair, its summary: per
+metric each side's median and quartiles and how many pairs the change
+won, read against the metric's ``better`` in BENCHMARK.json; ties count
+for neither side.
 
 Exit 1 if a run fails or its last stdout line is not the harness's JSON
 result, 2 on bad arguments.
@@ -94,13 +98,16 @@ def summary(pairs: list[dict[str, dict[str, float]]], metrics: list[dict]) -> st
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+def parse_args(argv: list[str] | None, bench: dict) -> argparse.Namespace:
+    """The checked arguments; ``workloads`` lists the workloads to run,
+    each once, in BENCHMARK.json's order for ``all`` and in the order
+    given otherwise."""
+    names = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="revision of the parent side")
     parser.add_argument("--change", required=True, help="revision of the change side, or .")
-    parser.add_argument("--workload", required=True,
-                        choices=[w["name"] for w in bench["workloads"]])
+    parser.add_argument("--workload", required=True, action="append", choices=[*names, "all"],
+                        help="a workload to run, or all; repeat for several")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=float(bench["run_seconds"]))
     parser.add_argument("--workdir", required=True, type=Path,
@@ -122,34 +129,45 @@ def main(argv: list[str] | None = None) -> int:
                 _git("rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}")
         except subprocess.CalledProcessError:
             parser.error(f"--{side} {rev!r} is not a commit")
+    args.workdir = workdir
+    args.workloads = names if "all" in args.workload else list(dict.fromkeys(args.workload))
+    return args
 
-    workdir.mkdir(parents=True, exist_ok=True)
-    dirs = {side: workdir / side for side in SIDES}
+
+def main(argv: list[str] | None = None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    args = parse_args(argv, bench)
+    args.workdir.mkdir(parents=True, exist_ok=True)
+    dirs = {side: args.workdir / side for side in SIDES}
     for side in SIDES:
         export(getattr(args, side), dirs[side])
     metrics = bench["end_to_end"]
     names = [m["name"] for m in metrics]
-    print(f"{'pair':>4} {'side':6s} " + " ".join(f"{n:>12s}" for n in names), flush=True)
-    pairs = []
-    for seed in range(1, args.pairs + 1):
-        pair = {}
-        for side in SIDES if seed % 2 else SIDES[::-1]:
-            child = subprocess.run(
-                [*bench["command"], "--workload", args.workload, "--seed", str(seed),
-                 "--seconds", str(args.seconds), "--trace", "0"],
-                cwd=dirs[side], capture_output=True, text=True,
-            )
-            try:
-                if child.returncode != 0:
-                    raise RunFailed(f"exit {child.returncode}")
-                pair[side] = parse_result(child.stdout, names)
-            except RunFailed as exc:
-                print(f"{side} run of pair {seed} failed: {exc}\n{child.stderr}", file=sys.stderr)
-                return 1
-            print(f"{seed:4d} {side:6s} " + " ".join(f"{pair[side][n]:12.6g}" for n in names),
-                  flush=True)
-        pairs.append(pair)
-    print(summary(pairs, metrics))
+    for workload in args.workloads:
+        print(f"workload {workload}\n{'pair':>4} {'side':6s} "
+              + " ".join(f"{n:>12s}" for n in names), flush=True)
+        pairs = []
+        for seed in range(1, args.pairs + 1):
+            pair = {}
+            for side in SIDES if seed % 2 else SIDES[::-1]:
+                child = subprocess.run(
+                    [*bench["command"], "--workload", workload, "--seed", str(seed),
+                     "--seconds", str(args.seconds), "--trace", "0"],
+                    cwd=dirs[side], capture_output=True, text=True,
+                )
+                try:
+                    if child.returncode != 0:
+                        raise RunFailed(f"exit {child.returncode}")
+                    pair[side] = parse_result(child.stdout, names)
+                except RunFailed as exc:
+                    print(f"{side} run of {workload} pair {seed} failed: {exc}\n{child.stderr}",
+                          file=sys.stderr)
+                    return 1
+                print(f"{seed:4d} {side:6s} " + " ".join(f"{pair[side][n]:12.6g}" for n in names),
+                      flush=True)
+            pairs.append(pair)
+        print(f"summary of {workload}, {len(pairs)} pairs\n{summary(pairs, metrics)}\n",
+              flush=True)
     return 0
 
 

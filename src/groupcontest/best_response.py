@@ -23,11 +23,12 @@ quiet endpoint.
 
 z_other = 0 is rejected: against an idle rival the supremum is a limit
 (any positive effective effort wins outright) and is not attained, and
-that situation never arises at an equilibrium.  The same holds in floats
-where z_other is within rounding of 0 beside z_minus (``verify``'s
-rounding band): the peak can round onto the kink, where the odds are
-still flat, and only a limit point just past it pays.
-``verify.best_deviation`` reports that point; this rule does not.
+that situation never arises at an equilibrium.  In floats the same holds
+where |z_other| <= ROUNDING_BAND * (4 + (z_minus != 0)) * ulp(|z_minus|),
+the rounding band of ``verify``'s search for the player and one teammate:
+the peak can round onto the kink, where the odds are still flat, and only
+a limit point just past it pays.  There the rule scores that point last,
+as the search does.
 
 The rule holds at any unit scale: the peak comes from ``_stationary``
 (shared with ``verify``'s search and sampler), which scales its
@@ -42,6 +43,14 @@ from dataclasses import dataclass
 
 from .csf import win_probability_short
 from .model import ContestError
+
+
+# z_minus + x strays from the rounded group sum by at most about one ulp of
+# the group's gross effort per nonzero effort in it (adding 0.0 is exact),
+# plus a few for the residual and the move.  Scores use z_minus + x only
+# where |z_other| exceeds that by ROUNDING_BAND, keeping their error below
+# about |v| * 2**-44.
+ROUNDING_BAND = 2.0**44
 
 
 class DomainError(ContestError):
@@ -91,11 +100,13 @@ def axis_best_response(theta: float, v: float, z_minus: float, z_other: float) -
     """Best effort on the valuation's axis: x for v > 0 (theta unused),
     y for v < 0.
 
-    Scores 0, the kink and the concave peak, in that order, as
+    Scores 0, the kink, the concave peak and, inside the rounding band,
+    the limit point just past the kink, in that order, as
     v * win_probability_short(z, z_other) - e at own group's effective
     effort z after the move, and keeps the first that pays most, so a
     tie with 0 keeps 0.  A peak beyond the float range comes back as inf,
-    unscored; a kink there pays less than staying out and is skipped.
+    unscored; a kink or limit point there pays less than staying out and
+    is skipped.
     """
     if v == 0 or z_other == 0 or (v < 0 and not 0 < theta < math.inf):
         raise DomainError(
@@ -106,6 +117,14 @@ def axis_best_response(theta: float, v: float, z_minus: float, z_other: float) -
     if peak == math.inf:
         return AxisBestResponse(peak)
     slope = 1.0 if v > 0 else -theta  # own group's effective effort per unit
+    kink = max(0.0, -z_minus / slope)
+    points = [kink, peak]
+    if abs(z_other) <= ROUNDING_BAND * (4 + (z_minus != 0)) * math.ulp(abs(z_minus)):
+        # The limit point: d doubles until own group's effort is past 0.
+        d, sign = math.ulp(max(abs(v), kink)), math.copysign(1.0, v)
+        while math.isfinite(kink + d) and not sign * (z_minus + slope * (kink + d)) > 0:
+            d *= 2.0
+        points.append(kink + d)
 
     def score(e):
         z, rival = z_minus + slope * e, z_other
@@ -115,7 +134,7 @@ def axis_best_response(theta: float, v: float, z_minus: float, z_other: float) -
         return v * win_probability_short(z, rival) - e
 
     best, best_value, tie = 0.0, score(0.0), False
-    for e in dict.fromkeys((max(0.0, -z_minus / slope), peak)):
+    for e in dict.fromkeys(points):
         if 0 < e < math.inf:
             value = score(e)
             if value > best_value:

@@ -24,19 +24,23 @@ The same goes when the rival's effort is within rounding of 0
 sums.  The payoff is undefined where a group sum leaves the float range,
 so a candidate whose sums would is cut back to the largest effort that
 keeps them finite (``_edge``): its piece still rises there, or, below a
-kink out of reach, peaks at its ends.  The winner's improvement is
-recomputed exactly, as the payoff function computes it on the deviated
-profile, or is 0.0 when the winner is the current effort: a finite
-certificate over an infinite action space.  Rounded group sums, in the
-band and for the improvement, come from ``_moved_z``: the builtin sum
-over the group's efforts with the move swapped in, the very sum
+kink out of reach, peaks at its ends; one of |v| or more, which pays no
+more than staying out, is cut back from |v|.  The winner's
+improvement is recomputed exactly, as the payoff function computes it on
+the deviated profile, or is 0.0 when the winner is the current effort: a
+finite certificate over an infinite action space.  Rounded group sums,
+in the band and for the improvement, come from ``_moved_z``: the builtin
+sum over the group's efforts with the move swapped in, the very sum
 ``effective_efforts`` takes on the deviated profile.
 
 ``refute_class`` mechanizes the deviation arguments that rule out whole
 families of profiles (mixed-sign effective efforts, some zero effective
 effort, wrong-axis effort, free riding violations): it samples seeded
 random profiles inside a forbidden family and exhibits a strictly
-improving deviation for every one of them.
+improving deviation for every one of them.  A sample is drawn into
+zeroed per-group x and y lists, and its players go to ``_search_player``
+with each searched group's values, the rival's z and the odds taken once
+a sample; only the refuting move becomes a ``Deviation``.
 
 ``best_response_dynamics`` iterates best deviations from an initial
 profile, reporting convergence, cycling, or exhaustion; it is an
@@ -101,7 +105,7 @@ from operator import sub
 
 import numpy as np
 
-from .best_response import _stationary
+from .best_response import ROUNDING_BAND, _stationary
 from .csf import _payoff_at, p1_values, win_probability_short
 from .model import (
     ContestError,
@@ -116,12 +120,6 @@ from .model import (
 FIXED_POINT_TOL = 1e-9
 CONVERGENCE_TOL = 1e-8
 CYCLE_TOL = 1e-6
-# z_minus + x strays from the rounded group sum by at most about one ulp of
-# the group's gross effort per nonzero effort in it (adding 0.0 is exact),
-# plus a few for the residual and the move.  Scores use z_minus + x only
-# where |z_other| exceeds that by ROUNDING_BAND, keeping their error below
-# about |v| * 2**-44.
-ROUNDING_BAND = 2.0**44
 # Whole groups of at least this many players outside the rounding band are
 # searched on arrays; the scalar loop is faster below it (inside the measured
 # crossover, see the module docstring).
@@ -398,9 +396,11 @@ def _search_player(theta, group, v, columns, k, own, z_other, p_now):
                 break
             d *= 2.0
     edge = SUM_EDGE if v > 0 else min(1.0, theta) * SUM_EDGE
+    # An effort of |v| or more pays at most min(v, 0), no more than 0, scored
+    # before it, so a candidate is cut back from no further out than |v|.
     for j, e in enumerate(moves):
         if not gross + (e if v > 0 else theta * e) <= edge:
-            moves[j] = _edge(theta, columns, k, v, z_minus, e)
+            moves[j] = _edge(theta, columns, k, v, z_minus, min(e, abs(v)))
     # The current effort is scored first, so ties keep the player put.
     best, best_value = None, v * p_now - x - y
     for e in moves:
@@ -528,63 +528,66 @@ def _draw(rng: np.random.Generator, items):
 def _generate_forbidden(
     spec: ContestSpec, forbidden: ForbiddenClass, rng: np.random.Generator, logs,
     ids, positive, negative,
-) -> tuple[StrategyProfile, list[PlayerId]]:
-    """Draw one profile inside the forbidden class; also return the
-    players that the class's counter-argument targets, checked first.
+) -> tuple[list[list[float]], list[list[float]], list[tuple[int, int]]]:
+    """Draw one profile inside the forbidden class into zeroed per-group
+    column lists xs and ys; also return the players, as (group, index)
+    pairs, that the class's counter-argument targets, checked first.
     ``ids``, ``positive`` and ``negative`` map each group to its players,
     its positive ones and its negative ones, in valuation order."""
-    profile = StrategyProfile.zeros(spec)
+    xs, ys = ([[0.0] * len(ids[g]) for g in (1, 2)] for _ in "xy")
     theta = spec.theta
+
+    def put(player, x, y):
+        g, k = player
+        xs[g - 1][k - 1], ys[g - 1][k - 1] = x, y
 
     if forbidden is ForbiddenClass.OPPOSITE_SIGNS:
         i = int(rng.integers(1, 3))
         j = 3 - i
         builder = _draw(rng, positive[i])
         saboteur = _draw(rng, negative[j])
-        profile = profile.replace(builder, _log_uniform(rng, logs), 0.0)
-        profile = profile.replace(saboteur, 0.0, _log_uniform(rng, logs))
-        return profile, [builder, saboteur]
+        put(builder, _log_uniform(rng, logs), 0.0)
+        put(saboteur, 0.0, _log_uniform(rng, logs))
+        return xs, ys, [builder, saboteur]
 
     if forbidden is ForbiddenClass.SOME_ZERO_Z:
         i = int(rng.integers(1, 3))
         j = 3 - i
-        suspects: list[PlayerId] = []
+        suspects = []
         if rng.random() < 0.5:
             # Zero by offset rather than idleness: top player builds,
             # bottom player sabotages it away exactly.
             t = _log_uniform(rng, logs)
-            profile = profile.replace(ids[i][0], theta * t, 0.0)
-            profile = profile.replace(ids[i][-1], 0.0, t)
+            put(ids[i][0], theta * t, 0.0)
+            put(ids[i][-1], 0.0, t)
         sign = _draw(rng, ("positive", "zero", "negative"))
         if sign == "positive":
             active = ids[j][0]
-            profile = profile.replace(active, _log_uniform(rng, logs), 0.0)
+            put(active, _log_uniform(rng, logs), 0.0)
             suspects = [active]
         elif sign == "negative":
             active = ids[j][-1]
-            profile = profile.replace(active, 0.0, _log_uniform(rng, logs))
+            put(active, 0.0, _log_uniform(rng, logs))
             suspects = [active]
-        return profile, suspects
+        return xs, ys, suspects
 
     if forbidden is ForbiddenClass.STRADDLE_OR_WRONG_SIGN:
         i = int(rng.integers(1, 3))
         kind = _draw(rng, ("sabotaging_winner", "building_loser", "straddler"))
         if kind == "sabotaging_winner":
             culprit = _draw(rng, positive[i])
-            profile = profile.replace(culprit, 0.0, _log_uniform(rng, logs))
+            put(culprit, 0.0, _log_uniform(rng, logs))
         elif kind == "building_loser":
             culprit = _draw(rng, negative[i])
-            profile = profile.replace(culprit, _log_uniform(rng, logs), 0.0)
+            put(culprit, _log_uniform(rng, logs), 0.0)
         else:
             culprit = _draw(rng, positive[i])
-            profile = profile.replace(
-                culprit, _log_uniform(rng, logs), _log_uniform(rng, logs)
-            )
+            put(culprit, _log_uniform(rng, logs), _log_uniform(rng, logs))
         # Background activity in the other group keeps the sample generic.
         j = 3 - i
         if rng.random() < 0.5:
-            profile = profile.replace(ids[j][0], _log_uniform(rng, logs), 0.0)
-        return profile, [culprit]
+            put(ids[j][0], _log_uniform(rng, logs), 0.0)
+        return xs, ys, [culprit]
 
     # FreeRiderViolation: a non-extreme player is active and her own
     # first-order condition holds exactly, so the group's extreme player
@@ -599,22 +602,22 @@ def _generate_forbidden(
         not saboteur_violators or rng.random() < 0.5
     )
     violator = _draw(rng, builder_violators if use_builders else saboteur_violators)
-    g = violator.group
+    g, k = violator
     j = 3 - g
-    v = valuation(spec, violator)
+    v = spec.group(g).valuations[k - 1]
     if use_builders:
         z_rival = rng.uniform(0.15, 0.5) * v
         z_own = _stationary(v, theta, 0.0, z_rival)  # violator's stationary point
-        profile = profile.replace(violator, z_own, 0.0)
-        profile = profile.replace(ids[j][0], z_rival, 0.0)
+        put(violator, z_own, 0.0)
+        put(ids[j][0], z_rival, 0.0)
         target = ids[g][0]
     else:
         z_rival = rng.uniform(0.15, 0.5) * theta * abs(v)
-        profile = profile.replace(ids[j][-1], 0.0, z_rival / theta)
+        put(ids[j][-1], 0.0, z_rival / theta)
         y_own = _stationary(v, theta, 0.0, -z_rival)
-        profile = profile.replace(violator, 0.0, y_own)
+        put(violator, 0.0, y_own)
         target = ids[g][-1]
-    return profile, [target]
+    return xs, ys, [target]
 
 
 def refute_class(
@@ -634,26 +637,33 @@ def refute_class(
     if samples < 1:
         raise ContestError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    s = spec.max_abs_valuation()
-    tol, logs = 1e-9 * s, (np.log(s / 8.0), np.log(s / 2.0))
-    ids = {g: [PlayerId(g, k) for k in range(1, n + 1)] for g, n in zip((1, 2), spec.sizes())}
-    positive = {g: [p for p in ids[g] if valuation(spec, p) > 0] for g in ids}
-    negative = {g: [p for p in ids[g] if valuation(spec, p) < 0] for g in ids}
+    s, theta = spec.max_abs_valuation(), spec.theta
+    tol, logs = 1e-9 * s, (float(np.log(s / 8.0)), float(np.log(s / 2.0)))
+    valuations = {g: spec.group(g).valuations for g in (1, 2)}
+    ids = {g: [(g, k) for k in range(1, len(vs) + 1)] for g, vs in valuations.items()}
+    positive = {g: [p for p, v in zip(ids[g], valuations[g]) if v > 0] for g in ids}
+    negative = {g: [p for p, v in zip(ids[g], valuations[g]) if v < 0] for g in ids}
     roster = ids[1] + ids[2]
     records = []
     for _ in range(samples):
-        profile, suspects = _generate_forbidden(spec, forbidden, rng, logs, ids, positive, negative)
-        refuting = None
-        for p in chain(suspects, (p for p in roster if p not in suspects)):
-            d = best_deviation(spec, profile, p)
-            if d.improvement > tol:
-                refuting = d
+        xs, ys, suspects = _generate_forbidden(spec, forbidden, rng, logs, ids, positive, negative)
+        columns, searched = tuple(zip(xs, ys)), {}
+        for g, k in chain(suspects, (p for p in roster if p not in suspects)):
+            if g not in searched:  # the group's values, the rival's z and the odds
+                own = _group_values(theta, *columns[g - 1])
+                z_other = _group_z(theta, *columns[2 - g])
+                searched[g] = own, z_other, win_probability_short(own[0], z_other)
+            _, move = _search_player(theta, g, valuations[g][k - 1], columns[g - 1], k,
+                                     *searched[g])
+            if move and move[2] > tol:
                 break
-        if refuting is None:
+        else:
             raise RefutationFailed(
                 f"no improving deviation found for a {forbidden.value} sample"
             )
-        records.append(Refutation(profile, refuting))
+        profile = StrategyProfile(tuple(map(tuple, xs)), tuple(map(tuple, ys)))
+        player = _idle_rows(g, len(xs[g - 1]))[k - 1].player
+        records.append(Refutation(profile, Deviation(player, *move)))
     return records
 
 

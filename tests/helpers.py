@@ -8,8 +8,10 @@ contest success function that the one-line form must match bit for
 bit, independent grid-search oracles for the best-response rule and
 for a player's best deviation, the player-by-player deviation search
 that the group-at-once one must match bit for bit, the row-by-row
-dynamics loop that the move-by-move one must match bit for bit, and the
-point-by-point region sweep that the array-backed one must match.
+dynamics loop that the move-by-move one must match bit for bit, the
+replace-chain refutation sampler that the column-list one must match
+bit for bit, and the point-by-point region sweep that the array-backed
+one must match.
 
 The grid oracles maximize the payoff through the five-case success
 function by brute force on a dense effort grid (augmented with the exact
@@ -29,6 +31,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 import groupcontest as gc
+from groupcontest import verify
+from groupcontest.best_response import _stationary as br_stationary
 from groupcontest.csf import payoff, win_probability_short
 from groupcontest.model import effective_efforts, valuation
 from groupcontest.verify import (
@@ -606,6 +610,146 @@ def reference_dynamics(spec, initial, max_iters: int, order: str) -> ReferenceRu
         abs(ea - eb) for ea, eb in zip(chain(*a.xs, *a.ys), chain(*b.xs, *b.ys))
     )
     return ReferenceRun(status, current, iteration, period, last_delta, tuple(trajectory))
+
+
+# --- replace-chain refutation oracle ------------------------------------------
+#
+# ``refute_class`` as it ran before it drew samples into column lists: each
+# sample built from ``StrategyProfile.zeros`` by ``replace`` copies, each
+# suspect searched by the public ``best_deviation``.  Kept verbatim, apart
+# from module-qualified names: the column-list sampler must return the same
+# records, or raise the same exception, bit for bit.
+
+
+def _reference_generate_forbidden(
+    spec, forbidden, rng: np.random.Generator, logs, ids, positive, negative,
+):
+    """Draw one profile inside the forbidden class; also return the
+    players that the class's counter-argument targets, checked first.
+    ``ids``, ``positive`` and ``negative`` map each group to its players,
+    its positive ones and its negative ones, in valuation order."""
+    ForbiddenClass, PlayerId = gc.ForbiddenClass, gc.PlayerId
+    _log_uniform, _draw, _stationary = verify._log_uniform, verify._draw, br_stationary
+    profile = gc.StrategyProfile.zeros(spec)
+    theta = spec.theta
+
+    if forbidden is ForbiddenClass.OPPOSITE_SIGNS:
+        i = int(rng.integers(1, 3))
+        j = 3 - i
+        builder = _draw(rng, positive[i])
+        saboteur = _draw(rng, negative[j])
+        profile = profile.replace(builder, _log_uniform(rng, logs), 0.0)
+        profile = profile.replace(saboteur, 0.0, _log_uniform(rng, logs))
+        return profile, [builder, saboteur]
+
+    if forbidden is ForbiddenClass.SOME_ZERO_Z:
+        i = int(rng.integers(1, 3))
+        j = 3 - i
+        suspects: list[PlayerId] = []
+        if rng.random() < 0.5:
+            # Zero by offset rather than idleness: top player builds,
+            # bottom player sabotages it away exactly.
+            t = _log_uniform(rng, logs)
+            profile = profile.replace(ids[i][0], theta * t, 0.0)
+            profile = profile.replace(ids[i][-1], 0.0, t)
+        sign = _draw(rng, ("positive", "zero", "negative"))
+        if sign == "positive":
+            active = ids[j][0]
+            profile = profile.replace(active, _log_uniform(rng, logs), 0.0)
+            suspects = [active]
+        elif sign == "negative":
+            active = ids[j][-1]
+            profile = profile.replace(active, 0.0, _log_uniform(rng, logs))
+            suspects = [active]
+        return profile, suspects
+
+    if forbidden is ForbiddenClass.STRADDLE_OR_WRONG_SIGN:
+        i = int(rng.integers(1, 3))
+        kind = _draw(rng, ("sabotaging_winner", "building_loser", "straddler"))
+        if kind == "sabotaging_winner":
+            culprit = _draw(rng, positive[i])
+            profile = profile.replace(culprit, 0.0, _log_uniform(rng, logs))
+        elif kind == "building_loser":
+            culprit = _draw(rng, negative[i])
+            profile = profile.replace(culprit, _log_uniform(rng, logs), 0.0)
+        else:
+            culprit = _draw(rng, positive[i])
+            profile = profile.replace(
+                culprit, _log_uniform(rng, logs), _log_uniform(rng, logs)
+            )
+        # Background activity in the other group keeps the sample generic.
+        j = 3 - i
+        if rng.random() < 0.5:
+            profile = profile.replace(ids[j][0], _log_uniform(rng, logs), 0.0)
+        return profile, [culprit]
+
+    # FreeRiderViolation: a non-extreme player is active and her own
+    # first-order condition holds exactly, so the group's extreme player
+    # strictly gains by joining in - the free-riding argument's target.
+    builder_violators = positive[1][1:] + positive[2][1:]  # non-top positive players
+    saboteur_violators = negative[1][:-1] + negative[2][:-1]  # non-bottom negative players
+    if not builder_violators and not saboteur_violators:
+        raise gc.ClassUnsatisfiable(
+            "free riding needs a group with two players of the same sign"
+        )
+    use_builders = bool(builder_violators) and (
+        not saboteur_violators or rng.random() < 0.5
+    )
+    violator = _draw(rng, builder_violators if use_builders else saboteur_violators)
+    g = violator.group
+    j = 3 - g
+    v = valuation(spec, violator)
+    if use_builders:
+        z_rival = rng.uniform(0.15, 0.5) * v
+        z_own = _stationary(v, theta, 0.0, z_rival)  # violator's stationary point
+        profile = profile.replace(violator, z_own, 0.0)
+        profile = profile.replace(ids[j][0], z_rival, 0.0)
+        target = ids[g][0]
+    else:
+        z_rival = rng.uniform(0.15, 0.5) * theta * abs(v)
+        profile = profile.replace(ids[j][-1], 0.0, z_rival / theta)
+        y_own = _stationary(v, theta, 0.0, -z_rival)
+        profile = profile.replace(violator, 0.0, y_own)
+        target = ids[g][-1]
+    return profile, [target]
+
+
+def reference_refute_class(spec, forbidden, samples: int, seed: int) -> list:
+    """Sample ``samples`` profiles inside a forbidden class and refute
+    each with a strictly improving deviation (threshold 1e-9 times the
+    largest valuation magnitude).  Fully reproducible from the seed.
+
+    Each sample searches the players its class's argument names first,
+    then the rest of the roster in player order: the threshold is
+    absolute, so a suspect valued far below the largest valuation can
+    gain less than it while another player gains more."""
+    PlayerId = gc.PlayerId
+    if samples < 1:
+        raise gc.ContestError(f"samples must be >= 1, got {samples}")
+    rng = np.random.default_rng(seed)
+    s = spec.max_abs_valuation()
+    tol, logs = 1e-9 * s, (np.log(s / 8.0), np.log(s / 2.0))
+    ids = {g: [PlayerId(g, k) for k in range(1, n + 1)] for g, n in zip((1, 2), spec.sizes())}
+    positive = {g: [p for p in ids[g] if valuation(spec, p) > 0] for g in ids}
+    negative = {g: [p for p in ids[g] if valuation(spec, p) < 0] for g in ids}
+    roster = ids[1] + ids[2]
+    records = []
+    for _ in range(samples):
+        profile, suspects = _reference_generate_forbidden(
+            spec, forbidden, rng, logs, ids, positive, negative
+        )
+        refuting = None
+        for p in chain(suspects, (p for p in roster if p not in suspects)):
+            d = gc.best_deviation(spec, profile, p)
+            if d.improvement > tol:
+                refuting = d
+                break
+        if refuting is None:
+            raise gc.RefutationFailed(
+                f"no improving deviation found for a {forbidden.value} sample"
+            )
+        records.append(gc.Refutation(profile, refuting))
+    return records
 
 
 # --- seeded profile corpus ---------------------------------------------------

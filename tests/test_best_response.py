@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupcontest as gc
 from groupcontest.csf import _payoff_at
-from groupcontest.verify import ROUNDING_BAND
+from groupcontest.best_response import ROUNDING_BAND
 from helpers import (
     BR_OPS,
     CLOSED_FORMS,
@@ -207,6 +207,18 @@ class TestWholeAxis:
     def test_sums_beyond_the_float_range(self, theta, v, z_minus, z_other, effort):
         assert rule(theta, v, z_minus, z_other) == gc.AxisBestResponse(effort)
 
+    def test_limit_point_inside_the_rounding_band(self):
+        # z_other is far below one ulp of z_minus: the peak rounds onto the
+        # kink, where the odds are still 0, and only the limit point one ulp
+        # of v past it pays, as the deviation search reports.
+        v, z_minus, z_other = 0.5229479165214691, -0.05320887415337085, 4.9350633364173256e-119
+        assert abs(z_other) <= ROUNDING_BAND * 5 * math.ulp(abs(z_minus))
+        assert rule(None, v, z_minus, z_other) == gc.AxisBestResponse(0.05320887415337096)
+        spec = make_spec([v, -v], [v, -v], 1.0)
+        profile = profile_of([[(0.0, 0.0), (0.0, -z_minus)], [(z_other, 0.0), (0.0, 0.0)]])
+        deviation = gc.best_deviation(spec, profile, gc.PlayerId(1, 1))
+        assert (deviation.new_x, deviation.improvement) == (0.05320887415337096, 0.46973904236809816)
+
     @settings(max_examples=300)
     @given(axis_cases())
     def test_pays_at_least_every_candidate(self, case):
@@ -229,8 +241,6 @@ class TestWholeAxis:
         # makes z_minus; group 2 one player whose effort makes z_other.
         # theta is a power of two, so both sums are exact.
         theta, v, z_minus, z_other = case
-        gross = abs(z_minus)
-        assume(abs(z_other) > ROUNDING_BAND * (4 + (gross != 0)) * math.ulp(gross))
 
         def efforts_for(z):
             return (z, 0.0) if z >= 0 else (0.0, -z / theta)

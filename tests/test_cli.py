@@ -386,6 +386,17 @@ class TestBrCommand:
         assert code == 0
         assert json.loads(out)["effort"] == effort
 
+    def test_limit_point_inside_the_rounding_band(self, capsys, write):
+        # z_other is within rounding of 0 beside z_minus: the answer is the
+        # limit point just past the kink, 0.05320887415337096, not 0.
+        code, out, _ = invoke(
+            capsys, "br", "--spec", write("s.json", NO_SABOTAGE), "--v", "0.5229479165214691",
+            "--z-minus=-0.05320887415337085", "--z-other", "4.9350633364173256e-119",
+        )
+        assert code == 0
+        assert json.loads(out) == {"operation": "br_positive_x", "effort": 0.0532088742,
+                                   "tie": False}
+
     def test_effort_beyond_the_float_range_is_refused(self, capsys, write):
         # sqrt(v * z_other) - z_other - z_minus is about 2.1e308.
         code, out, err = invoke(
@@ -784,6 +795,22 @@ class TestAbBenchScript:
                 "--workdir": str(tmp_path / "work"), **override}
         argv = [a for k, v in args.items() if v is not None for a in (k, places.get(v, v))]
         _assert_usage_error(_run_script("ab_bench.py", *argv))
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize("flags, expected", [
+        (["all"], "ALL"),
+        (["certify_large", "all"], "ALL"),
+        (["region_cli", "certify_small", "region_cli"], ["region_cli", "certify_small"]),
+        (["dynamics_gap"], ["dynamics_gap"]),
+    ])
+    def test_workloads_to_run(self, ab, tmp_path, flags, expected):
+        root = os.path.join(os.path.dirname(__file__), "..")
+        bench = json.loads(open(os.path.join(root, "BENCHMARK.json")).read())
+        argv = ["--parent", "HEAD", "--change", ".", "--workdir", str(tmp_path / "work")]
+        args = ab.parse_args(argv + [a for name in flags for a in ("--workload", name)], bench)
+        if expected == "ALL":
+            expected = [w["name"] for w in bench["workloads"]]
+        assert args.workloads == expected
         assert not (tmp_path / "work").exists()
 
     def test_summary_of_canned_results(self, ab):

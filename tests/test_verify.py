@@ -30,6 +30,7 @@ from helpers import (
     random_profile,
     random_spec,
     reference_dynamics,
+    reference_refute_class,
     residual,
     scalar_search,
     specs,
@@ -988,8 +989,8 @@ def stacked_cases(draw):
     unequal sizes, or every effort of it times 1.5; one group mixing x
     and y while the other builds 2**16 times harder, so that only the
     first is outside the rounding band; efforts near 2**1023 under a
-    theta of 2**-8 or less, so that candidates of both groups are cut
-    back by ``_edge``; or valuations at scale 2**-1000 against efforts
+    theta of 2**-8 or less, so that candidates of both groups pass
+    ``SUM_EDGE``; or valuations at scale 2**-1000 against efforts
     near 2**80, where the stationary point's common scaling underflows.
     ``_search_array`` declines every ``near_edge`` and ``tiny`` call, and
     the scalar loop searches both groups."""
@@ -1030,6 +1031,24 @@ def _report_bits(report):
     )
 
 
+def _scalar_report(spec, profile):
+    """``is_epsilon_nash`` with every group searched by the scalar loop."""
+    with mock.patch.object(verify, "ARRAY_MIN_PLAYERS", 10**9):
+        return gc.is_epsilon_nash(spec, profile)
+
+
+def _far_kink_case(n: int, seed: int):
+    """A ``far_kink`` profile of ``array_search_cases`` at n players a
+    group, drawn from a seed: valuation scale 2**100, theta = 2**-1000,
+    builders only, group 1's efforts 2**12 times group 2's."""
+    s, rng = 2.0**100, np.random.default_rng(seed)
+    vals = [corpus_group(rng, n, s) for _ in "12"]
+    pairs = [[s * float(rng.uniform(0, 2)) if rng.random() < 0.6 else 0.0 for _ in g]
+             for g in vals]
+    pairs[0] = [x * 2**12 for x in pairs[0]]
+    return make_spec(*vals, 2.0**-1000), profile_of([[(x, 0.0) for x in g] for g in pairs])
+
+
 class TestStackedSearch:
     """One ``_search_array`` call scores every group of a profile that goes
     to the arrays, each column carrying its group's values, with the
@@ -1057,15 +1076,57 @@ class TestStackedSearch:
 
     def test_edge_cuts_back_a_column_of_group_2(self):
         """The near-edge call declines, and the scalar loop's ``_edge``
-        cuts back candidates of both groups, each on its own columns."""
-        _, spec, profile = _stacked_case("near_edge", 5, 7, 1)
-        with mock.patch.object(verify, "ARRAY_MIN_PLAYERS", 1), mock.patch.object(
-            verify, "_edge", wraps=verify._edge
-        ) as spy:
-            gc.is_epsilon_nash(spec, profile)
+        cuts back candidates of both groups, each on its own columns.  Each
+        group's bottom player sabotages at the largest float, so a y of |v|
+        for the other saboteur, valued about 2**1000, overflows the y
+        column's sum: its kink, beyond the float range, is cut back from |v|
+        to below it."""
+        s, top = 2.0**1000, sys.float_info.max
+        spec = make_spec([4 * s, 2 * s, -s, -3 * s], [3 * s, s, -2 * s, -4 * s], 2.0**-8)
+        profile = profile_of([[(2.0**1019, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, top)],
+                              [(2.0**1021, 0.0), (0.0, 0.0), (0.0, 0.0), (0.0, top)]])
+        with (mock.patch.object(verify, "ARRAY_MIN_PLAYERS", 1), _array_calls() as calls,
+              mock.patch.object(verify, "_edge", wraps=verify._edge) as spy):
+            report = gc.is_epsilon_nash(spec, profile)
+        assert [scored for _, scored in calls] == [None]
+        assert _report_bits(report) == _report_bits(_scalar_report(spec, profile))
         cut = [c.args for c in spy.call_args_list if verify._edge(*c.args) < c.args[5]]
         assert any(args[1][0] is profile.xs[1] for args in cut)
         assert any(args[1][0] is profile.xs[0] for args in cut)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_far_kinks_are_counted_not_bisected(self, seed):
+        """Builders only under theta = 2**-1000: every saboteur's kink lies
+        beyond the float range and pays less than staying out, as any effort
+        of |v| or more does.  The search cuts it back from |v|, not from the
+        kink: ``_edge`` is asked for no effort above |v| and finds the sums
+        finite at each |v| it is asked for, so it bisects none of them.  The
+        report is the player-by-player oracle's, row for row."""
+        spec, profile = _far_kink_case(200, seed)
+        with mock.patch.object(verify, "_edge", wraps=verify._edge) as spy:
+            report = gc.is_epsilon_nash(spec, profile)
+        expected = [scalar_search(spec, profile, p) for p in players(spec)]
+        assert [deviation_hex(d) for d in report.deviations] == [
+            deviation_hex(d) for d, _ in expected
+        ]
+        assert report.candidate_count == sum(n for _, n in expected)
+        assert spy.call_count > 0
+        for args in (c.args for c in spy.call_args_list):
+            v, e = args[3], args[5]
+            assert e < abs(v) or (e == abs(v) and verify._edge(*args) == e)
+
+    def test_a_winner_below_v_past_the_edge_is_kept(self):
+        """A builder valued 1.5e308 beside a teammate sabotaging 0.8e308:
+        its peak, about 0.8e308, lies below |v| but takes the group's gross
+        effort past ``SUM_EDGE``.  Its sums stay finite, it is cut back from
+        its own effort, not from |v|, and it wins, as in the oracle."""
+        spec = make_spec([1.5e308, -1e308], [1.0, -1.0], 1.0)
+        profile = profile_of([[(0.0, 0.0), (0.0, 0.8e308)], [(2.0**1000, 0.0), (0.0, 0.0)]])
+        player = gc.PlayerId(1, 1)
+        deviation = gc.best_deviation(spec, profile, player)
+        expected, _ = scalar_search(spec, profile, player)
+        assert deviation_hex(deviation) == deviation_hex(expected)
+        assert 0.75e308 < deviation.new_x < 1.5e308
 
     def test_underflow_fallback_takes_each_columns_rival(self):
         """The tiny call declines on underflow, and the scalar loop's
@@ -1287,7 +1348,39 @@ class TestIsEpsilonNash:
         json.dumps(doc)  # must be serializable as-is
 
 
+@st.composite
+def refutation_cases(draw):
+    """A spec of 2 to 8 players a group from ``corpus_group`` at valuation
+    scale 2**k, |k| <= 600, theta in [0.2, 5], with a forbidden class, a
+    seed and 1 to 4 samples."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = math.ldexp(1.0, draw(st.integers(-600, 600)))
+    vals = [corpus_group(rng, draw(st.integers(2, 8)), s) for _ in "12"]
+    spec = make_spec(*vals, draw(st.floats(0.2, 5.0)))
+    forbidden = draw(st.sampled_from(list(gc.ForbiddenClass)))
+    return spec, forbidden, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 4))
+
+
+def _refutation_bits(refute, spec, forbidden, seed, samples):
+    """Every record's profile and deviation, each float as hex, or the
+    type of the exception raised."""
+    try:
+        records = refute(spec, forbidden, samples, seed)
+    except gc.ContestError as exc:
+        return type(exc)
+    return [(_profile_hex(r.profile), deviation_hex(r.deviation)) for r in records]
+
+
 class TestRefuteClass:
+    @settings(max_examples=300)
+    @given(refutation_cases())
+    def test_matches_the_replace_chain_oracle(self, case):
+        # The column-list sampler makes the Generator calls of the
+        # replace-chain one, in the same order, and searches the same players.
+        assert _refutation_bits(gc.refute_class, *case) == _refutation_bits(
+            reference_refute_class, *case
+        )
+
     @pytest.mark.parametrize("forbidden", list(gc.ForbiddenClass))
     def test_all_classes_refuted(self, forbidden):
         rng = np.random.default_rng(20)
