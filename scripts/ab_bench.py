@@ -14,9 +14,13 @@ BENCHMARK.json (``bench/run.py`` as it stands in each side's export)
 with ``--seed i --trace 0`` on both sides, the parent first in odd pairs
 and the change first in even ones.  The script prints each pair's
 end-to-end metrics and, after a workload's last pair, its summary: per
-metric each side's median and quartiles and how many pairs the change
-won, read against the metric's ``better`` in BENCHMARK.json; ties count
-for neither side.
+metric each side's median and quartiles, how many pairs the change won,
+read against the metric's ``better`` in BENCHMARK.json (ties count for
+neither side), and a verdict: ``gain`` where the change won at least 9
+in 10 pairs and its median is better than the parent's by more than the
+parent's q3 - q1, ``worse`` where its median is worse than the parent's
+by more than the metric's ``bound``, a fraction of the parent's median,
+and ``-`` otherwise.
 
 Exit 1 if a run fails or its last stdout line is not the harness's JSON
 result, 2 on bad arguments.
@@ -82,19 +86,29 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summary(pairs: list[dict[str, dict[str, float]]], metrics: list[dict]) -> str:
     """Per metric: each side's median [q1, q3] over ``pairs`` (each a
-    {side: {metric: value}}) and how many pairs the change won."""
+    {side: {metric: value}}), the verdict and how many pairs the change
+    won."""
     lines = [f"{'metric':12s} {'better':6s} {'parent median [q1, q3]':>34s} "
-             f"{'change median [q1, q3]':>34s} {'change/parent':>13s} {'won':>6s}"]
+             f"{'change median [q1, q3]':>34s} {'change/parent':>13s} {'verdict':>7s} "
+             f"{'won':>6s}"]
     for m in metrics:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
         cols = []
         for side in SIDES:
             q1, median, q3 = _quartiles([p[side][name] for p in pairs])
-            cols.append((median, f"{median:.6g} [{q1:.6g}, {q3:.6g}]"))
+            cols.append((median, q3 - q1, f"{median:.6g} [{q1:.6g}, {q3:.6g}]"))
+        (parent, spread, _), (change, _, _) = cols
         won = sum(sign * (p["change"][name] - p["parent"][name]) > 0 for p in pairs)
-        ratio = cols[1][0] / cols[0][0] if cols[0][0] else math.nan
-        lines.append(f"{name:12s} {m['better']:6s} {cols[0][1]:>34s} {cols[1][1]:>34s} "
-                     f"{ratio:13.4f} {won:>3d}/{len(pairs)}")
+        ahead = sign * (change - parent)  # how much better the change's median is
+        if won >= 0.9 * len(pairs) and ahead > spread:
+            verdict = "gain"
+        elif -ahead > m["bound"] * abs(parent):
+            verdict = "worse"
+        else:
+            verdict = "-"
+        ratio = change / parent if parent else math.nan
+        lines.append(f"{name:12s} {m['better']:6s} {cols[0][2]:>34s} {cols[1][2]:>34s} "
+                     f"{ratio:13.4f} {verdict:>7s} {won:>3d}/{len(pairs)}")
     return "\n".join(lines)
 
 

@@ -69,8 +69,6 @@ def _load_json(path: str) -> dict:
 def _round9(obj):
     """Round every float in a JSON-ish structure to 9 significant digits,
     refusing nan and the infinities."""
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise NonFiniteOutput(f"the output holds {obj}, which JSON cannot spell")

@@ -15,17 +15,14 @@ plain floats.
 
 Where the rival group's effective effort is 0 the odds jump as own-group
 effort leaves 0, so the supremum lies just past the kink and is never
-attained.  The search then reports the limit point kink + d, with d
-doubled from one ulp of the valuation or the kink until the group sum,
-rounded as ``effective_efforts`` rounds it, lands strictly past 0
-(large efforts that cancel inside the group round smaller steps away).
-The same goes when the rival's effort is within rounding of 0
-(``ROUNDING_BAND``); there all candidates are scored from rounded group
-sums.  The payoff is undefined where a group sum leaves the float range,
-so a candidate whose sums would is cut back to the largest effort that
-keeps them finite (``_edge``): its piece still rises there, or, below a
-kink out of reach, peaks at its ends; one of |v| or more, which pays no
-more than staying out, is cut back from |v|.  The winner's
+attained.  The search then also scores the limit point past it
+(``_axis_moves``), as it does when the rival's effort is within rounding
+of 0 (``ROUNDING_BAND``); there all candidates are scored from rounded
+group sums.  The payoff is undefined where a group sum leaves the float
+range, so a candidate whose sums would is cut back to the largest effort
+that keeps them finite (``_edge``): its piece still rises there, or,
+below a kink out of reach, peaks at its ends; one of |v| or more, which
+pays no more than staying out, is cut back from |v|.  The winner's
 improvement is recomputed exactly, as the payoff function computes it on
 the deviated profile, or is 0.0 when the winner is the current effort: a
 finite certificate over an infinite action space.  Rounded group sums,
@@ -105,7 +102,8 @@ from operator import sub
 
 import numpy as np
 
-from .best_response import ROUNDING_BAND, _stationary
+from .best_response import ROUNDING_BAND  # noqa: F401 - verify.ROUNDING_BAND stays importable
+from .best_response import _axis_moves, _group_values, _moved_z, _on_axis, _stationary
 from .csf import _payoff_at, p1_values, win_probability_short
 from .model import (
     ContestError,
@@ -231,26 +229,9 @@ def default_epsilon(spec: ContestSpec) -> float:
     return 1e-6 * spec.max_abs_valuation()
 
 
-def _on_axis(v: float, e: float) -> tuple[float, float]:
-    """(x, y) of effort e on the axis of a player valued v: x if v > 0, else y."""
-    return (e, 0.0) if v > 0 else (0.0, e)
-
-
 def _busy(x: float, y: float) -> bool:
     """Whether (x, y) is any effort but (+0.0, +0.0), -0.0 included."""
     return bool(x or y) or math.copysign(1.0, x) < 0 or math.copysign(1.0, y) < 0
-
-
-def _moved_z(theta: float, columns, k: int, x: float, y: float) -> float:
-    """The group's effective effort after its player k moves to (x, y),
-    without rebuilding the profile: the builtin sum over a copy of each of
-    ``columns`` (the group's x and y efforts) with the move written in (a
-    copy sums faster than a chain of slices).  That is ``_group_z`` over
-    the same sequence as ``effective_efforts`` on the deviated profile,
-    so the result is bit for bit its z."""
-    xs, ys = list(columns[0]), list(columns[1])
-    xs[k - 1], ys[k - 1] = x, y
-    return _group_z(theta, xs, ys)
 
 
 def _edge(theta, columns, k, v, z_minus, e):
@@ -358,19 +339,6 @@ def _gain(theta, group, v, columns, k, z, z_other, p_now, e):
     return (*move, gain) if gain > 0.0 else None
 
 
-def _group_values(theta, gx, gy):
-    """A group's (z, gross, band) from its columns: z by ``_group_z``, the
-    gross effort, the builtin sum of x + theta * y, and the |z_other| above
-    which the group lies outside the rounding band: the gross effort and
-    the number of nonzero efforts bound the rounding in z."""
-    # Where every y is +-0.0, sum(gy) is +0.0 and each x + theta * y is x, or
-    # +0.0 for x = -0.0, which the sum (from +0.0) adds alike: gross is z.
-    z, n, idle_y = _group_z(theta, gx, gy), len(gx), gy.count(0.0)
-    gross = z if idle_y == n else sum([x + theta * y for x, y in zip(gx, gy)])
-    terms = 2 * n - gx.count(0.0) - idle_y
-    return z, gross, ROUNDING_BAND * (terms + 4) * math.ulp(gross)
-
-
 def _search_player(theta, group, v, columns, k, own, z_other, p_now):
     """The scalar search of player k of ``group``, valued v, whose efforts
     are the k-th of ``columns``, from its group's ``_group_values`` (own),
@@ -379,22 +347,8 @@ def _search_player(theta, group, v, columns, k, own, z_other, p_now):
     (z, gross, band), x, y = own, columns[0][k - 1], columns[1][k - 1]
     z_minus = z - (x - theta * y)
     exact = abs(z_other) > band
-    # Candidate efforts on the valuation's axis.
-    kink = max(0.0, -z_minus) if v > 0 else max(0.0, z_minus / theta)
-    moves = [0.0]
-    for e in (kink, _stationary(v, theta, z_minus, z_other)):
-        if e > 0 and e not in moves:
-            moves.append(e)
-    if not exact:
-        # The limit point: step past the kink until the rounded group
-        # sum is past 0, unless the kink is out of the float range.
-        d = math.ulp(max(abs(v), kink))
-        while math.isfinite(kink + d):
-            past = _moved_z(theta, columns, k, *_on_axis(v, kink + d))
-            if (past > 0) if v > 0 else (past < 0):
-                moves.append(kink + d)
-                break
-            d *= 2.0
+    peak = _stationary(v, theta, z_minus, z_other)
+    moves = _axis_moves(theta, v, columns, k, z_minus, peak, exact)
     edge = SUM_EDGE if v > 0 else min(1.0, theta) * SUM_EDGE
     # An effort of |v| or more pays at most min(v, 0), no more than 0, scored
     # before it, so a candidate is cut back from no further out than |v|.

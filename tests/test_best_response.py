@@ -1,4 +1,6 @@
+import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -32,9 +34,10 @@ rule = gc.axis_best_response
 
 
 def assert_refused_or_quiet(theta, v, z_minus, z_other):
-    """The rule refuses only v = 0, z_other = 0 and a saboteur's theta <= 0;
-    every other case these domain tests pass pays most at effort 0."""
-    if v == 0 or z_other == 0 or (v < 0 and theta <= 0):
+    """The rule refuses only v = 0, z_other = 0 and a saboteur's theta
+    None or <= 0; every other case these domain tests pass pays most at
+    effort 0."""
+    if v == 0 or z_other == 0 or (v < 0 and (theta is None or theta <= 0)):
         with pytest.raises(gc.DomainError):
             rule(theta, v, z_minus, z_other)
     else:
@@ -110,7 +113,9 @@ class TestNegativeY:
     def test_effectiveness_scales_effort(self):
         assert rule(2, -4, 0, -2).effort == 1.0
 
-    @pytest.mark.parametrize("theta,v,z_other", [(0, -1, -1), (1, 1, -1), (1, -1, 1)])
+    @pytest.mark.parametrize(
+        "theta,v,z_other", [(0, -1, -1), (None, -1, -1), (1, 1, -1), (1, -1, 1)]
+    )
     def test_domain(self, theta, v, z_other):
         assert_refused_or_quiet(theta, v, 0.0, z_other)
 
@@ -235,25 +240,76 @@ class TestWholeAxis:
             assert pays(effort) >= pays(e)
 
     @settings(max_examples=300)
-    @given(axis_cases(theta=st.integers(-4, 4).map(lambda k: math.ldexp(1.0, k))))
+    @given(axis_cases(theta=st.one_of(st.integers(-4, 4).map(lambda k: math.ldexp(1.0, k)),
+                                      st.floats(1 / 16, 16.0))))
     def test_matches_the_deviation_search(self, case):
         # Group 1 holds the player, idle, and a teammate whose one effort
         # makes z_minus; group 2 one player whose effort makes z_other.
-        # theta is a power of two, so both sums are exact.
         theta, v, z_minus, z_other = case
-
-        def efforts_for(z):
-            return (z, 0.0) if z >= 0 else (0.0, -z / theta)
-
-        me, mate = (0.0, 0.0), efforts_for(z_minus)
-        rows = [(me, mate) if v > 0 else (mate, me), (efforts_for(z_other), (0.0, 0.0))]
+        effort = rule(theta, v, z_minus, z_other).effort
         spec = make_spec([abs(v), -abs(v)], [abs(v), -abs(v)], theta)
-        profile = profile_of(rows)
-        assert gc.effective_efforts(spec, profile) == gc.EffectiveEffort(z_minus, z_other)
         player = gc.PlayerId(1, 1 if v > 0 else 2)
-        deviation = gc.best_deviation(spec, profile, player)
-        moved = deviation.new_x if v > 0 else deviation.new_y
-        assert moved == rule(theta, v, z_minus, z_other).effort
+
+        def moved(rows):
+            profile = profile_of(rows)
+            assert gc.effective_efforts(spec, profile) == gc.EffectiveEffort(z_minus, z_other)
+            deviation = gc.best_deviation(spec, profile, player)
+            return deviation.new_x if v > 0 else deviation.new_y
+
+        # The teammate's x is z_minus and the rival's x is z_other, of either
+        # sign: the very group the rule searches, up to its players' order.
+        me, mate = (0.0, 0.0), (z_minus, 0.0)
+        assert moved([(me, mate) if v > 0 else (mate, me), ((z_other, 0.0), me)]) == effort
+        if math.frexp(theta)[0] == 0.5:
+            # theta is a power of two, so a negative effort carried as
+            # y = -z / theta keeps both sums exact.
+            def efforts_for(z):
+                return (z, 0.0) if z >= 0 else (0.0, -z / theta)
+
+            mate = efforts_for(z_minus)
+            rows = [(me, mate) if v > 0 else (mate, me), (efforts_for(z_other), me)]
+            assert moved(rows) == effort
+
+
+def _rule_digest(draws: int, seed: int) -> str:
+    """SHA-256 over the rule's effort (as hex) and tie, or the class name
+    of what it raises, on seeded draws of v, z_minus and z_other in
+    (-2, 2) and theta in [1/16, 16], each of six kinds drawn at random:
+    ordinary; the rival within 2**44 ulps of z_minus, about the rounding
+    band; magnitudes up to the largest float; subnormal ones; theta None
+    for v > 0; and z_minus +-0.0 against a rival within 2**44 ulps of the
+    smallest subnormal."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-2.0, 2.0, (draws, 3)).tolist()
+    thetas = np.exp(rng.uniform(np.log(1 / 16), np.log(16.0), draws)).tolist()
+    kinds, shifts = rng.integers(0, 6, draws).tolist(), rng.integers(0, 45, draws).tolist()
+    h = hashlib.sha256()
+    for (v, z_minus, z_other), theta, kind, shift in zip(base, thetas, kinds, shifts):
+        if kind == 1:
+            z_other *= math.ldexp(math.ulp(z_minus), shift)
+        elif kind == 2:
+            v, z_minus, z_other = (w * (sys.float_info.max / 2) for w in (v, z_minus, z_other))
+        elif kind == 3:
+            v, z_minus, z_other = (math.ldexp(w, -1030 - shift) for w in (v, z_minus, z_other))
+        elif kind == 4:
+            theta, v = None, abs(v)
+        elif kind == 5:
+            z_minus, z_other = math.copysign(0.0, z_minus), math.ldexp(z_other, shift - 1074)
+        try:
+            r = rule(theta, v, z_minus, z_other)
+            line = f"{r.effort.hex()}:{r.tie}"
+        except gc.ContestError as exc:
+            line = type(exc).__name__
+        h.update(f"{line}\n".encode())
+    return h.hexdigest()
+
+
+def test_rule_golden_digest():
+    # Computed before the rule took its candidates, limit point and band
+    # from ``_axis_moves``, which the deviation search runs too.
+    assert _rule_digest(20_000, 32) == (
+        "cb69adb284bf4cbbb40ccd39b2d9c80b129e149a1ed2d88e8b6c3e7c2fede44c"
+    )
 
 
 class TestGroupBestEffectiveEffort:

@@ -834,6 +834,29 @@ class TestAbBenchScript:
         assert rows["op_p50_ms"].endswith(" 2/4")  # lower is better; the tie counts for neither
         assert rows["setup_s"].endswith(" 0/4")
 
+    def test_summary_states_its_verdict(self, ab):
+        root = os.path.join(os.path.dirname(__file__), "..")
+        metrics = json.loads(open(os.path.join(root, "BENCHMARK.json")).read())["end_to_end"]
+        bounds = {m["name"]: m["bound"] for m in metrics}
+        assert bounds["ops_per_s"] == bounds["op_p50_ms"] == 0.25
+        parent = [100.0 + i for i in range(10)]  # median 104.5, q3 - q1 = 4.5
+        changes = {
+            "ops_per_s": [p + 5 for p in parent],  # 10/10 won, median 5 > 4.5 ahead: gain
+            "setup_s": [p * 1.26 for p in parent],  # lower is better; 26 % worse: worse
+            "op_p50_ms": [p - 6 if i else p for i, p in enumerate(parent)],  # 9/10: gain
+            "op_p90_ms": [p - 4 for p in parent],  # 10/10 but within q3 - q1: -
+            "ok_ratio": [p + 5 if i > 1 else p for i, p in enumerate(parent)],  # 8/10: -
+            "peak_rss_mb": [p * 1.04 for p in parent],  # 4 % worse, within the 5 % bound: -
+        }
+        pairs = [{"parent": {m["name"]: parent[i] for m in metrics},
+                  "change": {name: values[i] for name, values in changes.items()}}
+                 for i in range(10)]
+        rows = [line.split() for line in ab.summary(pairs, metrics).splitlines()]
+        assert rows[0][-2:] == ["verdict", "won"]
+        verdicts = {row[0]: row[-2] for row in rows[1:]}
+        assert verdicts == {"ops_per_s": "gain", "setup_s": "worse", "op_p50_ms": "gain",
+                            "op_p90_ms": "-", "ok_ratio": "-", "peak_rss_mb": "-"}
+
     @pytest.mark.parametrize("stdout", [
         "", "not json", '{"correct": true}', _result_line(1.0, 1.0)[:-20],
         _result_line(1.0, 1.0, correct=False),
