@@ -11,9 +11,10 @@ and the bottom -2 to -8, theta at half the lower cutoff) and two profiles:
   nonzero) while group 2 builds 2**12 times harder.  Only group 1 lies
   outside the band, and only it is searched.
 
-The pick layer ``verify._search_moves`` searches each profile's groups with
-``ARRAY_MIN_PLAYERS`` at 1 (the arrays) and at 10**9 (the scalar loop, one
-``_search_player`` call per player), alternating, and the script prints
+The profile search ``verify._search_moves``, which writes the report
+rows, runs on each profile's groups with ``ARRAY_MIN_PLAYERS`` at 1 (the
+arrays) and at 10**9 (the scalar loop, one ``_search_player`` call per
+player), alternating, and the script prints
 the median time of each per search and their ratio.  A ratio below 1
 means the arrays are faster there.
 

@@ -87,16 +87,17 @@ def _emit(obj) -> None:
 def _region_json(grid: RegionGrid) -> str:
     """What ``_emit`` prints for the sweep as a list of {axis1, axis2,
     margin, in_region} objects, rendered from the arrays row by row as
-    ``region_csv`` renders its rows."""
+    ``region_csv`` renders its rows.  ``_round9`` refuses non-finite
+    floats, and a finite float's JSON spelling is its ``repr``."""
     cells = [
-        f'    "axis2": {json.dumps(_round9(a2))},\n    "margin": %s,\n    "in_region": %s\n  }}'
+        f'    "axis2": {_round9(a2)!r},\n    "margin": %s,\n    "in_region": %s\n  }}'
         for a2 in grid.axis2.tolist()
     ]
     rows = []
     for a1, margins in zip(grid.axis1.tolist(), grid.margin.tolist()):
-        prefix = f'  {{\n    "axis1": {json.dumps(_round9(a1))},\n'
+        prefix = f'  {{\n    "axis1": {_round9(a1)!r},\n'
         values = [None] * (2 * len(margins))
-        values[0::2] = map(json.dumps, _round9(margins))
+        values[0::2] = map(repr, _round9(margins))
         values[1::2] = ["true" if m >= 0 else "false" for m in margins]
         rows.append((prefix + (",\n" + prefix).join(cells)) % tuple(values))
     return "[\n" + ",\n".join(rows) + "\n]\n"

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -154,16 +155,19 @@ def solve(spec: ContestSpec) -> EquilibriumResult:
     else:
         a, b = spec.group1.valuations[-1], spec.group2.valuations[-1]
     e = math.frexp(max(abs(a), abs(b)))[1]
-    a, b = math.ldexp(a, -e), math.ldexp(b, -e)
-    denom = (a + b) ** 2
+    sa, sb = math.ldexp(a, -e), math.ldexp(b, -e)
+    cubes = sa * sa * sb, sa * sb * sb
+    if min(map(abs, cubes)) >= sys.float_info.min:
+        e1, e2 = (math.ldexp(c / (sa + sb) ** 2, e) for c in cubes)
+    else:  # far apart valuations, whose sum is finite: b*r^2 and a*s^2, unscaled
+        r, s = a / (a + b), b / (a + b)
+        e1, e2 = b * r * r, a * s * s
     if regime is Regime.NO_SABOTAGE:
-        profile = profile.replace(PlayerId(1, 1), math.ldexp(a * a * b / denom, e), 0.0)
-        profile = profile.replace(PlayerId(2, 1), math.ldexp(a * b * b / denom, e), 0.0)
+        profile = profile.replace(PlayerId(1, 1), e1, 0.0)
+        profile = profile.replace(PlayerId(2, 1), e2, 0.0)
     else:
-        y1 = math.ldexp(-a * a * b / denom, e)
-        y2 = math.ldexp(-a * b * b / denom, e)
-        profile = profile.replace(PlayerId(1, spec.group1.size), 0.0, y1)
-        profile = profile.replace(PlayerId(2, spec.group2.size), 0.0, y2)
+        profile = profile.replace(PlayerId(1, spec.group1.size), 0.0, -e1)
+        profile = profile.replace(PlayerId(2, spec.group2.size), 0.0, -e2)
     return EquilibriumResult(regime, profile, effective_efforts(spec, profile), boundary)
 
 

@@ -50,25 +50,25 @@ the group sum.  One player's search is ``_search_player``: candidates,
 limit point, cut-backs, scores and exact gain, from its group's values,
 the rival's z and the odds.  It returns the points scored and the
 gaining move, if any, as plain floats, and builds no record.
-``best_deviation`` calls it once and builds its one row, so calls for
-distinct players may run in parallel.  The pick layer, ``_search_moves``,
-takes each searched group's values once and returns each gaining
-player's move and exact gain; the row layer, ``_search_rows``, builds
-the rows of ``is_epsilon_nash``, whose verdict comes from the gains.
-Idle players' rows, staying at (+0.0, +0.0), are shared immutable values
+``best_deviation`` calls it once, so calls for distinct players may run
+in parallel.  A profile's search, ``_search_moves``, takes each searched
+group's values once and writes each player's report row as it goes,
+keeping the largest gain, from which ``is_epsilon_nash`` certifies.
+Every row comes from one rule, ``_row``: the player's gaining move, else
+a row at its effort if it is busy (any effort but (+0.0, +0.0), -0.0
+included), else its idle row.  Idle rows are shared immutable values
 from one bounded cache, and every other row takes its player's id from
 the idle row at its position, so the ids of a report agree by
-construction.  A search builds a row only for a busy player (any other
-effort, -0.0 included) and for an improving one, and no id once groups
-of its sizes have been seen.
+construction, and no id is built once groups of its sizes have been seen.
 
-``best_response_dynamics`` builds no rows.  It keeps one list per group
-column, live, and writes each move into its player's two entries; the
-profile of tuples is built once, at return.  Simultaneous play runs the
-pick layer once an iteration.  Round-robin play, inherently sequential,
-calls ``_search_player`` per player on the live columns.  It takes each
-group's ``_group_values`` once per run and again after each of the
-group's moves: a staying player costs O(1) apart from in-band
+``best_response_dynamics`` keeps one list per group column, live, and
+writes each move into its player's two entries; the profile of tuples is
+built once, at return.  Simultaneous play runs ``_search_moves`` once an
+iteration and writes its rows back as the columns: a row holds its
+player's move or its current effort.  Round-robin play, inherently
+sequential, calls ``_search_player`` per player on the live columns.  It
+takes each group's ``_group_values`` once per run and again after each
+of the group's moves: a staying player costs O(1) apart from in-band
 candidates, a move O(n).  After an iteration the profile becomes a
 tuple of floats, kept with its largest effort as key.  The largest
 change from the previous tuple is the step just taken, for the
@@ -102,7 +102,6 @@ from operator import sub
 
 import numpy as np
 
-from .best_response import ROUNDING_BAND  # noqa: F401 - verify.ROUNDING_BAND stays importable
 from .best_response import _axis_moves, _group_values, _moved_z, _on_axis, _stationary
 from .csf import _payoff_at, p1_values, win_probability_short
 from .model import (
@@ -229,11 +228,6 @@ def default_epsilon(spec: ContestSpec) -> float:
     return 1e-6 * spec.max_abs_valuation()
 
 
-def _busy(x: float, y: float) -> bool:
-    """Whether (x, y) is any effort but (+0.0, +0.0), -0.0 included."""
-    return bool(x or y) or math.copysign(1.0, x) < 0 or math.copysign(1.0, y) < 0
-
-
 def _edge(theta, columns, k, v, z_minus, e):
     """The largest effort in [0, e] on player k's axis at which both group
     sums the search takes, z_minus +- effort and ``_moved_z``, are finite.
@@ -261,13 +255,25 @@ def _idle_rows(group: int, size: int) -> tuple[Deviation, ...]:
     return tuple(Deviation(PlayerId(group, k), 0.0, 0.0, 0.0) for k in range(1, size + 1))
 
 
+def _row(idle: Deviation, x: float, y: float, move=None) -> Deviation:
+    """The report row of the player whose idle row is ``idle`` and whose
+    effort is (x, y): its gaining move (x, y, gain) as ``_gain`` gives it,
+    else a row at its effort if that is any but (+0.0, +0.0), -0.0
+    included, else the shared idle row."""
+    if move:
+        return Deviation(idle.player, *move)
+    if x or y or math.copysign(1.0, x) < 0 or math.copysign(1.0, y) < 0:
+        return Deviation(idle.player, x, y, 0.0)
+    return idle
+
+
 def _search_array(theta, parts):
     """The scalar loop's exact-mode search of whole groups, stacked as the
     columns of float64 arrays.  Each part is a group's (group, valuations,
-    columns, group values, z_other, p_now, picks, busy): the loop's
-    arguments and the lists it extends.  Returns the points scored, or
-    None, extending no list, where a stationary point's common scaling
-    underflows or a candidate's group sums may pass ``SUM_EDGE``."""
+    columns, group values, z_other, p_now, rows): the loop's arguments and
+    the report rows it writes.  Returns the points scored and the largest
+    gain, or None, writing no row, where a stationary point's common
+    scaling underflows or a candidate's group sums may pass ``SUM_EDGE``."""
     sizes = [len(p[1]) for p in parts]
     starts = [0, *accumulate(sizes)]
     # ``struct.pack`` reads tuples of floats about 3x faster than np.array.
@@ -315,13 +321,17 @@ def _search_array(theta, parts):
     busy = np.flatnonzero(cx.view(np.int64) | cy.view(np.int64))
     t, b = took.searchsorted(starts).tolist(), busy.searchsorted(starts).tolist()
     took, e, busy = took.tolist(), moves[best[took] - 1, took].tolist(), busy.tolist()
-    for j, (group, valuations, columns, own, *rest, picks_j, busy_j) in enumerate(parts):
-        busy_j += [i - starts[j] for i in busy[b[j]:b[j + 1]]]
-        for i in range(t[j], t[j + 1]):  # at part j's own positions k
+    top = 0.0
+    for j, (group, valuations, columns, own, *rest, rows) in enumerate(parts):
+        gx, gy = columns
+        for i in busy[b[j]:b[j + 1]]:  # at part j's own positions k
+            k = i - starts[j]
+            rows[k] = _row(rows[k], gx[k], gy[k])
+        for i in range(t[j], t[j + 1]):
             k = took[i] - starts[j]
             if move := _gain(theta, group, valuations[k], columns, k + 1, own[0], *rest, e[i]):
-                picks_j.append((k, *move))
-    return 2 * len(v) + int(np.count_nonzero(ok))
+                rows[k], top = _row(rows[k], gx[k], gy[k], move), max(top, move[2])
+    return 2 * len(v) + int(np.count_nonzero(ok)), top
 
 
 def _gain(theta, group, v, columns, k, z, z_other, p_now, e):
@@ -370,12 +380,11 @@ def _search_player(theta, group, v, columns, k, own, z_other, p_now):
 
 
 def _search_moves(spec: ContestSpec, xs, ys, groups):
-    """The pick layer of a profile's search, over its columns ``xs`` and
-    ``ys`` (per group, any sequences of floats), of the whole groups in
-    ``groups``.  Returns per group the (position, x, y, gain) of each
-    player whose best move gains and the positions of the busy players
-    (an effort other than +0.0, -0.0 included), and the number of points
-    scored.  Group values come from ``_group_values``, so each z is
+    """The search of a profile, over its columns ``xs`` and ``ys`` (per
+    group, any sequences of floats), of the whole groups in ``groups``.
+    Returns each group's report rows, as ``_row`` writes them, the number
+    of points scored and the largest gain (0.0 if nobody gains).  Group
+    values come from ``_group_values``, so each z is
     ``effective_efforts``' bit for bit.  Every group of
     ``ARRAY_MIN_PLAYERS`` or more outside the rounding band goes into one
     ``_search_array`` call; the players of other groups, and of every
@@ -384,43 +393,23 @@ def _search_moves(spec: ContestSpec, xs, ys, groups):
     values = [_group_values(theta, gx, gy) for gx, gy in zip(xs, ys)]
     found, wide, narrow = [], [], []
     for group in groups:
-        own, z_other = values[group - 1], values[2 - group][0]
+        own, z_other, n = values[group - 1], values[2 - group][0], len(xs[group - 1])
         part = (group, spec.group(group).valuations, (xs[group - 1], ys[group - 1]), own, z_other,
-                win_probability_short(own[0], z_other), [], [])
-        found.append(part[6:])  # (picks, busy)
+                win_probability_short(own[0], z_other), list(_idle_rows(group, n)))
+        found.append(part[6])
         exact = abs(z_other) > own[2]
-        (wide if exact and len(xs[group - 1]) >= ARRAY_MIN_PLAYERS else narrow).append(part)
-    count = _search_array(theta, wide) if wide else 0
-    if count is None:  # declined: the scalar loop searches those groups
-        count, narrow = 0, narrow + wide
-    for group, valuations, columns, own, z_other, p_now, picks, busy in narrow:
+        (wide if exact and n >= ARRAY_MIN_PLAYERS else narrow).append(part)
+    array = _search_array(theta, wide) if wide else (0, 0.0)
+    if array is None:  # declined: the scalar loop searches those groups
+        array, narrow = (0, 0.0), narrow + wide
+    count, top = array
+    for group, valuations, columns, own, z_other, p_now, rows in narrow:
         for i, v in enumerate(valuations):
-            if _busy(columns[0][i], columns[1][i]):
-                busy.append(i)
             scored, move = _search_player(theta, group, v, columns, i + 1, own, z_other, p_now)
-            count += scored
+            rows[i], count = _row(rows[i], columns[0][i], columns[1][i], move), count + scored
             if move:
-                picks.append((i, *move))
-    return found, count
-
-
-def _search_rows(profile: StrategyProfile, found) -> list[Deviation]:
-    """The row layer over ``_search_moves``' result ``found`` for both
-    groups: exact best deviations of every player.  Idle players take the
-    shared rows, busy ones a row at their effort, gaining ones a row at
-    their move."""
-    rows = []
-    for group, (gains, busy) in enumerate(found, start=1):
-        xs, ys = profile.xs[group - 1], profile.ys[group - 1]
-        idle = _idle_rows(group, len(xs))
-        deviations = list(idle)
-        for i, x, y, gain in gains:
-            deviations[i] = Deviation(idle[i].player, x, y, gain)
-        for i in busy:
-            if deviations[i] is idle[i]:  # not moved by a gaining pick
-                deviations[i] = Deviation(idle[i].player, xs[i], ys[i], 0.0)
-        rows += deviations
-    return rows
+                top = max(top, move[2])
+    return found, count, top
 
 
 def best_deviation(
@@ -434,9 +423,7 @@ def best_deviation(
     values, z_other = _group_values(theta, *own), _group_z(theta, *other)
     _, move = _search_player(theta, group, v, own, k, values, z_other,
                              win_probability_short(values[0], z_other))
-    row = _idle_rows(group, len(own[0]))[k - 1]
-    x, y, gain = move or (own[0][k - 1], own[1][k - 1], 0.0)
-    return Deviation(row.player, x, y, gain) if move or _busy(x, y) else row
+    return _row(_idle_rows(group, len(own[0]))[k - 1], own[0][k - 1], own[1][k - 1], move)
 
 
 def is_epsilon_nash(
@@ -456,11 +443,8 @@ def is_epsilon_nash(
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ContestError(f"epsilon must be finite and positive, got {epsilon}")
     _check_shape(spec, profile)
-    found, count = _search_moves(spec, profile.xs, profile.ys, (1, 2))
-    # Only a gaining player's row improves on 0.0, and epsilon > 0.
-    certified = all(gain <= epsilon for gains, _ in found for *_, gain in gains)
-    deviations = _search_rows(profile, found)
-    return VerificationReport(certified, epsilon, tuple(deviations), count)
+    rows, count, top = _search_moves(spec, profile.xs, profile.ys, (1, 2))
+    return VerificationReport(top <= epsilon, epsilon, tuple(chain(*rows)), count)
 
 
 # --- forbidden-class sampling -------------------------------------------
@@ -616,8 +600,8 @@ def refute_class(
                 f"no improving deviation found for a {forbidden.value} sample"
             )
         profile = StrategyProfile(tuple(map(tuple, xs)), tuple(map(tuple, ys)))
-        player = _idle_rows(g, len(xs[g - 1]))[k - 1].player
-        records.append(Refutation(profile, Deviation(player, *move)))
+        row = _row(_idle_rows(g, len(xs[g - 1]))[k - 1], xs[g - 1][k - 1], ys[g - 1][k - 1], move)
+        records.append(Refutation(profile, row))
     return records
 
 
@@ -675,12 +659,12 @@ def best_response_dynamics(
                     values[g] = _group_values(theta, *columns[g])
         else:
             # Every search reads the columns before any move is written.
-            found, _ = _search_moves(spec, xs, ys, (1, 2))
-            gain = max((d for gains, _ in found for *_, d in gains), default=0.0)
+            # A row holds its player's move or its current effort.
+            rows, _, gain = _search_moves(spec, xs, ys, (1, 2))
             if gain > FIXED_POINT_TOL:
-                for g, (gains, _) in enumerate(found):
-                    for i, x, y, _ in gains:
-                        xs[g][i], ys[g][i] = x, y
+                for g, group_rows in enumerate(rows):
+                    xs[g][:] = [d.new_x for d in group_rows]
+                    ys[g][:] = [d.new_y for d in group_rows]
 
         row = (*xs[0], *xs[1], *ys[0], *ys[1])
         top, step = max(row), max(map(abs, map(sub, history[-1][1], row)))

@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 
 import groupcontest as gc
 from groupcontest import verify
+from groupcontest.best_response import ROUNDING_BAND
 from groupcontest.best_response import _stationary as br_stationary
 from groupcontest.csf import payoff, win_probability_short
 from groupcontest.model import effective_efforts, valuation
@@ -39,7 +40,6 @@ from groupcontest.verify import (
     CONVERGENCE_TOL,
     CYCLE_TOL,
     FIXED_POINT_TOL,
-    ROUNDING_BAND,
     Deviation,
     DynamicsStatus,
 )

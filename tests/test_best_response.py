@@ -183,9 +183,16 @@ _nonzero = st.one_of(_magnitude, _magnitude.map(lambda m: -m))
 @st.composite
 def axis_cases(draw, theta=st.floats(1 / 16, 16.0)):
     """(theta, v, z_minus, z_other) in all four sign cases of (v, z_other),
-    z_minus of either sign or 0, at one scale 2**k with |k| <= 600."""
+    z_minus of either sign or 0, at one scale 2**k with |k| <= 600.  In a
+    quarter of the cases z_minus puts a kink on the player's axis and the
+    rival lies within 2**44 ulps of it, log-uniformly down to 2**-200 ulps:
+    inside the rounding band, where the limit point past the kink can win."""
     lam = math.ldexp(1.0, draw(st.integers(-600, 600)))
     v, z_minus, z_other = draw(_nonzero), draw(_signed), draw(_nonzero)
+    if draw(st.integers(0, 3)) == 0:
+        z_minus = -math.copysign(draw(_magnitude), v)
+        ulps = math.ldexp(draw(st.floats(1.0, 2.0)), draw(st.integers(-200, 43)))
+        z_other = math.copysign(ulps * math.ulp(z_minus), z_other)
     return draw(theta), lam * v, lam * z_minus, lam * z_other
 
 

@@ -69,6 +69,10 @@ class TestSolveCommand:
         assert doc["profile"]["efforts"][1][0] == {"x": 1.0, "y": 0.0}
         assert doc["thresholds"] == {"no_sabotage": 2.0, "sabotage": 8.0}
         assert doc["win_probabilities"]["p1"] == 0.5
+        assert "slack_no_sabotage" not in doc
+        code, out, _ = invoke(capsys, "solve", "--spec", write("s.json", NO_SABOTAGE), "--slack")
+        assert code == 0
+        assert json.loads(out) == dict(doc, slack_no_sabotage=1.5, slack_sabotage=7.5)
 
     def test_gap_output(self, capsys, write):
         code, out, _ = invoke(capsys, "solve", "--spec", write("s.json", SYMMETRIC_GAP))
@@ -228,16 +232,23 @@ class TestDocumentNumbers:
         assert (code, out) == (1, "")
         assert err.startswith("error: ValidationError:")
 
-    @pytest.mark.parametrize("x", [HUGE, "true", '"1"'], ids=["huge", "boolean", "string"])
-    def test_profile_numbers_are_validation_errors(self, capsys, write, x):
+    @pytest.mark.parametrize("first, groups, message", [
+        (f'{{"x": {HUGE}, "y": 0}}', 2, ""),
+        ('{"x": true, "y": 0}', 2, ""),
+        ('{"x": "1", "y": 0}', 2, ""),
+        ('{"x": 0, "y": 0}', 3, "expected efforts for exactly 2 groups"),
+        ('{"x": 0}', 2, "malformed profile document"),
+    ], ids=["huge", "boolean", "string", "three_groups", "missing_y"])
+    def test_profile_numbers_are_validation_errors(self, capsys, write, first, groups, message):
         zero = '{"x": 0, "y": 0}'
-        text = f'{{"efforts": [[{{"x": {x}, "y": 0}}, {zero}], [{zero}, {zero}]]}}'
+        rest = ", ".join([f"[{zero}, {zero}]"] * (groups - 1))
+        text = f'{{"efforts": [[{first}, {zero}], {rest}]}}'
         code, out, err = invoke(
             capsys, "verify", "--spec", write("s.json", SYMMETRIC_GAP),
             "--profile", write("p.json", text),
         )
         assert (code, out) == (1, "")
-        assert err.startswith("error: ValidationError:")
+        assert err.startswith(f"error: ValidationError: {message}")
 
     @pytest.mark.parametrize(
         "text", ["1" * 5000, "[" * 100_000 + "]" * 100_000], ids=["long_integer", "deep_nesting"]
@@ -451,11 +462,15 @@ class TestRegionCommand:
         assert sample == {"axis1": 2.0, "axis2": 2.0, "margin": -0.5, "in_region": False}
 
     def test_bad_grid_is_usage_error(self, capsys, write):
-        code, _, _ = invoke(
-            capsys, "region", "--spec", write("s.json", NO_SABOTAGE),
-            "--figure", "1", "--fixed", "1", "--axis1", "1:2", "--axis2", "1:2:2",
-        )
-        assert code == 2
+        for axis1, message in (("1:2", "grid must be MIN:MAX:STEPS"),
+                               ("a:5:3", "grid must be MIN:MAX:STEPS"),
+                               ("0.1:5:0", "grid needs at least one step")):
+            code, out, err = invoke(
+                capsys, "region", "--spec", write("s.json", NO_SABOTAGE),
+                "--figure", "1", "--fixed", "1", "--axis1", axis1, "--axis2", "1:2:2",
+            )
+            assert (code, out) == (2, "")
+            assert err.startswith(f"usage error: {message}")
 
     def test_nonpositive_grid_is_validation_error(self, capsys, write):
         code, _, err = invoke(

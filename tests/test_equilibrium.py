@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import groupcontest as gc
@@ -223,6 +223,27 @@ class TestScale:
         assert result.regime is gc.Regime.NO_SABOTAGE
         assert effort(result.profile, gc.PlayerId(1, 1)).x == pytest.approx(1e-10, rel=1e-12)
 
+    def test_valuations_further_apart_than_the_float_range(self):
+        # Scaled by 2**-1001, the lower top valuation underflows to 0; x11 is
+        # a^2*b/(a+b)^2 = b to the last bit.
+        spec = make_spec([2.0**1000, -(2.0**-1010)], [2.0**-1000, -(2.0**-1010)], 1.0)
+        result = gc.solve(spec)
+        assert result.regime is gc.Regime.NO_SABOTAGE
+        assert effort(result.profile, gc.PlayerId(1, 1)).x == 2.0**-1000
+        assert gc.is_epsilon_nash(spec, result.profile).is_epsilon_nash
+
+    @settings(max_examples=150)
+    @given(st.lists(st.floats(-1000.0, 1000.0), min_size=4, max_size=4), st.booleans())
+    def test_solutions_certify_at_any_valuation_spread(self, logs, low):
+        # Tops and bottoms log-uniform over 2**+-1000, theta inside a regime.
+        top1, bottom1, top2, bottom2 = (2.0**k for k in logs)
+        vals = [top1, -bottom1], [top2, -bottom2]
+        cut = gc.thresholds(make_spec(*vals, 1.0))
+        theta = cut.theta_no_sabotage / 2 if low else 2 * cut.theta_sabotage
+        assume(0 < theta < math.inf)
+        spec = make_spec(*vals, theta)
+        assert gc.is_epsilon_nash(spec, gc.solve(spec).profile).is_epsilon_nash
+
     @given(
         specs(),
         st.sampled_from(["low", "high", "as_drawn"]),
@@ -285,6 +306,8 @@ class TestRegionSample:
             gc.region_sample(1, 1.0, [1.0, 0.0], [1.0])
         with pytest.raises(gc.ContestError):
             gc.region_sample(2, 1.0, [1.0], [1.0])  # theta missing
+        with pytest.raises(gc.ContestError, match="figure must be 1 or 2"):
+            gc.region_sample(3, 1.0, [1.0], [1.0])
 
     def test_csv_rendering(self):
         text = gc.region_csv(gc.region_sample(1, 1.0, [2.0, 1 / 3], [2.0]))

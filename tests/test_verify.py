@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import groupcontest as gc
-from groupcontest import verify
+from groupcontest import best_response, verify
 from helpers import (
     Effort,
     _stationary as stationary_oracle,
@@ -1011,11 +1011,14 @@ def _array_calls():
     calls, search = [], verify._search_array
 
     def record(theta, parts):
-        scored = search(theta, parts)
-        # A declined call extends no list: the scalar loop fills them all.
-        assert scored is not None or not any(picks or busy for *_, picks, busy in parts)
-        calls.append((parts, scored))
-        return scored
+        found = search(theta, parts)
+        # A declined call writes no row: the scalar loop writes them all.
+        assert found is not None or all(
+            row is idle for group, *_, rows in parts
+            for row, idle in zip(rows, verify._idle_rows(group, len(rows)))
+        )
+        calls.append((parts, found and found[0]))
+        return found
 
     with mock.patch.object(verify, "_search_array", record):
         yield calls
@@ -1196,7 +1199,7 @@ class TestGroupValues:
         assert z.hex() == gc.effective_efforts(spec, profile).z1.hex()
         assert gross.hex() == sum([x + theta * y for x, y in zip(gx, gy)]).hex()
         terms = sum(e != 0.0 for e in gx + gy)
-        assert band == verify.ROUNDING_BAND * (terms + 4) * math.ulp(gross)
+        assert band == best_response.ROUNDING_BAND * (terms + 4) * math.ulp(gross)
 
 
 class TestPlayerIds:
